@@ -8,13 +8,18 @@ records per-operation p50/p95 latency to ``BENCH_index.json`` at the
 repository root (alongside ``BENCH_kernel.json`` and
 ``BENCH_parallel.json``).
 
-Two properties are asserted, making this a pass/fail smoke rather than
+It then serves the same index over TCP to concurrent clients while
+transient page-read faults hit the postings file, and records the
+clients' p50/p95 latency under ``service_contract``.
+
+Three properties are asserted, making this a pass/fail smoke rather than
 a pure measurement:
 
 1. the double build is deterministic — building the same clique set
    twice produces byte-identical index files;
 2. every benchmarked query answers on the fast path (no degradations,
-   no timeouts) and matches a brute-force scan of the clique stream.
+   no timeouts) and matches a brute-force scan of the clique stream;
+3. every served answer matches the in-process engine's, degraded or not.
 
 Latency numbers themselves are reported, not asserted: wall-clock
 budgets on shared CI boxes produce flaky failures, and the regression
@@ -28,15 +33,18 @@ Run directly (as CI does)::
 from __future__ import annotations
 
 import json
+import random
 import shutil
 import tempfile
+import threading
 import time
 from pathlib import Path
 
 from repro import DiskGraph, ExtMCE, ExtMCEConfig
+from repro.faults import FaultPlan, FaultRule
 from repro.generators.communities import defective_clique_communities
 from repro.index import CliqueIndex, build_index
-from repro.service import CliqueQueryEngine
+from repro.service import CliqueQueryClient, CliqueQueryEngine, CliqueQueryServer
 
 try:  # pytest collection from the repository root
     from benchmarks.common import quantiles
@@ -47,6 +55,8 @@ NUM_VERTICES = 400
 SEED = 7
 QUERIES_PER_OP = 200
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_index.json"
+SERVED_CLIENTS = 8
+REQUESTS_PER_CLIENT = 40
 
 
 def _workload(engine: CliqueQueryEngine, stats: dict) -> dict[str, dict]:
@@ -74,6 +84,96 @@ def _workload(engine: CliqueQueryEngine, stats: dict) -> dict[str, dict]:
             assert not result.degraded, f"{op} degraded during the benchmark"
         summaries[op] = quantiles(samples)
     return summaries
+
+
+def _service_contract(directory: Path, stats: dict) -> dict:
+    """Serve the index to concurrent TCP clients under postings faults.
+
+    Each client sends a seeded mix of point queries and small top-k scans;
+    every answer is checked against a fault-free in-process engine.  The
+    postings cache is off so queries keep reaching the buffer pool, where
+    transient read errors push some of them onto the degraded cold path.
+    """
+    num_vertices = stats["num_vertices"]
+    plan = FaultPlan(
+        [
+            FaultRule(
+                operation="pool_read", kind="io_error",
+                path_contains="postings.dat", after=i * 11,
+            )
+            for i in range(8)
+        ],
+        seed=9,
+    )
+    requests = []
+    for client_id in range(SERVED_CLIENTS):
+        rng = random.Random(1000 + client_id)
+        mine = []
+        for _ in range(REQUESTS_PER_CLIENT):
+            op = rng.choice(["cliques_containing", "cliques_containing_edge",
+                             "membership", "clique", "top_k_largest"])
+            if op == "cliques_containing":
+                args = {"v": rng.randrange(num_vertices)}
+            elif op == "cliques_containing_edge":
+                u, v = rng.sample(range(num_vertices), 2)
+                args = {"u": u, "v": v}
+            elif op == "membership":
+                args = {"vertices": rng.sample(range(num_vertices), 2)}
+            elif op == "clique":
+                args = {"clique_id": rng.randrange(stats["num_cliques"])}
+            else:
+                args = {"k": rng.randint(1, 5)}
+            mine.append((op, args))
+        requests.append(mine)
+    with CliqueIndex(directory) as reference:
+        engine = CliqueQueryEngine(reference)
+        expected = [
+            # Round-tripped through JSON, as the wire delivers them.
+            [json.loads(json.dumps(engine.query(op, **args).value)) for op, args in mine]
+            for mine in requests
+        ]
+
+    outcomes: list[tuple[bool, bool, float]] = []
+    outcomes_lock = threading.Lock()
+    index = CliqueIndex(directory, fault_plan=plan)
+    server = CliqueQueryServer(CliqueQueryEngine(index, cache_entries=0)).start()
+
+    def run_client(client_id: int) -> None:
+        host, port = server.address
+        with CliqueQueryClient(host, port) as client:
+            for (op, args), want in zip(requests[client_id], expected[client_id]):
+                response = client.request(op, **args)
+                with outcomes_lock:
+                    outcomes.append(
+                        (response.result == want, response.degraded,
+                         response.elapsed_ms)
+                    )
+
+    threads = [
+        threading.Thread(target=run_client, args=(cid,))
+        for cid in range(SERVED_CLIENTS)
+    ]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads), "a served client hung"
+    finally:
+        server.stop()
+        index.close()
+    assert len(outcomes) == SERVED_CLIENTS * REQUESTS_PER_CLIENT
+    assert all(correct for correct, _d, _ms in outcomes), "served answer diverged"
+    latencies = sorted(ms for _c, _d, ms in outcomes)
+    return {
+        "clients": SERVED_CLIENTS,
+        "requests": len(outcomes),
+        "degraded_responses": sum(1 for _c, degraded, _ms in outcomes if degraded),
+        "p50_ms": round(latencies[len(latencies) // 2], 3),
+        "p95_ms": round(
+            latencies[min(len(latencies) - 1, int(len(latencies) * 0.95))], 3
+        ),
+    }
 
 
 def main() -> int:
@@ -112,6 +212,7 @@ def main() -> int:
             )
             assert list(index.cliques_containing(probe)) == expected
             latencies = _workload(engine, stats)
+        service_contract = _service_contract(tmp / "idx", stats)
 
         payload = {
             "bench": "index_queries",
@@ -129,16 +230,8 @@ def main() -> int:
             "queries_per_op": QUERIES_PER_OP,
             "deterministic_double_build": True,
             "latency": latencies,
+            "service_contract": service_contract,
         }
-        existing = {}
-        if RESULT_PATH.exists():
-            try:
-                existing = json.loads(RESULT_PATH.read_text())
-            except ValueError:
-                existing = {}
-        if "service_contract" in existing:
-            # Preserve the contract test's measurements when re-running.
-            payload["service_contract"] = existing["service_contract"]
         RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
         print("index query smoke benchmark")
@@ -152,6 +245,9 @@ def main() -> int:
         for op, summary in latencies.items():
             print(f"  {op:<24s}: p50 {summary['p50_us']:8.1f} us   "
                   f"p95 {summary['p95_us']:8.1f} us")
+        print(f"  served (TCP)     : p50 {service_contract['p50_ms']:.3f} ms   "
+              f"p95 {service_contract['p95_ms']:.3f} ms   "
+              f"{service_contract['degraded_responses']} degraded")
         print(f"  results written  : {RESULT_PATH}")
         print("PASS")
         return 0

@@ -26,6 +26,9 @@ Two implementation notes, both verified against brute force by the tests:
    ``C1 ∪ C2``": a periphery extension is impossible because ``C2`` is
    already maximal within ``HNB(C1)``, so the direct neighborhood test
    against the star graph's lists decides membership.
+
+All three phases read one :class:`StarMasks` view of the step's star
+graph, built once per :func:`compute_core_plus_max_cliques` call.
 """
 
 from __future__ import annotations
@@ -94,8 +97,114 @@ HnbResolver = Callable[
 ]
 
 
+class StarMasks:
+    """Bitmask view of one step's star graph, shared by all of Algorithm 2.
+
+    Core vertices get bits in ascending id order, so walking a core mask
+    from its low bit up visits them in ``sorted`` order; periphery vertices
+    get bits of their own.  ``cm[i]`` is the core-neighbour mask of core
+    bit ``i`` and ``pm[i]`` its periphery mask, so every intersection the
+    lift needs — ``HNB``, extenders, blockers, Eq. (11) coverage — is one
+    ``&`` on Python ints.  Sets are decoded to frozensets only for output.
+    """
+
+    def __init__(self, star: StarGraph) -> None:
+        self.core_ids = sorted(star.core)
+        self.periphery_ids = sorted(star.periphery)
+        self._row = {v: i for i, v in enumerate(self.core_ids)}
+        self._core_bit = {v: 1 << i for v, i in self._row.items()}
+        self._periphery_bit = {v: 1 << i for i, v in enumerate(self.periphery_ids)}
+        self.all_core = (1 << len(self.core_ids)) - 1
+        self.all_periphery = (1 << len(self.periphery_ids)) - 1
+        self.cm = [self._mask(star.neighbor_lists[v], self._core_bit) for v in self.core_ids]
+        self.pm = [self._mask(star.neighbor_lists[v], self._periphery_bit) for v in self.core_ids]
+
+    @staticmethod
+    def _mask(vertices: Iterable[int], bit_of: dict[int, int]) -> int:
+        mask = 0
+        for v in vertices:
+            mask |= bit_of.get(v, 0)
+        return mask
+
+    def _meet(self, core_clique: Iterable[int], masks: list[int], mask: int) -> int:
+        for v in core_clique:
+            mask &= masks[self._row[v]]
+        return mask
+
+    def hnb(self, core_clique: Iterable[int]) -> int:
+        """Mask of ``HNB(C)`` (whole periphery for an empty ``C``)."""
+        return self._meet(core_clique, self.pm, self.all_periphery)
+
+    def blockers(self, core_clique: Iterable[int]) -> int:
+        """Mask of the core vertices adjacent to every member of ``C``."""
+        return self._meet(core_clique, self.cm, self.all_core)
+
+    def extendable(self, blockers: int, extension: Iterable[int]) -> bool:
+        """Eq. (11): whether a blocker is adjacent to all of ``extension``."""
+        wanted = self._mask(extension, self._periphery_bit)
+        while blockers:
+            bit = blockers.bit_length() - 1
+            if wanted & self.pm[bit] == wanted:
+                return True
+            blockers ^= 1 << bit
+        return False
+
+    def x_candidates(self) -> Iterator[tuple[Clique, Clique]]:
+        """The set ``X`` of Eq. (10) as ``(C1, HNB(C1))`` pairs.
+
+        Depth-first over core cliques in ascending-id set order: a node
+        carries its kernel, ``HNB`` mask, extenders (common core neighbours
+        above its last vertex) and blockers (all common core neighbours,
+        narrowed incrementally as ``blockers & cm[v]``).  A blocker ``u``
+        with ``HNB ⊆ pm[u]`` subsumes the node.  Two kinds of subtree hold
+        no candidate and are skipped: one whose ``HNB`` is empty, and one
+        with a subsuming blocker adjacent to every extender (so not itself
+        an extender) — that blocker stays a blocker of every clique in the
+        subtree, whose ``HNB`` only shrinks.  Children are pushed high bit
+        first, so the stack pops them in ascending order and the yield
+        order is the preorder of the ordered set enumeration.
+        """
+        cm, pm = self.cm, self.pm
+        stack = [(0, self.all_periphery, self.all_core, self.all_core)]
+        while stack:
+            kernel, shared, extenders, blockers = stack.pop()
+            if kernel:
+                subsumed = pruned = False
+                rest = blockers
+                while rest and not pruned:
+                    bit = rest.bit_length() - 1
+                    rest ^= 1 << bit
+                    if shared & pm[bit] == shared:
+                        subsumed = True
+                        pruned = extenders & cm[bit] == extenders
+                if pruned:
+                    continue
+                if blockers and not subsumed:
+                    yield _decode(kernel, self.core_ids), _decode(shared, self.periphery_ids)
+            above = 0
+            while extenders:
+                bit = extenders.bit_length() - 1
+                low = 1 << bit
+                extenders ^= low
+                next_shared = shared & pm[bit]
+                if next_shared:
+                    stack.append(
+                        (kernel | low, next_shared, above & cm[bit], blockers & cm[bit])
+                    )
+                above |= low
+
+
+def _decode(mask: int, ids: list[int]) -> Clique:
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(ids[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(members)
+
+
 def collect_lift_items(
-    star: StarGraph,
+    masks: StarMasks,
     core_maximal: set[Clique],
 ) -> tuple[list[Clique], list[tuple[Clique, Clique]], list[tuple[Clique, Clique]]]:
     """Phase 1 of Algorithm 2: the in-memory work items.
@@ -107,12 +216,12 @@ def collect_lift_items(
     m1: list[Clique] = []
     m2_items: list[tuple[Clique, Clique]] = []
     for kernel in sorted(core_maximal, key=sorted):
-        shared = star.common_periphery(kernel)
+        shared = masks.hnb(kernel)
         if not shared:
             m1.append(kernel)
         else:
-            m2_items.append((kernel, shared))
-    m3_items = list(enumerate_x_candidates(star))
+            m2_items.append((kernel, _decode(shared, masks.periphery_ids)))
+    m3_items = list(masks.x_candidates())
     return m1, m2_items, m3_items
 
 
@@ -153,75 +262,23 @@ def resolve_hnb_cliques(
     return max_cliques_of
 
 
-class _PeripheryMaskIndex:
-    """Bitmask view of periphery adjacency for the M3 maximality test.
-
-    Periphery vertices get bit positions on first sight; each blocker's
-    periphery neighborhood is masked once and cached, turning Eq. (11)'s
-    ``C2 ⊆ nb(u)`` checks from per-element hash probes into one ``&``.
-    """
-
-    def __init__(self, star: StarGraph) -> None:
-        self._star = star
-        self._bit_of: dict[int, int] = {}
-        self._neighbor_masks: dict[int, int] = {}
-
-    def mask_of(self, vertices: Iterable[int]) -> int:
-        bit_of = self._bit_of
-        mask = 0
-        for vertex in vertices:
-            bit = bit_of.get(vertex)
-            if bit is None:
-                bit = 1 << len(bit_of)
-                bit_of[vertex] = bit
-            mask |= bit
-        return mask
-
-    def blocker_mask(self, u: int) -> int:
-        mask = self._neighbor_masks.get(u)
-        if mask is None:
-            mask = self.mask_of(self._star.periphery_neighbors(u))
-            self._neighbor_masks[u] = mask
-        return mask
-
-
 def assemble_categories(
-    star: StarGraph,
+    masks: StarMasks,
     m1: list[Clique],
     m2_items: list[tuple[Clique, Clique]],
     m3_items: list[tuple[Clique, Clique]],
     max_cliques_of: dict[Clique, list[Clique]],
-    kernel: str = "set",
 ) -> CategorizedCliques:
-    """Phase 3 of Algorithm 2: combine kernels with their extensions.
-
-    With ``kernel="bitset"`` the M3 maximality test runs on cached
-    periphery bitmasks (one subset comparison per blocker) instead of
-    per-element ``frozenset`` containment; the selected cliques are
-    identical.
-    """
-    from repro.kernel import validate_kernel
-
-    masks = (
-        _PeripheryMaskIndex(star) if validate_kernel(kernel) == "bitset" else None
-    )
+    """Phase 3 of Algorithm 2: combine kernels with their extensions."""
     result = CategorizedCliques(m1=list(m1))
     for core_clique, shared in m2_items:
         for extension in max_cliques_of[shared]:
             result.m2.append(core_clique | extension)
     for core_clique, shared in m3_items:
-        blockers = star.common_core_neighbors(core_clique)
+        blockers = masks.blockers(core_clique)
         for extension in max_cliques_of[shared]:
-            if masks is not None:
-                extension_mask = masks.mask_of(extension)
-                if any(
-                    extension_mask & masks.blocker_mask(u) == extension_mask
-                    for u in blockers
-                ):
-                    continue
-            elif _extendable_by_core(star, blockers, extension):
-                continue
-            result.m3.append(core_clique | extension)
+            if not masks.extendable(blockers, extension):
+                result.m3.append(core_clique | extension)
     return result
 
 
@@ -248,19 +305,18 @@ def compute_core_plus_max_cliques(
         Optional phase-2 strategy override (see :data:`HnbResolver`);
         defaults to the serial :func:`resolve_hnb_cliques`.
     kernel:
-        Enumeration kernel for phase 2 and the M3 maximality tests
+        Enumeration kernel for the phase-2 ``maxCL(G[HNB])`` calls
         (``"set"`` or ``"bitset"``); the output is identical either way.
         A custom ``resolver`` is responsible for its own kernel choice.
     """
-    m1, m2_items, m3_items = collect_lift_items(star, core_maximal)
+    masks = StarMasks(star)
+    m1, m2_items, m3_items = collect_lift_items(masks, core_maximal)
     ordered = ordered_distinct_hnb(m2_items + m3_items, periphery_adjacency)
     if resolver is not None:
         max_cliques_of = resolver(ordered, periphery_adjacency)
     else:
         max_cliques_of = resolve_hnb_cliques(ordered, periphery_adjacency, kernel=kernel)
-    return assemble_categories(
-        star, m1, m2_items, m3_items, max_cliques_of, kernel=kernel
-    )
+    return assemble_categories(masks, m1, m2_items, m3_items, max_cliques_of)
 
 
 def enumerate_x_candidates(star: StarGraph) -> Iterator[tuple[Clique, Clique]]:
@@ -268,49 +324,7 @@ def enumerate_x_candidates(star: StarGraph) -> Iterator[tuple[Clique, Clique]]:
 
     ``X`` holds the non-maximal core cliques with common periphery
     neighbors that are not subsumed by a one-vertex extension with the
-    same ``HNB`` (see the module docstring for why one vertex suffices).
-    Cliques are generated by ordered set enumeration, pruning branches
-    whose periphery intersection is already empty, so each candidate is
-    visited exactly once.
+    same ``HNB`` (see the module docstring for why one vertex suffices);
+    each candidate is visited exactly once (:meth:`StarMasks.x_candidates`).
     """
-    for start in sorted(star.core):
-        shared = star.periphery_neighbors(start)
-        if not shared:
-            continue
-        extenders = frozenset(u for u in star.core_neighbors(start) if u > start)
-        yield from _grow_x(star, frozenset((start,)), shared, extenders)
-
-
-def _grow_x(
-    star: StarGraph,
-    kernel: Clique,
-    shared: Clique,
-    extenders: frozenset[int],
-) -> Iterator[tuple[Clique, Clique]]:
-    blockers = star.common_core_neighbors(kernel)
-    if blockers and all(
-        shared & star.periphery_neighbors(u) != shared for u in blockers
-    ):
-        yield kernel, shared
-    for vertex in sorted(extenders):
-        next_shared = shared & star.periphery_neighbors(vertex)
-        if not next_shared:
-            continue
-        next_extenders = frozenset(
-            u for u in extenders if u > vertex and u in star.core_neighbors(vertex)
-        )
-        yield from _grow_x(star, kernel | {vertex}, next_shared, next_extenders)
-
-
-def _extendable_by_core(
-    star: StarGraph,
-    blockers: Iterable[int],
-    extension: Clique,
-) -> bool:
-    """Whether some core vertex is adjacent to all of ``C1 ∪ C2``.
-
-    ``blockers`` are the core vertices already known to be adjacent to all
-    of ``C1``; the candidate is non-maximal exactly when one of them also
-    covers the periphery extension ``C2``.
-    """
-    return any(extension <= star.periphery_neighbors(u) for u in blockers)
+    return StarMasks(star).x_candidates()

@@ -142,21 +142,6 @@ class StarGraph:
                 break
         return frozenset(common)
 
-    def common_core_neighbors(self, core_subset: Iterable[int]) -> frozenset[int]:
-        """Core vertices adjacent to every member of ``core_subset``
-        (excluding the subset itself); empty means the subset is maximal
-        in ``G_H``.
-        """
-        members = list(core_subset)
-        if not members:
-            return self.core
-        common = set(self.core_neighbors(members[0]))
-        for v in members[1:]:
-            common &= self.core_neighbors(v)
-            if not common:
-                break
-        return frozenset(common - set(members))
-
     def adjacent_in_star(self, a: int, b: int) -> bool:
         """Whether ``(a, b)`` is an edge of ``G_H*``.
 

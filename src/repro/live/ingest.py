@@ -124,8 +124,7 @@ class LiveIngestor:
 
     def _lookup(self, vertex: int) -> list[tuple[int, ...]]:
         """Current maximal cliques containing ``vertex`` (pre-update view)."""
-        store = self._store
-        return [store.clique(cid) for cid in store.postings(vertex)]
+        return self._store.vertex_cliques(vertex)
 
     # ------------------------------------------------------------------
     # Stream entry points

@@ -593,6 +593,15 @@ class LiveCliqueStore:
             live.extend(self._overlay_postings.get(vertex, ()))
             return tuple(sorted(live))
 
+    def vertex_cliques(self, vertex: int) -> list[tuple[int, ...]]:
+        """The live cliques containing ``vertex``, read under one lock hold.
+
+        A compaction swap renumbers clique ids, so :meth:`postings`
+        followed by :meth:`clique` may not straddle one.
+        """
+        with self._lock:
+            return [self.clique(cid) for cid in self.postings(vertex)]
+
     def cliques_containing(self, vertex: int) -> tuple[int, ...]:
         """Alias of :meth:`postings` (mirrors :class:`CliqueIndex`)."""
         return self.postings(vertex)

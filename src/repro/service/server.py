@@ -201,6 +201,18 @@ class _Handler(socketserver.StreamRequestHandler):
         except OSError:
             pass
 
+    def stop_reading(self) -> None:
+        """Drain's close: end the read side only.
+
+        A reply already computed still goes out; the handler then reads
+        EOF and closes the connection itself.
+        """
+        self._closing = True
+        try:
+            self.connection.shutdown(socket.SHUT_RD)
+        except OSError:
+            pass
+
     def reset_connection(self) -> None:
         """Close with an RST (SO_LINGER 0) — the injected ``conn_reset``."""
         self._closing = True
@@ -308,6 +320,10 @@ class CliqueQueryServer(socketserver.ThreadingTCPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    # socketserver listens with a backlog of 5; a burst of connects beyond
+    # it has SYNs dropped and retried a second later.  Admission control,
+    # not the kernel queue, is what should turn excess load away.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(
         self,
@@ -403,20 +419,34 @@ class CliqueQueryServer(socketserver.ThreadingTCPServer):
             self._drained.set()
         if not already:
             self.shutdown()  # stop accepting new connections
+            self._accept_backlog()
         completed = self._drained.wait(timeout)
         flush = getattr(self.engine.index, "flush_wal", None)
         if callable(flush):
             flush()
+        # The last in-flight request releases its slot before its reply is
+        # written, so connections are closed from the read side only.
         with self._handlers_lock:
             handlers = list(self._handlers)
         for handler in handlers:
-            handler.disconnect()
+            handler.stop_reading()
         self.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
         _METRICS().drains.inc()
         return completed
+
+    def _accept_backlog(self) -> None:
+        """Hand connections the kernel completed before the serve loop
+        stopped to handlers, so they get a ``draining`` reply, not silence."""
+        self.socket.setblocking(False)
+        while True:
+            try:
+                request, client_address = self.get_request()
+            except OSError:
+                return
+            self.process_request(request, client_address)
 
     def __enter__(self) -> "CliqueQueryServer":
         return self.start()

@@ -55,10 +55,6 @@ class TestDerivedQueries:
     def test_common_periphery_empty_input_gives_whole_periphery(self, star):
         assert star.common_periphery([]) == star.periphery
 
-    def test_common_core_neighbors(self, star):
-        ab = {FIGURE1_ID[c] for c in "ab"}
-        assert {names_of([v]) for v in star.common_core_neighbors(ab)} == {"c"}
-
     def test_adjacent_in_star(self, star):
         a, w, x = FIGURE1_ID["a"], FIGURE1_ID["w"], FIGURE1_ID["x"]
         assert star.adjacent_in_star(a, w)

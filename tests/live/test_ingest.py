@@ -1,7 +1,10 @@
 """LiveIngestor: maintainer hook → deltas → store, and bootstrapping."""
 
+import threading
+
 import pytest
 
+from repro.baselines.bron_kerbosch import tomita_maximal_cliques
 from repro.dynamic.maintainer import HStarMaintainer
 from repro.errors import GraphError
 from repro.graph.adjacency import AdjacencyGraph
@@ -58,6 +61,49 @@ class TestIngest:
         assert payload["edges_applied"] == 2
         assert payload["deltas_emitted"] >= 2
         assert payload["updates_per_second"] >= 0.0
+
+
+class TestCompactionBetweenReads:
+    def test_lookup_survives_a_compaction_commit(self, empty, monkeypatch):
+        """A compaction swap renumbers clique ids.  One that commits right
+        after the lookup's postings read must not change which cliques the
+        lookup resolves those ids to."""
+        store = empty.store
+        empty.ingest([(0, 0, 1), (1, 1, 2), (2, 3, 4), (3, 4, 5), (4, 6, 7)])
+        store.compact()
+        # Closing two triangles tombstones four base cliques and adds two
+        # above the base, so the next compaction packs the survivors
+        # below the ids the additions hold now.
+        empty.ingest([(5, 0, 2), (6, 3, 5)])
+        postings = store.postings
+        reads = []
+
+        def postings_then_compact(vertex):
+            ids = postings(vertex)
+            reads.append(vertex)
+
+            def compact_unless_held():
+                # Stands in for the background compactor, which commits
+                # whenever the reader does not hold the store lock.
+                if store._lock.acquire(blocking=False):
+                    store._lock.release()
+                    store.compact()
+
+            compactor = threading.Thread(target=compact_unless_held)
+            compactor.start()
+            compactor.join()
+            return ids
+
+        monkeypatch.setattr(store, "postings", postings_then_compact)
+        empty.ingest([(7, 5, 8)])
+        monkeypatch.undo()
+        assert reads
+        expected = {
+            tuple(sorted(c)) for c in tomita_maximal_cliques(empty.maintainer.graph)
+        }
+        assert store.live_cliques() == expected
+        store.compact()
+        assert store.live_cliques() == expected
 
 
 class TestBootstrap:

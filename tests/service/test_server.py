@@ -6,15 +6,13 @@ whose index has a fault plan injecting page read errors; every request
 must complete (as a success or a typed error), every successful answer
 must match a brute-force scan even when degraded, and the server/engine
 metric counters must reconcile exactly with the request counts.  The
-observed p50/p95 latency is recorded under the ``service_contract`` key
-of ``BENCH_index.json``.
+served latency is measured by ``benchmarks/bench_index_queries.py``.
 """
 
 import json
 import random
 import socket
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -26,8 +24,6 @@ from repro.index import CliqueIndex, build_index
 from repro.service import CliqueQueryClient, CliqueQueryEngine, CliqueQueryServer
 
 from tests.helpers import seeded_gnp
-
-BENCH_PATH = Path(__file__).resolve().parent.parent.parent / "BENCH_index.json"
 
 NUM_CLIENTS = 8
 REQUESTS_PER_CLIENT = 40
@@ -283,18 +279,3 @@ class TestServiceContract:
         assert count("repro_service_errors_total") == invalid
         assert count("repro_service_degraded_total") == degraded
 
-        # Record the observed service latency for the benchmark ledger.
-        latencies = sorted(ms for kind, _d, ms in outcomes if kind == "ok")
-        p50 = latencies[len(latencies) // 2]
-        p95 = latencies[min(len(latencies) - 1, int(len(latencies) * 0.95))]
-        ledger = {}
-        if BENCH_PATH.exists():
-            ledger = json.loads(BENCH_PATH.read_text())
-        ledger["service_contract"] = {
-            "clients": NUM_CLIENTS,
-            "requests": total,
-            "degraded_responses": degraded,
-            "p50_ms": round(p50, 3),
-            "p95_ms": round(p95, 3),
-        }
-        BENCH_PATH.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
