@@ -37,6 +37,7 @@ from repro.storage.format import (
     VertexRecord,
     count_checksum_failure,
     decode_record,
+    decode_records,
     encode_record,
     record_size,
 )
@@ -272,38 +273,23 @@ class DiskGraph:
                 if not chunk:
                     continue
             pending += chunk
-            offset = 0
-            while True:
-                record, next_offset = self._try_decode(pending, offset)
-                if record is None:
-                    break
-                offset = next_offset
-                yield record
+            offset = yield from decode_records(
+                pending, self._checksummed, self._verify
+            )
             del pending[:offset]
         if pending:
             raise StorageFormatError(f"{len(pending)} trailing bytes after final record")
 
     def load_adjacency(self, vertices: Iterable[int]) -> dict[int, tuple[int, ...]]:
         """Adjacency lists for a vertex subset, via one sequential pass."""
-        wanted = set(vertices)
-        found: dict[int, tuple[int, ...]] = {}
-        for record in self.scan():
-            if record.vertex in wanted:
-                found[record.vertex] = record.neighbors
-                if len(found) == len(wanted):
-                    break
-        return found
+        return {record.vertex: record.neighbors for record in self._records_of(vertices)}
 
     def original_degrees(self, vertices: Iterable[int]) -> dict[int, int]:
         """Original-graph degrees for a vertex subset (one pass)."""
-        wanted = set(vertices)
-        found: dict[int, int] = {}
-        for record in self.scan():
-            if record.vertex in wanted:
-                found[record.vertex] = record.original_degree
-                if len(found) == len(wanted):
-                    break
-        return found
+        return {
+            record.vertex: record.original_degree
+            for record in self._records_of(vertices)
+        }
 
     def rewrite_without(self, removed: Iterable[int], new_path: str | Path) -> "DiskGraph":
         """Write the residual graph after deleting a vertex set.
@@ -349,20 +335,15 @@ class DiskGraph:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _try_decode(
-        self, buffer: bytearray, offset: int
-    ) -> tuple[VertexRecord | None, int]:
-        """Decode a record if the buffer holds it completely."""
-        header_end = offset + 16  # <QII
-        if header_end > len(buffer):
-            return None, offset
-        degree = int.from_bytes(buffer[offset + 8 : offset + 12], "little")
-        nbytes = self.record_nbytes(degree)
-        if offset + nbytes > len(buffer):
-            return None, offset
-        record, consumed = decode_record(
-            bytes(buffer[offset : offset + nbytes]),
-            checksum=self._checksummed,
-            verify=self._verify,
-        )
-        return record, offset + consumed
+    def _records_of(self, vertices: Iterable[int]) -> Iterator[VertexRecord]:
+        """Records of a vertex subset, from one scan that stops at the last
+        one found; an empty subset reads nothing."""
+        wanted = set(vertices)
+        if not wanted:
+            return
+        for record in self.scan():
+            if record.vertex in wanted:
+                wanted.discard(record.vertex)
+                yield record
+                if not wanted:
+                    return

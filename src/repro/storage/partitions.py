@@ -16,33 +16,25 @@ This module reproduces that machinery over :class:`DiskGraph`:
 * :meth:`HnbPartitionStore.induced_subgraph` serves an ``HNB`` set by
   loading the partitions that contain its members, charging resident
   partitions to the memory model and evicting least-recently-used ones.
+
+Spill files hold headerless DiskGraph format-v2 records, written and read
+by the same codec as ``G`` (:mod:`repro.storage.format`).  Each record's
+CRC32 covers its header and neighbors, so a torn write or a flipped bit
+anywhere in a record fails typed instead of becoming a wrong ``maxCL``
+input, i.e. a silently wrong clique stream.
 """
 
 from __future__ import annotations
 
-import struct
-import zlib
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from repro.errors import CorruptDataError, StorageError, StorageFormatError
+from repro.errors import StorageError, StorageFormatError
 from repro.graph.adjacency import AdjacencyGraph
 from repro.storage.diskgraph import DiskGraph
+from repro.storage.format import decode_records, encode_record
 from repro.storage.memory import MemoryModel
 from repro.storage.pagestore import PageStore
-
-#: Per-record header: vertex id, neighbor count, CRC32 over the neighbor
-#: block.  Spill files are written and read within one run, so the layout
-#: needs no version negotiation — but it does need integrity: a torn
-#: write or flipped bit in a partition would otherwise surface as a wrong
-#: ``maxCL`` result, i.e. a silently wrong clique stream.
-_RECORD_HEADER = struct.Struct("<QII")
-
-
-def encode_partition_record(vertex: int, neighbors: Sequence[int]) -> bytes:
-    """Serialise one spill-file record (checksummed)."""
-    body = struct.pack(f"<{len(neighbors)}Q", *neighbors)
-    return _RECORD_HEADER.pack(vertex, len(neighbors), zlib.crc32(body)) + body
 
 
 def parse_partition_records(
@@ -54,30 +46,15 @@ def parse_partition_records(
     :class:`~repro.errors.CorruptDataError` on a checksum mismatch —
     never returns a partial or damaged adjacency silently.
     """
-    loaded: dict[int, frozenset[int]] = {}
-    offset = 0
-    while offset < len(data):
-        try:
-            vertex, degree, stored = _RECORD_HEADER.unpack_from(data, offset)
-            offset += _RECORD_HEADER.size
-            body = data[offset : offset + 8 * degree]
-            if len(body) < 8 * degree:
-                raise StorageFormatError(
-                    f"truncated partition record for vertex {vertex}"
-                )
-            neighbors = struct.unpack(f"<{degree}Q", body)
-        except struct.error as exc:
-            raise StorageFormatError(f"malformed partition record: {exc}") from exc
-        if verify:
-            computed = zlib.crc32(body)
-            if stored != computed:
-                raise CorruptDataError(
-                    f"partition record checksum mismatch for vertex {vertex}: "
-                    f"stored {stored:#010x}, computed {computed:#010x}"
-                )
-        offset += 8 * degree
-        loaded[vertex] = frozenset(neighbors)
-    return loaded
+
+    def records():
+        end = yield from decode_records(data, checksum=True, verify=verify)
+        if end != len(data):
+            raise StorageFormatError(
+                f"truncated partition record at byte {end} of {len(data)}"
+            )
+
+    return {record.vertex: frozenset(record.neighbors) for record in records()}
 
 
 def read_partition_file(
@@ -196,7 +173,9 @@ class HnbPartitionStore:
             if index is None:
                 continue
             inner = [u for u in record.neighbors if u in member_set]
-            buffers[index] += encode_partition_record(record.vertex, inner)
+            buffers[index] += encode_record(
+                record.vertex, inner, record.original_degree, checksum=True
+            )
             if len(buffers[index]) >= 1 << 20:
                 stores[index].append(bytes(buffers[index]))
                 buffers[index].clear()

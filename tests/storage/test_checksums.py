@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import CorruptDataError, StorageError, StorageFormatError
+from repro.graph.adjacency import AdjacencyGraph
 from repro.storage.diskgraph import DiskGraph
 from repro.storage.format import (
     FILE_MAGIC,
@@ -11,10 +12,7 @@ from repro.storage.format import (
     encode_record,
     record_size,
 )
-from repro.storage.partitions import (
-    encode_partition_record,
-    parse_partition_records,
-)
+from repro.storage.partitions import HnbPartitionStore, parse_partition_records
 
 from tests.helpers import seeded_gnp
 
@@ -118,25 +116,50 @@ class TestDiskGraphFormats:
         assert v1.header_bytes == 24
 
 
+def spill_record(vertex, neighbors):
+    """One spill-file record: the DiskGraph v2 layout, checksummed."""
+    return encode_record(vertex, neighbors, len(neighbors), checksum=True)
+
+
 class TestPartitionRecords:
     def test_round_trip(self):
-        blob = encode_partition_record(5, [1, 2, 9]) + encode_partition_record(6, [])
+        blob = spill_record(5, [1, 2, 9]) + spill_record(6, [])
         loaded = parse_partition_records(blob)
         assert loaded == {5: frozenset({1, 2, 9}), 6: frozenset()}
 
     def test_flipped_byte_detected(self):
-        blob = bytearray(encode_partition_record(5, [1, 2, 9]))
-        blob[-3] ^= 0xFF  # inside the neighbor block
+        blob = bytearray(spill_record(5, [1, 2, 9]))
+        blob[-7] ^= 0xFF  # inside the neighbor block
         with pytest.raises(CorruptDataError):
             parse_partition_records(bytes(blob))
 
     def test_verify_off_accepts_damage(self):
-        blob = bytearray(encode_partition_record(5, [1, 2, 9]))
-        blob[-3] ^= 0x01
+        blob = bytearray(spill_record(5, [1, 2, 9]))
+        blob[-7] ^= 0x01
         loaded = parse_partition_records(bytes(blob), verify=False)
         assert 5 in loaded
 
     def test_truncation_is_format_error(self):
-        blob = encode_partition_record(5, [1, 2, 9])
+        blob = spill_record(5, [1, 2, 9])
         with pytest.raises(StorageFormatError):
             parse_partition_records(blob[:-4])
+
+    def test_flipped_header_bit_never_parses(self, tmp_path):
+        # A spill file as the partition builder writes it (records in
+        # vertex order); the first record is vertex 5, neighbors {10, 11, 19}.
+        graph = AdjacencyGraph.from_edges([(5, 10), (5, 11), (5, 19), (6, 13)])
+        disk = DiskGraph.create(tmp_path / "g.bin", graph)
+        store = HnbPartitionStore.build(
+            disk, [5, 6, 10, 11, 13, 19], tmp_path / "spill",
+            memory_budget_units=100,
+        )
+        clean = store.partition_paths()[0].read_bytes()
+        assert int.from_bytes(clean[:8], "little") == 5
+        assert parse_partition_records(clean)[5] == {10, 11, 19}
+        # Bytes 0-7 hold the vertex id, bytes 8-11 the neighbor count.
+        for bit in range(12 * 8):
+            blob = bytearray(clean)
+            blob[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises((CorruptDataError, StorageFormatError)):
+                parse_partition_records(bytes(blob))
+        store.close()
