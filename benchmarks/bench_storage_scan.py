@@ -29,11 +29,8 @@ directly (as CI does)::
 from __future__ import annotations
 
 import json
-import os
-import platform
 import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -44,35 +41,15 @@ from repro.storage.diskgraph import DiskGraph
 from repro.storage.partitions import HnbPartitionStore, read_partition_file
 
 try:  # pytest collection from the repository root
-    from benchmarks.common import scaling_graph
+    from benchmarks.common import ROOT, git_sha, host_shape, scaling_graph
 except ImportError:  # executed directly: benchmarks/ itself is sys.path[0]
-    from common import scaling_graph
+    from common import ROOT, git_sha, host_shape, scaling_graph
 
 NUM_VERTICES = 4000
 REPEATS = 5
 HUBS = 100
 PARTITION_BUDGET_UNITS = 5000
-ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = ROOT / "BENCH_storage.json"
-
-
-def git(*args: str) -> str:
-    """Standard output of one git command run in the repository root."""
-    completed = subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
-    )
-    return completed.stdout.strip()
-
-
-def git_sha() -> str | None:
-    """The checked-out commit, suffixed ``-dirty`` when tracked files differ
-    from it; ``None`` outside a git checkout."""
-    try:
-        sha = git("rev-parse", "HEAD")
-        changes = git("status", "--porcelain", "--untracked-files=no")
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return f"{sha}-dirty" if changes else sha
 
 
 def timed(operation, repeats: int) -> list[float]:
@@ -188,11 +165,7 @@ def main() -> int:
         document = {
             "bench": "storage_scan",
             "schema": 1,
-            "host": {
-                "cpus": os.cpu_count(),
-                "python": platform.python_version(),
-                "platform": platform.platform(),
-            },
+            "host": host_shape(),
             "git_sha": git_sha(),
             "headline": {
                 f"{name}_records_per_s": run["records_per_s_median"]

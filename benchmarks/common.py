@@ -14,10 +14,43 @@ puts ``benchmarks/`` itself on ``sys.path``).
 
 from __future__ import annotations
 
+import os
+import platform
 import random
 import statistics
+import subprocess
+from pathlib import Path
 
 from repro.generators.scale_free import powerlaw_cluster_graph
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git_sha() -> str | None:
+    """The checked-out commit, suffixed ``-dirty`` when tracked files differ
+    from it; ``None`` outside a git checkout."""
+
+    def git(*args: str) -> str:
+        completed = subprocess.run(
+            ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+        )
+        return completed.stdout.strip()
+
+    try:
+        sha = git("rev-parse", "HEAD")
+        changes = git("status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return f"{sha}-dirty" if changes else sha
+
+
+def host_shape() -> dict:
+    """The ``host`` block of the ``BENCH_*.json`` envelope."""
+    return {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
 
 
 def scaling_graph(n: int, m: int = 5, p: float = 0.7, seed: int = 99):

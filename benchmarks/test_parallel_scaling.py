@@ -19,8 +19,10 @@ they are guarded on ``os.cpu_count()``; the table and JSON are emitted
 unconditionally so single-core CI still records the numbers.  Runs with
 more workers than the host has CPUs measure scheduler churn, not
 parallel speedup, so they are marked ``"oversubscribed": true`` and
-excluded from the ``headline_speedup`` field (which is ``null`` when no
-honestly-parallel run exists).
+excluded from ``headline.headline_speedup`` (which is ``null`` when no
+honestly-parallel run exists).  The JSON uses the common benchmark
+envelope ``{bench, schema, host{cpus, python, platform}, git_sha,
+headline, runs}``.
 """
 
 import json
@@ -37,9 +39,9 @@ from repro.parallel import ParallelExtMCE, ParallelEngine, serialize_star
 from repro.storage.diskgraph import DiskGraph
 
 try:  # pytest collection from the repository root
-    from benchmarks.common import scaling_graph
+    from benchmarks.common import ROOT, git_sha, host_shape, scaling_graph
 except ImportError:  # executed directly: benchmarks/ itself is sys.path[0]
-    from common import scaling_graph
+    from common import ROOT, git_sha, host_shape, scaling_graph
 
 WORKER_COUNTS = (1, 2, 4)
 NUM_VERTICES = 4_000
@@ -100,7 +102,7 @@ def _payload_reduction(graph):
     return steps
 
 
-def test_parallel_scaling_sweep(benchmark, save_result, results_dir):
+def test_parallel_scaling_sweep(benchmark, save_result):
     graph = scaling_graph(NUM_VERTICES)
     plan = [(w, "fine") for w in WORKER_COUNTS] + [(2, "coarse")]
     results = benchmark.pedantic(
@@ -145,15 +147,20 @@ def test_parallel_scaling_sweep(benchmark, save_result, results_dir):
     )
     summary = {
         "bench": "parallel_scaling",
+        "schema": 1,
+        "host": host_shape(),
+        "git_sha": git_sha(),
+        "headline": {
+            "headline_speedup": headline_speedup,
+            "serial_seconds": serial_seconds,
+            "fine_2_workers_seconds": results[1]["seconds"],
+            "coarse_2_workers_seconds": results[-1]["seconds"],
+        },
         "graph": {"model": "powerlaw_cluster", "n": NUM_VERTICES, "m": 5, "p": 0.7},
-        "host_cpus": host_cpus,
-        "headline_speedup": headline_speedup,
         "payload_reduction": reduction,
         "runs": results,
     }
-    (results_dir.parent.parent / "BENCH_parallel.json").write_text(
-        json.dumps(summary, indent=2) + "\n"
-    )
+    (ROOT / "BENCH_parallel.json").write_text(json.dumps(summary, indent=2) + "\n")
 
     # Correctness invariants hold at every worker count, speedup or not.
     for r in results:

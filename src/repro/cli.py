@@ -93,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     enumerate_.add_argument("--task-grain", choices=("coarse", "fine"),
                             default="fine",
                             help="parallel scheduling granularity: 'fine' "
-                                 "(default) cuts smaller chunks and lets "
-                                 "workers split skewed subtrees back into "
-                                 "the queue (work stealing); 'coarse' is "
-                                 "the static oversubscribed split; the "
+                                 "(default) cuts 2 chunks per worker and "
+                                 "lets workers split skewed subtrees back "
+                                 "into the queue (work stealing); 'coarse' "
+                                 "is the static 4-per-worker split; the "
                                  "clique stream is identical either way")
     enumerate_.add_argument("--canonical", action="store_true",
                             help="write the output file in canonical sorted "

@@ -33,24 +33,28 @@ graph, built once per :func:`compute_core_plus_max_cliques` call.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from repro.baselines.bron_kerbosch import tomita_maximal_cliques
 from repro.graph.adjacency import AdjacencyGraph
 from repro.core.hstar import StarGraph
+from repro.kernel import induced_maximal_cliques
 
 Clique = frozenset
 
 
 class PeripheryAdjacency(Protocol):
-    """Provider of induced subgraphs among periphery vertices.
+    """Provider of adjacency among periphery vertices.
 
     Satisfied by :class:`~repro.storage.partitions.HnbPartitionStore`
     (disk-backed, the paper's Section 4.2.3 machinery) and by
     :class:`InMemoryPeripheryAdjacency` (tests, dynamic maintenance).
     """
+
+    def neighbor_sets(self, vertices: Iterable[int]) -> Mapping[int, Collection[int]]:
+        """``vertex -> neighbours`` for each of ``vertices`` (the phase-2 input)."""
+        ...  # pragma: no cover - protocol
 
     def induced_subgraph(self, vertices: Iterable[int]) -> AdjacencyGraph:
         """Subgraph induced on ``vertices`` by periphery-periphery edges."""
@@ -62,6 +66,10 @@ class InMemoryPeripheryAdjacency:
 
     def __init__(self, graph: AdjacencyGraph) -> None:
         self._graph = graph
+
+    def neighbor_sets(self, vertices: Iterable[int]) -> dict[int, Collection[int]]:
+        """Each vertex's neighbours in the graph (raises for unknown ones)."""
+        return {v: self._graph.neighbors(v) for v in vertices}
 
     def induced_subgraph(self, vertices: Iterable[int]) -> AdjacencyGraph:
         """Delegate to :meth:`AdjacencyGraph.induced_subgraph`."""
@@ -248,18 +256,23 @@ def ordered_distinct_hnb(
 def resolve_hnb_cliques(
     ordered: list[Clique],
     periphery_adjacency: PeripheryAdjacency,
-    kernel: str = "set",
 ) -> dict[Clique, list[Clique]]:
     """Phase 2 of Algorithm 2, serial strategy: ``maxCL(G[HNB])`` per set.
 
-    ``kernel`` selects the enumeration hot path (see :mod:`repro.kernel`);
-    the per-set clique lists are identical either way.
+    Each set's neighbour sets come straight from the provider (for the
+    disk store: the resident partitions, loaded in first-appearance
+    order through its LRU) into the bitmask resolver
+    :func:`~repro.kernel.induced_maximal_cliques`; the parallel lift
+    workers call the same function.  Per-set lists are identical for
+    either enumeration kernel, so the step's kernel choice does not
+    reach this phase.
     """
-    max_cliques_of: dict[Clique, list[Clique]] = {}
-    for shared in ordered:
-        induced = periphery_adjacency.induced_subgraph(shared)
-        max_cliques_of[shared] = list(tomita_maximal_cliques(induced, kernel=kernel))
-    return max_cliques_of
+    return {
+        shared: induced_maximal_cliques(
+            periphery_adjacency.neighbor_sets(shared), shared
+        )
+        for shared in ordered
+    }
 
 
 def assemble_categories(
@@ -287,7 +300,6 @@ def compute_core_plus_max_cliques(
     core_maximal: set[Clique],
     periphery_adjacency: PeripheryAdjacency,
     resolver: HnbResolver | None = None,
-    kernel: str = "set",
 ) -> CategorizedCliques:
     """Compute ``M_H+ = M1 ∪ M2 ∪ M3`` (Algorithm 2).
 
@@ -304,18 +316,11 @@ def compute_core_plus_max_cliques(
     resolver:
         Optional phase-2 strategy override (see :data:`HnbResolver`);
         defaults to the serial :func:`resolve_hnb_cliques`.
-    kernel:
-        Enumeration kernel for the phase-2 ``maxCL(G[HNB])`` calls
-        (``"set"`` or ``"bitset"``); the output is identical either way.
-        A custom ``resolver`` is responsible for its own kernel choice.
     """
     masks = StarMasks(star)
     m1, m2_items, m3_items = collect_lift_items(masks, core_maximal)
     ordered = ordered_distinct_hnb(m2_items + m3_items, periphery_adjacency)
-    if resolver is not None:
-        max_cliques_of = resolver(ordered, periphery_adjacency)
-    else:
-        max_cliques_of = resolve_hnb_cliques(ordered, periphery_adjacency, kernel=kernel)
+    max_cliques_of = (resolver or resolve_hnb_cliques)(ordered, periphery_adjacency)
     return assemble_categories(masks, m1, m2_items, m3_items, max_cliques_of)
 
 

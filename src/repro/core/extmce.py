@@ -131,20 +131,22 @@ class ExtMCEConfig:
     task_grain:
         Scheduling granularity of the parallel engine (``"coarse"`` or
         ``"fine"``, see :mod:`repro.parallel.scheduler`).  ``"fine"``
-        (the default) cuts smaller task chunks and arms worker-side
+        (the default) cuts 2 task chunks per worker and arms worker-side
         splitting — a worker holding a skewed subtree hands its
         unfinished tail back to the queue when the queue runs dry — so
         stragglers cannot serialize a step.  ``"coarse"`` reproduces the
-        static oversubscribed chunking.  The clique stream is
+        static 4-per-worker chunking.  The clique stream is
         byte-identical across grains (asserted by the differential
         matrix); the serial driver ignores it.
     kernel:
         Enumeration kernel (``"set"`` or ``"bitset"``, see
-        :mod:`repro.kernel`) used for tree construction and the M2/M3
-        lifting.  The clique stream is byte-identical across kernels —
-        asserted by the test suite — so the default is the fast bitset
-        path; ``"set"`` remains for metered memory accounting and as the
-        reference implementation.
+        :mod:`repro.kernel`) used for tree construction; the M2/M3
+        lifting always resolves ``maxCL(G[HNB])`` on bitmasks
+        (:func:`~repro.kernel.induced_maximal_cliques`), whose per-set
+        lists equal either kernel's.  The clique stream is
+        byte-identical across kernels — asserted by the test suite — so
+        the default is the fast bitset path; ``"set"`` remains for
+        metered memory accounting and as the reference implementation.
     verify_checksums:
         Verify per-record CRC32s when reading checksummed (format v2)
         disk graphs; flipping this off trades integrity for a little
@@ -703,9 +705,7 @@ class ExtMCE:
         partitions out to workers; the hashtable filter downstream always
         stays in the driver process.
         """
-        return compute_core_plus_max_cliques(
-            star, core_maximal, store, kernel=self._config.kernel
-        )
+        return compute_core_plus_max_cliques(star, core_maximal, store)
 
     # ------------------------------------------------------------------
     # Global maximality bookkeeping (Section 4.3)

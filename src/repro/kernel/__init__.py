@@ -13,6 +13,7 @@ argument.
 """
 
 from repro.kernel.bitmce import (
+    induced_maximal_cliques,
     iter_bits,
     maximal_cliques_bitset,
     subproblem_bitset,
@@ -32,6 +33,7 @@ def validate_kernel(kernel: str) -> str:
 __all__ = [
     "KERNELS",
     "CompactGraph",
+    "induced_maximal_cliques",
     "iter_bits",
     "maximal_cliques_bitset",
     "subproblem_bitset",

@@ -44,7 +44,7 @@ budget keep using the set-based path — see ``docs/ALGORITHMS.md``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from types import SimpleNamespace
 
 from repro import metrics
@@ -131,6 +131,39 @@ def maximal_cliques_bitset(
     _run(graph.masks, graph.labels, [], candidates, 0, out)
     bundle.cliques.inc(len(out))
     yield from out
+
+
+def induced_maximal_cliques(
+    adjacency: Mapping[int, Collection[int]],
+    members: Iterable[int],
+) -> list[Clique]:
+    """``maxCL(G[members])`` with neighbours looked up in ``adjacency``.
+
+    Algorithm 2's phase-2 resolver.  The induced subgraph is never
+    materialised: members get bits in ascending id order (a member with
+    no ``adjacency`` entry is isolated; neighbours outside ``members``
+    are ignored; edges are symmetrised), and the masks go straight into
+    the Tomita expansion.  The list equals
+    ``list(tomita_maximal_cliques(G[members], kernel=k))`` in order for
+    either kernel ``k`` — the labels, masks and pivot rule are exactly
+    those :meth:`CompactGraph.from_adjacency` would produce.
+    """
+    labels = sorted(set(members))
+    wanted = frozenset(labels)
+    index_of = {v: i for i, v in enumerate(labels)}
+    masks = [0] * len(labels)
+    for i, v in enumerate(labels):
+        for u in wanted.intersection(adjacency.get(v, ())):
+            j = index_of[u]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    bundle = _METRICS()
+    bundle.subproblems.inc()
+    bundle.sizes.observe(len(labels))
+    out: list[Clique] = []
+    _run(masks, tuple(labels), [], (1 << len(labels)) - 1, 0, out)
+    bundle.cliques.inc(len(out))
+    return out
 
 
 def subproblem_bitset(graph: CompactGraph, start) -> Iterator[Clique]:
@@ -243,4 +276,9 @@ def _collect(
         extension ^= low
 
 
-__all__ = ["iter_bits", "maximal_cliques_bitset", "subproblem_bitset"]
+__all__ = [
+    "induced_maximal_cliques",
+    "iter_bits",
+    "maximal_cliques_bitset",
+    "subproblem_bitset",
+]

@@ -235,11 +235,7 @@ class ParallelExtMCE(ExtMCE):
         if self._executor is None or not isinstance(store, HnbPartitionStore):
             return super()._compute_categories(star, core_maximal, store)
         return compute_core_plus_max_cliques(
-            star,
-            core_maximal,
-            store,
-            resolver=self._resolve_parallel,
-            kernel=self._config.kernel,
+            star, core_maximal, store, resolver=self._resolve_parallel
         )
 
     def _resolve_parallel(self, ordered, store):

@@ -10,11 +10,16 @@ attachment cache.
 
 Scheduling is driver-mediated work stealing.  Chunks are submitted
 eagerly and harvested as they complete (not in submission order — the
-merge orders by task index, so completion order is free).  Under the
-``"fine"`` grain each chunk carries a split policy: a worker that has
-spent its time slice while the shared pending counter says the queue is
-dry stops, returns the finished prefix plus its unfinished tail, and the
-driver requeues the tail for whichever worker goes idle next.  Oversized
+merge orders by task index, so completion order is free).  Harvest is
+callback-driven: each ``apply_async`` callback and error callback queues
+its submission's ticket and sets an event, and the driver sleeps on that
+event with a timeout running to the nearest chunk deadline — no idle
+polling, and a finished chunk is harvested as soon as its result
+arrives.  Under the ``"fine"`` grain each chunk carries a split policy:
+a worker that has spent its time slice while the shared pending counter
+says the queue is dry stops, returns the finished prefix plus its
+unfinished tail, and the driver requeues the tail for whichever worker
+goes idle next.  Oversized
 result payloads are spooled to disk and only the file name travels back
 through the pool pipe.
 
@@ -44,20 +49,24 @@ recomputation always runs the *raw* chunk: injection exercises the pool
 path, and degradation must converge to the correct answer.
 
 Workers never share file handles with the driver: each worker process
-opens its own spill files (read-only), its own trace file (append mode,
-flushed per event), and its own spool files (write-temp-then-rename),
-which is what keeps parallel telemetry, partition I/O and result
-spooling crash-safe.
+opens its own spill files (read-only, parsed into a per-step LRU no
+larger than the driver store's ``max_resident``, so a file is read once
+per worker per step), its own trace file (append mode, flushed per
+event), and its own spool files (write-temp-then-rename), which is what
+keeps parallel telemetry, partition I/O and result spooling crash-safe.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import signal
+import threading
 import time
-from collections import deque
-from dataclasses import dataclass
+from collections import OrderedDict, deque
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
@@ -66,6 +75,7 @@ from repro import metrics
 from repro.baselines.bron_kerbosch import tomita_maximal_cliques, tomita_subproblem
 from repro.errors import InjectedFaultError, SharedMemoryError
 from repro.graph.adjacency import AdjacencyGraph
+from repro.kernel import induced_maximal_cliques
 from repro.parallel.scheduler import ChunkPolicy, ParallelEngine
 from repro.parallel.shm import attach_compact
 from repro.storage.pagestore import PAGE_SIZE_BYTES
@@ -80,9 +90,6 @@ Clique = frozenset
 #: Grace period for salvaging completed chunks off a pool already declared
 #: broken (their workers may have finished before the breakage).
 _SALVAGE_TIMEOUT_SECONDS = 0.05
-
-#: Idle-poll interval of the harvest loop when nothing is ready yet.
-_POLL_INTERVAL_SECONDS = 0.002
 
 #: Executor metrics.  Chunk counts, latencies and attach counts are
 #: observed in whatever process runs the chunk (worker registries are
@@ -158,10 +165,9 @@ _METRICS = metrics.bound(
 class _GraphHandle:
     """One resolved graph descriptor living in a worker's cache."""
 
-    __slots__ = ("token", "kernel", "compact", "graph", "shm")
+    __slots__ = ("kernel", "compact", "graph", "shm")
 
-    def __init__(self, token, kernel, compact=None, graph=None, shm=None):
-        self.token = token
+    def __init__(self, kernel, compact=None, graph=None, shm=None):
         self.kernel = kernel
         self.compact = compact
         self.graph = graph
@@ -182,7 +188,6 @@ class _GraphHandle:
 
 def _load_graph(descriptor: dict) -> _GraphHandle:
     """Resolve a descriptor into a usable graph (attach or rehydrate)."""
-    token = descriptor["token"]
     kernel = descriptor.get("kernel", "set")
     spec = descriptor.get("shm")
     if spec is not None:
@@ -197,8 +202,8 @@ def _load_graph(descriptor: dict) -> _GraphHandle:
                 shm.close()
             except BufferError:
                 pass
-            return _GraphHandle(token, kernel, graph=graph)
-        return _GraphHandle(token, kernel, compact=compact, shm=shm)
+            return _GraphHandle(kernel, graph=graph)
+        return _GraphHandle(kernel, compact=compact, shm=shm)
     payload = descriptor["inband"]
     if kernel == "bitset":
         from repro.kernel import CompactGraph
@@ -206,19 +211,24 @@ def _load_graph(descriptor: dict) -> _GraphHandle:
         compact = CompactGraph.from_csr(
             payload["labels"], payload["indptr"], payload["indices"]
         )
-        return _GraphHandle(token, kernel, compact=compact)
+        return _GraphHandle(kernel, compact=compact)
     graph = AdjacencyGraph.from_adjacency(
         {v: neighbors for v, neighbors in payload["core_adjacency"].items()}
     )
-    return _GraphHandle(token, kernel, graph=graph)
+    return _GraphHandle(kernel, graph=graph)
 
 
 class WorkerContext:
     """Per-process state installed by the pool initializer.
 
-    Holds the descriptor→graph attachment cache (one step's graph at a
-    time — a new token evicts the old attachment, unmapping its segment)
-    and, lazily, this worker's private
+    Everything cached here belongs to one step, named by its descriptor
+    token: a new token releases the old step's state first.  Two caches
+    live side by side — the descriptor→graph attachment (unmapping the
+    old segment on release) and the step's spill partitions, an LRU of
+    at most the driver store's ``max_resident`` parsed files, so each
+    worker reads a spill file once per step (pages are counted per
+    actual read) and never holds more than the paper's memory bound
+    ``N`` of partitions.  Lazily, it also holds this worker's private
     :class:`~repro.telemetry.TraceWriter`.  The trace file is per-PID, so
     append-mode handles are never shared across processes; every event is
     flushed on emit, so a crashing worker still leaves a readable trace.
@@ -230,27 +240,53 @@ class WorkerContext:
         metrics_dir: str | None = None,
         pending=None,
     ) -> None:
-        self._handles: dict[str, _GraphHandle] = {}
+        self._token: str | None = None
+        self._handle: _GraphHandle | None = None
+        self._spill: OrderedDict[str, dict[int, frozenset[int]]] = OrderedDict()
+        #: Spill files actually read by this process, and their pages.
+        self.partition_loads = 0
+        self.pages_read = 0
         self._trace_dir = trace_dir
         self._trace = None
         self._metrics_dir = metrics_dir
         self.pending = pending
 
+    def _enter_step(self, token: str) -> None:
+        if token != self._token:
+            self.release_graphs()
+            self._token = token
+
     def graph_for(self, descriptor: dict) -> _GraphHandle:
-        token = descriptor["token"]
-        handle = self._handles.get(token)
-        if handle is None:
-            for stale in self._handles.values():
-                stale.release()
-            self._handles.clear()
-            handle = _load_graph(descriptor)
-            self._handles[token] = handle
-        return handle
+        self._enter_step(descriptor["token"])
+        if self._handle is None:
+            self._handle = _load_graph(descriptor)
+        return self._handle
+
+    def spill_partition(
+        self, token: str, path: str, max_resident: int
+    ) -> dict[int, frozenset[int]]:
+        """One spill file's adjacency, read at most once per step while
+        it stays among the ``max_resident`` most recently used."""
+        self._enter_step(token)
+        partition = self._spill.get(path)
+        if partition is not None:
+            self._spill.move_to_end(path)
+            return partition
+        while self._spill and len(self._spill) >= max_resident:
+            self._spill.popitem(last=False)
+        partition = read_partition_file(path)
+        self._spill[path] = partition
+        self.partition_loads += 1
+        self.pages_read += (os.path.getsize(path) + PAGE_SIZE_BYTES - 1) // PAGE_SIZE_BYTES
+        return partition
 
     def release_graphs(self) -> None:
-        for handle in self._handles.values():
+        """Drop the current step's graph attachment and spill partitions."""
+        handle, self._handle = self._handle, None
+        if handle is not None:
             handle.release()
-        self._handles.clear()
+        self._spill.clear()
+        self._token = None
 
     def queue_is_dry(self) -> bool:
         """Whether no submitted chunk is waiting for a worker."""
@@ -414,13 +450,16 @@ def _run_tree_chunk(descriptor: dict, chunk, policy: ChunkPolicy) -> dict:
 def _run_lift_chunk(descriptor: dict, chunk: "LiftChunk", policy: ChunkPolicy) -> dict:
     """Resolve ``HNB`` sets against the spill files until done or split.
 
-    The envelope payload is ``(per-task maxCL lists, pages read)`` so the
-    driver can fold worker I/O back into its metered totals.
+    Each task looks its members' neighbour sets up in the worker's spill
+    cache and hands them to :func:`~repro.kernel.induced_maximal_cliques`,
+    the serial resolver's function.  The envelope payload is ``(per-task
+    maxCL lists, pages read)`` so the driver can fold worker I/O back
+    into its metered totals.
     """
-    assert _CONTEXT is not None, "worker used before initialization"
-    kernel = descriptor.get("kernel", "set")
-    loaded: dict[int, dict[int, frozenset[int]]] = {}
-    pages_read = 0
+    context = _CONTEXT
+    assert context is not None, "worker used before initialization"
+    token = descriptor["token"]
+    loads_before, pages_before = context.partition_loads, context.pages_read
     results: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
     remaining = None
     bundle = _METRICS()
@@ -429,51 +468,37 @@ def _run_lift_chunk(descriptor: dict, chunk: "LiftChunk", policy: ChunkPolicy) -
         for position, task in enumerate(chunk.tasks):
             adjacency: dict[int, frozenset[int]] = {}
             for pindex in task.partition_indices:
-                if pindex not in loaded:
-                    path = chunk.paths[pindex]
-                    loaded[pindex] = read_partition_file(path)
-                    size = os.path.getsize(path)
-                    pages_read += (size + PAGE_SIZE_BYTES - 1) // PAGE_SIZE_BYTES
-                adjacency.update(loaded[pindex])
-            wanted = set(task.shared)
-            induced = AdjacencyGraph()
-            for v in task.shared:
-                induced.add_vertex(v)
-            for v in task.shared:
-                for u in adjacency.get(v, frozenset()) & wanted:
-                    induced.add_edge(v, u)
-            results.append(
-                (
-                    task.index,
-                    tuple(
-                        tuple(sorted(clique))
-                        for clique in tomita_maximal_cliques(induced, kernel=kernel)
-                    ),
+                partition = context.spill_partition(
+                    token, chunk.paths[pindex], chunk.max_resident
                 )
+                for v in task.shared:
+                    if v in partition:
+                        adjacency[v] = partition[v]
+            cliques = induced_maximal_cliques(adjacency, task.shared)
+            results.append(
+                (task.index, tuple(tuple(sorted(clique)) for clique in cliques))
             )
             if _should_split(policy, started, len(chunk.tasks) - position - 1):
-                from repro.parallel.partition import LiftChunk as _LiftChunk
-
                 tail = chunk.tasks[position + 1 :]
-                needed = {p for task in tail for p in task.partition_indices}
-                remaining = _LiftChunk(
-                    tasks=tail,
-                    paths={p: chunk.paths[p] for p in sorted(needed)},
+                needed = sorted({p for task in tail for p in task.partition_indices})
+                remaining = replace(
+                    chunk, tasks=tail, paths={p: chunk.paths[p] for p in needed}
                 )
                 break
+        pages_read = context.pages_read - pages_before
         bundle.chunks["lift"].inc()
         bundle.latency["lift"].observe(time.perf_counter() - started)
-        _CONTEXT.emit(
+        context.emit(
             "lift_chunk_completed",
             tasks=len(results),
-            partitions_loaded=len(loaded),
+            partitions_loaded=context.partition_loads - loads_before,
             pages_read=pages_read,
             split_off=0 if remaining is None else len(remaining.tasks),
         )
-        _CONTEXT.flush_metrics()
+        context.flush_metrics()
     except Exception as error:
-        _CONTEXT.emit("lift_chunk_failed", tasks=len(chunk.tasks), error=repr(error))
-        _CONTEXT.flush_metrics()
+        context.emit("lift_chunk_failed", tasks=len(chunk.tasks), error=repr(error))
+        context.flush_metrics()
         raise
     return _seal("lift", (results, pages_read), remaining, policy)
 
@@ -644,6 +669,11 @@ class StepExecutor:
         self._max_rebuilds = max(3, self._max_retries + 1)
         self._rebuilds_used = 0
         self._chunk_seq = 0
+        # Completion signalling: pool callbacks queue their submission's
+        # ticket and set the event the harvest loop waits on.
+        self._tickets = itertools.count()
+        self._finished: deque[int] = deque()
+        self._wake = threading.Event()
         self.stats = ExecutorStats()
         #: Scheduling activity (not recovery — see ``ExecutorStats``).
         self.tasks_split = 0
@@ -678,11 +708,12 @@ class StepExecutor:
     def _map(self, phase, chunks):
         """Run every chunk to completion, whatever the pool does.
 
-        Event-driven loop: submit everything pending, harvest whichever
-        handle completes first (split tails are requeued and picked up
-        by idle workers immediately), classify failures (retry, timeout
-        → pool rebuild, retries exhausted → inline).  The loop
-        terminates because every failure either charges an attempt
+        Event-driven loop: submit everything pending, sleep on the
+        completion event until a pool callback fires or the nearest
+        chunk deadline passes, harvest whatever finished (split tails are
+        requeued and picked up by idle workers immediately), classify
+        failures (retry, timeout → pool rebuild, retries exhausted →
+        inline).  The loop terminates because every failure either charges an attempt
         against a chunk (bounded by ``max_retries`` before the chunk
         goes inline) or consumes a pool rebuild (bounded by the lifetime
         cap before the executor degrades to inline entirely), and every
@@ -694,7 +725,7 @@ class StepExecutor:
         if not pending:
             return []
         collected: list = []
-        outstanding: dict[int, tuple] = {}  # chunk_id -> (handle, item, deadline)
+        outstanding: dict[int, tuple] = {}  # ticket -> (handle, item, deadline)
         bundle = _METRICS()
         while pending or outstanding:
             if self._engine.pool is None or self.fell_back:
@@ -706,7 +737,8 @@ class StepExecutor:
             submit_failed = False
             while pending:
                 item = pending.popleft()
-                handle = self._submit(phase, item)
+                ticket = next(self._tickets)
+                handle = self._submit(phase, item, ticket)
                 if handle is None:
                     pending.appendleft(item)
                     submit_failed = True
@@ -717,48 +749,71 @@ class StepExecutor:
                     if self._task_timeout is None
                     else time.monotonic() + self._task_timeout
                 )
-                outstanding[item.chunk_id] = (handle, item, deadline)
+                outstanding[ticket] = (handle, item, deadline)
             bundle.queue_depth.set(len(outstanding) + len(pending))
-            if submit_failed:
-                self._salvage(phase, outstanding, pending, collected)
-                self._rebuild_pool()
-                continue
-            progressed, broken = self._poll(phase, outstanding, pending, collected)
+            broken = submit_failed or self._await_finished(
+                phase, outstanding, pending, collected
+            )
             if broken:
                 self._salvage(phase, outstanding, pending, collected)
                 self._rebuild_pool()
-            elif not progressed:
-                time.sleep(_POLL_INTERVAL_SECONDS)
         self._engine.reset_pending()
         bundle.queue_depth.set(0)
         return collected
 
-    def _poll(self, phase, outstanding, pending, collected):
-        """One harvest pass; returns ``(progressed, pool_broken)``."""
-        progressed = False
-        now = time.monotonic()
-        for chunk_id in list(outstanding):
-            handle, item, deadline = outstanding[chunk_id]
-            if handle.ready():
-                del outstanding[chunk_id]
-                progressed = True
+    def _notify(self, ticket: int, _outcome) -> None:
+        """``apply_async`` callback and error callback (pool result thread)."""
+        self._finished.append(ticket)
+        self._wake.set()
+
+    def _harvest_finished(self, phase, outstanding, pending, collected) -> bool:
+        """Harvest every outstanding chunk whose callback has fired.
+
+        Tickets of abandoned submissions (salvaged or timed out) are not
+        in ``outstanding`` and are dropped.  The callback runs just before
+        the result's own ready flag is set, so ``get()`` may block for
+        that instant, never longer.
+        """
+        self._wake.clear()
+        harvested = False
+        while self._finished:
+            entry = outstanding.pop(self._finished.popleft(), None)
+            if entry is not None:
+                handle, item, _ = entry
                 self._harvest(phase, item, handle, pending, collected)
-            elif deadline is not None and now >= deadline:
+                harvested = True
+        return harvested
+
+    def _await_finished(self, phase, outstanding, pending, collected) -> bool:
+        """Harvest finished chunks, first waiting — until a callback fires
+        or the nearest chunk deadline passes — if none has finished.
+
+        Returns whether an expired deadline broke the pool.
+        """
+        if not self._harvest_finished(phase, outstanding, pending, collected):
+            deadlines = [d for _, _, d in outstanding.values() if d is not None]
+            self._wake.wait(
+                max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+            )
+            self._harvest_finished(phase, outstanding, pending, collected)
+        now = time.monotonic()
+        for ticket, (_, item, deadline) in list(outstanding.items()):
+            if deadline is not None and now >= deadline:
                 # The only way to learn a worker died mid-task: the pool
                 # never surfaces abrupt worker death, so the deadline is
                 # the death detector and it breaks the pool.
-                del outstanding[chunk_id]
+                del outstanding[ticket]
                 self.stats.chunk_timeouts += 1
                 _METRICS().timeouts.inc()
                 self._emit("chunk_timeout", phase=phase, chunk_index=item.chunk_id)
                 self._fail(phase, item, pending, collected)
-                return progressed, True
-        return progressed, False
+                return True
+        return False
 
     def _harvest(self, phase, item, handle, pending, collected):
         """Unwrap one completed handle: envelope, spool, split tail."""
         try:
-            envelope = handle.get(0)
+            envelope = handle.get()
             payload = self._open_envelope(envelope)
         except Exception as error:
             self.stats.chunk_errors += 1
@@ -801,7 +856,7 @@ class StepExecutor:
         bundle.spooled_bytes.inc(len(data))
         return payload
 
-    def _submit(self, phase, item):
+    def _submit(self, phase, item, ticket):
         """Submit one chunk; returns ``None`` when the pool is unusable.
 
         The fault plan is consulted here (operations ``"chunk"`` and —
@@ -853,7 +908,10 @@ class StepExecutor:
         except Exception:  # injected poison payloads refuse to pickle
             shipped = 0
         try:
-            handle = self._engine.pool.apply_async(_dispatch_chunk, (task,))
+            notify = partial(self._notify, ticket)
+            handle = self._engine.pool.apply_async(
+                _dispatch_chunk, (task,), callback=notify, error_callback=notify
+            )
         except Exception:
             return None
         self.payload_bytes += shipped
@@ -869,14 +927,10 @@ class StepExecutor:
         collateral, not the fault.
         """
         deadline = time.monotonic() + _SALVAGE_TIMEOUT_SECONDS
+        self._harvest_finished(phase, outstanding, pending, collected)
         while outstanding and time.monotonic() < deadline:
-            for chunk_id in list(outstanding):
-                handle, item, _ = outstanding[chunk_id]
-                if handle.ready():
-                    del outstanding[chunk_id]
-                    self._harvest(phase, item, handle, pending, collected)
-            if outstanding:
-                time.sleep(_POLL_INTERVAL_SECONDS)
+            self._wake.wait(deadline - time.monotonic())
+            self._harvest_finished(phase, outstanding, pending, collected)
         for handle, item, _ in outstanding.values():
             pending.append(item)
         outstanding.clear()

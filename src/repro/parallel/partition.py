@@ -15,13 +15,20 @@ Two fan-out shapes, one per dominant step cost:
 * **Lift tasks** split Algorithm 2's phase 2 — ``maxCL(G[HNB(C1)])``
   over the distinct ``HNB`` sets — along the disk-partition boundaries
   of Section 4.2.3: tasks are chunked *contiguously* in partition order
-  so the sets served by one spill file land in the same chunk and each
-  worker loads a file at most once per chunk.
+  so the sets served by one spill file land in the same chunk.  Workers
+  keep parsed spill files in a per-step LRU bounded by the driver
+  store's ``max_resident`` (shipped on every :class:`LiftChunk`), so a
+  file is read at most once per worker per step while it stays
+  resident.
 
-Chunks deliberately outnumber workers (``OVERSUBSCRIPTION``-fold): the
-pool schedules them dynamically, which absorbs the wildly skewed
-per-vertex subtree costs without giving up the deterministic merge —
-every task carries its global ``index``, and the merger orders by it.
+Chunks outnumber workers by the grain's ``oversubscription`` (2 per
+worker for ``fine``, 4 for ``coarse``; :data:`OVERSUBSCRIPTION` is the
+default for direct callers): the pool schedules them dynamically, which
+absorbs skewed per-vertex subtree costs without giving up the
+deterministic merge — every task carries its global ``index``, and the
+merger orders by it.  More chunks are not free: each one costs a
+dispatch round trip through the pool, so the fine grain leaves skew to
+the worker-side split protocol instead of cutting finer up front.
 """
 
 from __future__ import annotations
@@ -74,11 +81,14 @@ class LiftChunk:
 
     ``paths`` maps partition index to the file's location so a worker can
     open exactly the partitions its tasks touch, read-only, without ever
-    seeing the driver's store handles.
+    seeing the driver's store handles.  ``max_resident`` is the driver
+    store's bound on resident partitions, which caps the worker's
+    per-step spill cache too.
     """
 
     tasks: tuple[LiftTask, ...]
     paths: dict[int, str]
+    max_resident: int
 
 
 def tree_tasks(star: StarGraph) -> list[TreeTask]:
@@ -114,9 +124,7 @@ def chunk_tree_tasks(
     low-id core subproblems — whose subtrees are largest because they own
     every clique their vertex minimizes — across chunks.
     ``oversubscription`` comes from the engine's
-    :class:`~repro.parallel.scheduler.GrainPolicy`: the fine grain cuts
-    more, smaller chunks so the work-stealing scheduler has something to
-    steal.
+    :class:`~repro.parallel.scheduler.GrainPolicy`.
     """
     if not tasks:
         return []
@@ -162,6 +170,7 @@ def chunk_lift_tasks(
     if not tasks:
         return []
     paths = [str(path) for path in store.partition_paths()]
+    max_resident = store.max_resident
     num_chunks = min(len(tasks), max(1, oversubscription) * max(1, workers))
     total_cost = sum(1 + len(task.shared) for task in tasks)
     target = max(1, total_cost // num_chunks)
@@ -172,11 +181,11 @@ def chunk_lift_tasks(
         current.append(task)
         current_cost += 1 + len(task.shared)
         if current_cost >= target and len(chunks) < num_chunks - 1:
-            chunks.append(_seal_lift_chunk(current, paths))
+            chunks.append(_seal_lift_chunk(current, paths, max_resident))
             current = []
             current_cost = 0
     if current:
-        chunks.append(_seal_lift_chunk(current, paths))
+        chunks.append(_seal_lift_chunk(current, paths, max_resident))
     return chunks
 
 
@@ -193,10 +202,14 @@ def _packed(values, top: int) -> array:
     return array("q", values)
 
 
-def _seal_lift_chunk(tasks: list[LiftTask], paths: list[str]) -> LiftChunk:
+def _seal_lift_chunk(
+    tasks: list[LiftTask], paths: list[str], max_resident: int
+) -> LiftChunk:
     needed = sorted({index for task in tasks for index in task.partition_indices})
     return LiftChunk(
-        tasks=tuple(tasks), paths={index: paths[index] for index in needed}
+        tasks=tuple(tasks),
+        paths={index: paths[index] for index in needed},
+        max_resident=max_resident,
     )
 
 

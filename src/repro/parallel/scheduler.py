@@ -15,13 +15,19 @@ initialization — fixed costs that swamped the parallelism
   per-process attachment cache.
 
 Task granularity is a policy, not a constant: ``"coarse"`` reproduces
-the old static oversubscribed chunking, ``"fine"`` cuts smaller chunks
-*and* arms the worker-side split protocol — a worker that has already
-spent its time slice on a chunk while the shared pending counter says
-the queue is dry returns its unfinished tail to the driver, which
-requeues it for whichever worker is idle (work stealing with the driver
-as the queue).  Both grains produce byte-identical streams: the merge
-orders by task index, never by schedule.
+the old static oversubscribed chunking (4 chunks per worker, never
+split), ``"fine"`` starts from 2 chunks per worker *and* arms the
+worker-side split protocol — a worker that has already spent its time
+slice on a chunk while the shared pending counter says the queue is dry
+returns its unfinished tail to the driver, which requeues it for
+whichever worker is idle (work stealing with the driver as the queue).
+Two chunks per worker is the smallest cut that keeps one chunk queued
+behind each running one, which hides the per-chunk dispatch round trip
+(pickling, the pool's task and result pipes, one callback); every further
+chunk adds another round trip.  Skew is the split protocol's job, not
+the initial cut's.  Both
+grains produce byte-identical streams: the merge orders by task index,
+never by schedule.
 """
 
 from __future__ import annotations
@@ -82,7 +88,10 @@ class GrainPolicy:
     ``oversubscription`` scales the initial chunk count (chunks per
     worker); ``split_after_seconds`` is the worker-side time slice after
     which a chunk holding ≥ 2 unfinished tasks may hand its tail back to
-    the driver — ``None`` disarms splitting entirely.
+    the driver — ``None`` disarms splitting entirely.  ``fine`` cuts 2
+    chunks per worker (one running, one queued behind it) and leaves
+    rebalancing to splits; ``coarse`` is the static 4-per-worker
+    reference.
     """
 
     name: str
@@ -92,7 +101,7 @@ class GrainPolicy:
 
 GRAIN_POLICIES = {
     "coarse": GrainPolicy("coarse", oversubscription=4, split_after_seconds=None),
-    "fine": GrainPolicy("fine", oversubscription=8, split_after_seconds=0.05),
+    "fine": GrainPolicy("fine", oversubscription=2, split_after_seconds=0.05),
 }
 
 

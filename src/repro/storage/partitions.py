@@ -13,9 +13,13 @@ This module reproduces that machinery over :class:`DiskGraph`:
   one to learn each h-neighbor's within-``Hnb`` degree (needed to place
   partition boundaries; the paper assumes this is known), one to write the
   partition files.
-* :meth:`HnbPartitionStore.induced_subgraph` serves an ``HNB`` set by
+* :meth:`HnbPartitionStore.neighbor_sets` serves an ``HNB`` set by
   loading the partitions that contain its members, charging resident
   partitions to the memory model and evicting least-recently-used ones.
+  Its result feeds the phase-2 bitmask resolver
+  (:func:`repro.kernel.induced_maximal_cliques`) directly;
+  :meth:`~HnbPartitionStore.induced_subgraph` wraps the same lookup as
+  an :class:`AdjacencyGraph`.
 
 Spill files hold headerless DiskGraph format-v2 records, written and read
 by the same codec as ``G`` (:mod:`repro.storage.format`).  Each record's
@@ -193,6 +197,12 @@ class HnbPartitionStore:
         return len(self._partitions)
 
     @property
+    def max_resident(self) -> int:
+        """Most partitions held in memory at once; lift workers cap their
+        own spill caches with it too."""
+        return self._max_resident
+
+    @property
     def io_stats(self):
         """The I/O counters the spill files report to (``None`` when the
         store has no partitions).  The parallel driver folds worker-side
@@ -229,34 +239,40 @@ class HnbPartitionStore:
             for index in range(len(self._partitions))
         ]
 
-    def induced_subgraph(self, vertices: Iterable[int]) -> AdjacencyGraph:
-        """The subgraph induced on ``vertices`` by within-member edges.
+    def neighbor_sets(self, vertices: Iterable[int]) -> dict[int, frozenset[int]]:
+        """Each requested vertex's within-member neighbours.
 
-        Loads (and meters) every partition containing a requested vertex.
+        Loads (and meters) every partition containing a requested vertex,
+        in order of first appearance in ``vertices``, through the LRU.
         Unknown vertices — ones outside the member set — raise
         :class:`~repro.errors.StorageError`, since silently returning an
         empty neighborhood would corrupt clique maximality decisions.
         """
         wanted = list(dict.fromkeys(vertices))
-        needed_partitions: list[int] = []
+        by_partition: dict[int, list[int]] = {}
         for v in wanted:
             index = self._partition_of.get(v)
             if index is None:
                 raise StorageError(f"vertex {v} is not covered by the partition store")
-            if index not in needed_partitions:
-                needed_partitions.append(index)
-        adjacency: dict[int, frozenset[int]] = {}
-        for index in needed_partitions:
+            by_partition.setdefault(index, []).append(v)
+        adjacency: dict[int, frozenset[int]] = dict.fromkeys(wanted, frozenset())
+        for index, group in by_partition.items():
             loaded = self._load_raw(index)
-            for v in wanted:
+            for v in group:
                 if v in loaded:
                     adjacency[v] = loaded[v]
-        wanted_set = set(wanted)
+        return adjacency
+
+    def induced_subgraph(self, vertices: Iterable[int]) -> AdjacencyGraph:
+        """The subgraph induced on ``vertices`` by within-member edges
+        (same loads and errors as :meth:`neighbor_sets`)."""
+        adjacency = self.neighbor_sets(vertices)
+        wanted = set(adjacency)
         graph = AdjacencyGraph()
-        for v in wanted:
+        for v in adjacency:
             graph.add_vertex(v)
-        for v in wanted:
-            for u in adjacency.get(v, frozenset()) & wanted_set:
+        for v, neighbors in adjacency.items():
+            for u in neighbors & wanted:
                 graph.add_edge(v, u)
         return graph
 

@@ -1,5 +1,9 @@
 """Executor tests: pool vs inline equivalence, fallback, worker traces,
-work stealing, and result spooling."""
+work stealing, result spooling and callback-driven harvest."""
+
+import os
+import sys
+import threading
 
 import pytest
 
@@ -164,3 +168,34 @@ class TestWorkerTraces:
         tasks = tree_tasks(star)
         # >= rather than ==: a split chunk completes as several events
         assert total >= len(chunk_tree_tasks(tasks, workers=2))
+
+
+class TestCallbackHarvest:
+    def test_many_chunks_on_more_workers_than_cores_lose_no_wakeup(self, star):
+        with StepExecutor(1, serialize_star(star)) as inline:
+            expected = _run_tree(inline, star)
+        workers = (os.cpu_count() or 1) + 2
+        outcomes = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with StepExecutor(
+                workers, serialize_star(star), task_timeout=60.0
+            ) as executor:
+
+                def drive():
+                    for _ in range(5):
+                        outcomes.append(
+                            _run_tree(executor, star, workers, oversubscription=16)
+                        )
+
+                runner = threading.Thread(target=drive, daemon=True)
+                runner.start()
+                runner.join(timeout=120)
+                assert not runner.is_alive(), "harvest stalled"
+                # A lost wakeup would sit out the 60 s deadline and then
+                # show up as a timeout and a retry.
+                assert not executor.stats.any_recovery
+        finally:
+            sys.setswitchinterval(switch)
+        assert outcomes == [expected] * 5
