@@ -2,7 +2,8 @@
 
 Drives a randomized insert/delete edge stream through the full live
 stack (``HStarMaintainer`` → ``LiveIngestor`` → ``LiveCliqueStore``)
-and records three things to ``BENCH_live.json`` at the repository root:
+and records three things to ``BENCH_live.json`` at the repository root
+(in the ``{bench, schema, host, git_sha, headline, runs}`` envelope):
 
 1. sustained ingestion throughput (edge updates/second and clique
    deltas/second) over the whole stream;
@@ -39,9 +40,9 @@ from repro.live import LiveCliqueStore, LiveIngestor
 from repro.service import CliqueQueryEngine
 
 try:  # pytest collection from the repository root
-    from benchmarks.common import quantiles, random_edge_stream
+    from benchmarks.common import git_sha, host_shape, quantiles, random_edge_stream
 except ImportError:  # executed directly: benchmarks/ itself is sys.path[0]
-    from common import quantiles, random_edge_stream
+    from common import git_sha, host_shape, quantiles, random_edge_stream
 
 NUM_VERTICES = 60
 NUM_EVENTS = 1_500
@@ -114,26 +115,38 @@ def main() -> int:
 
         payload = {
             "bench": "live_updates",
+            "schema": 1,
+            "host": host_shape(),
+            "git_sha": git_sha(),
+            "headline": {
+                "updates_per_second": report.updates_per_second,
+                "idle_p95_us": idle_q["p95_us"],
+                "during_compaction_p95_us": during_q["p95_us"],
+                "non_blocking_compaction": non_blocking,
+            },
             "stream": {
                 "vertices": NUM_VERTICES,
                 "events": len(events),
                 "delete_share": DELETE_SHARE,
                 "seed": SEED,
             },
-            "ingest": {
-                "edges_applied": report.edges_applied,
-                "insertions": report.insertions,
-                "deletions": report.deletions,
-                "deltas_emitted": report.deltas_emitted,
-                "seconds": report.seconds,
-                "updates_per_second": report.updates_per_second,
+            "runs": {
+                "ingest": {
+                    "edges_applied": report.edges_applied,
+                    "insertions": report.insertions,
+                    "deletions": report.deletions,
+                    "deltas_emitted": report.deltas_emitted,
+                    "seconds": report.seconds,
+                    "updates_per_second": report.updates_per_second,
+                    "num_cliques": num_cliques,
+                },
+                "latency_idle": idle_q,
+                "latency_during_compaction": {
+                    **during_q,
+                    "compaction_window_seconds": COMPACTION_WINDOW_SECONDS,
+                    "non_blocking_p95_grace_us": grace_us,
+                },
             },
-            "num_cliques": num_cliques,
-            "latency_idle": idle_q,
-            "latency_during_compaction": during_q,
-            "compaction_window_seconds": COMPACTION_WINDOW_SECONDS,
-            "non_blocking_p95_grace_us": grace_us,
-            "non_blocking_compaction": non_blocking,
         }
         RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 

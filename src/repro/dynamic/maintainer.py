@@ -10,9 +10,14 @@ The update rules follow Section 5 of the paper:
   ``{C' ∩ NB_uv : C' ∈ M_H*}`` (the paper's ``S_M``), where ``NB_uv`` is
   the common ``G_H*``-neighborhood of the endpoints; the subsumed cliques
   ``C ∪ {u}`` / ``C ∪ {v}`` leave the tree.  When ``S`` is empty,
-  ``{u, v}`` itself is the new maximal clique.
+  ``{u, v}`` itself is the new maximal clique.  Every clique of
+  ``G_H*[NB_uv]`` lies in some ``C' ∈ M_H*``, so ``S_M`` is exactly
+  ``maxCL(G_H*[NB_uv])``, and that is how it is computed: one bitmask
+  resolve over the common neighbourhood, never a walk of the tree.
 * **Deletion with an h-vertex endpoint** — every clique containing both
-  endpoints leaves the tree; its two "one endpoint removed" halves
+  endpoints leaves the tree; those are ``{u, v} ∪ C`` for
+  ``C ∈ maxCL(G_H*[NB_uv])`` (the paper's ``S'``), again computed from
+  the star graph.  Each one's two "one endpoint removed" halves
   re-enter when still maximal in the updated ``G_H*``.
 * **Core change** — when an update changes ``h`` or the membership of
   ``H`` (degree crossings), the star graph and tree are rebuilt; the
@@ -36,6 +41,7 @@ from repro.core.extmce import ExtMCE, ExtMCEConfig, ExtMCEReport
 from repro.core.hstar import StarGraph
 from repro.errors import EdgeNotFoundError, GraphError
 from repro.graph.adjacency import AdjacencyGraph
+from repro.kernel import induced_maximal_cliques
 from repro.storage.diskgraph import DiskGraph
 from repro.storage.memory import MemoryModel
 
@@ -389,7 +395,7 @@ class HStarMaintainer:
         }
         star = self.star()
         self._tree = CliqueTree.for_star(star, memory=self._memory)
-        for clique in enumerate_star_cliques(star):
+        for clique in enumerate_star_cliques(star, kernel="bitset"):
             self._tree.insert(clique)
 
     # ------------------------------------------------------------------
@@ -400,7 +406,18 @@ class HStarMaintainer:
         core neighbors; outside vertices: empty)."""
         if w in self._core:
             return self._neighbor_lists[w]
-        return set(self._graph.neighbors(w)) & self._core
+        return self._graph.neighbors(w) & self._core
+
+    def _star_kernels(self, u: int, v: int) -> list[Clique]:
+        """``maxCL(G_H*[NB_uv])``, or the one empty kernel when ``NB_uv``
+        is empty (the endpoints' common ``G_H*``-neighbourhood).
+
+        ``_neighbor_lists`` is ``G_H*`` seen from the core: a periphery
+        member has no entry, so the resolver sees only its (symmetrised)
+        core edges and never a periphery–periphery edge.
+        """
+        common = self._star_neighbors(u) & self._star_neighbors(v)
+        return induced_maximal_cliques(self._neighbor_lists, common) or [frozenset()]
 
     def _apply_insertion(self, u: int, v: int) -> None:
         assert self._tree is not None
@@ -408,24 +425,7 @@ class HStarMaintainer:
             self._neighbor_lists[u].add(v)
         if v in self._core:
             self._neighbor_lists[v].add(u)
-
-        common = self._star_neighbors(u) & self._star_neighbors(v) - {u, v}
-        if not common:
-            self._tree.insert(frozenset((u, v)))
-            self._tree.remove(frozenset((u,)))
-            self._tree.remove(frozenset((v,)))
-            return
-        intersections = {
-            clique & common
-            for clique in self._tree.cliques()
-            if clique & common
-        }
-        maximal = [
-            kernel
-            for kernel in intersections
-            if not any(kernel < other for other in intersections)
-        ]
-        for kernel in maximal:
+        for kernel in self._star_kernels(u, v):
             self._tree.insert(kernel | {u, v})
             self._tree.remove(kernel | {u})
             self._tree.remove(kernel | {v})
@@ -436,17 +436,15 @@ class HStarMaintainer:
             self._neighbor_lists[u].discard(v)
         if v in self._core:
             self._neighbor_lists[v].discard(u)
-        affected = list(self._tree.cliques_containing((u, v)))
-        for clique in affected:
-            self._tree.remove(clique)
-        for clique in affected:
-            for survivor in (clique - {u}, clique - {v}):
+        kernels = self._star_kernels(u, v)
+        for kernel in kernels:
+            self._tree.remove(kernel | {u, v})
+        for kernel in kernels:
+            for survivor in (kernel | {u}, kernel | {v}):
                 if self._survivor_is_star_maximal(survivor):
                     self._tree.insert(survivor)
 
     def _survivor_is_star_maximal(self, survivor: Clique) -> bool:
-        if not survivor:
-            return False
         members = sorted(survivor)
         if len(members) == 1 and members[0] not in self._core:
             # A lone periphery vertex either left G_H* entirely or still

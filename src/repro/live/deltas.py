@@ -4,27 +4,36 @@ The paper's Section 5 maintains ``T_H*`` — the clique tree of the
 H*-graph — under edge updates; serving the *full* maximal-clique result
 live additionally needs the update's effect on ``M(G)`` itself.  That
 effect is local (Das et al., arXiv 2001.11433, compute it in parallel
-from exactly this case analysis):
+from exactly this case analysis).
 
-* **Insertion of (u, v).**  Let ``NB = N(u) ∩ N(v)`` in the *updated*
-  graph.  The new maximal cliques are ``C ∪ {u, v}`` for every maximal
-  clique ``C`` of the induced subgraph ``G[NB]`` (``{u, v}`` itself when
-  ``NB`` is empty).  The cliques that stop being maximal are exactly the
-  current cliques ``K`` with ``u ∈ K ⊆ {u} ∪ NB`` or ``v ∈ K ⊆ {v} ∪ NB``
-  — each is subsumed by ``K ∪ {v}`` (resp. ``K ∪ {u}``), which the edge
-  just completed.
-* **Deletion of (u, v).**  Every current clique containing both
-  endpoints dies.  For each dead ``K``, the halves ``K − {u}`` and
-  ``K − {v}`` are the only candidate new maximal cliques; a candidate
-  survives iff no vertex of the *updated* graph is adjacent to all of it.
+Both rules read only ``NB = N(u) ∩ N(v)`` in the *updated* graph
+(removing or adding the edge itself does not change it) and the
+neighbour sets of the endpoints and of ``NB``'s members.  Let
+``kernels = maxCL(G[NB])`` — computed by the shared bitmask resolver
+:func:`repro.kernel.induced_maximal_cliques` — or the one empty kernel
+when ``NB`` is empty.
 
-Both rules consult only the current clique set around the endpoints (the
-live store answers that from its postings overlay) and the updated
-adjacency (the :class:`~repro.dynamic.maintainer.HStarMaintainer` holds
-it), so one update costs time local to the endpoints' neighbourhoods —
-never a fresh enumeration.  ``tests/live/test_differential.py`` pins the
-contract: replaying any stream through these deltas reproduces exactly
-the maximal cliques of the final graph.
+* **Insertion of (u, v).**  The new maximal cliques are ``K ∪ {u, v}``
+  for every kernel ``K``.  The cliques that stop being maximal are the
+  ``K ∪ {x}`` (``x`` an endpoint, ``y`` the other) that were maximal
+  before the edge: exactly those for which no ``w ∈ N(x) − NB − {y}``
+  is adjacent to all of ``K`` (a vertex of ``NB`` cannot extend a
+  kernel, and ``y`` was not a neighbour of ``x``).  For the empty
+  kernel that reads "``x`` was isolated", i.e. ``N(x) = {y}``; only
+  then is the clique set consulted, because an endpoint this very
+  event created never had a singleton clique.
+* **Deletion of (u, v).**  The dead cliques are ``K ∪ {u, v}`` for every
+  kernel, read off ``NB`` without consulting the clique set.  Their
+  halves ``K ∪ {u}`` and ``K ∪ {v}`` are the only candidate new maximal
+  cliques; ``K ∪ {x}`` survives iff no ``w ∈ N(x) − NB`` is adjacent to
+  all of ``K``.
+
+So one update costs time local to the endpoints' neighbourhoods —
+never a fresh enumeration and, apart from the singleton case, no
+clique-set read.  Removals come first, then additions, each group in
+ascending order.  ``tests/live/test_differential.py`` pins the contract:
+replaying any stream through these deltas reproduces exactly the
+maximal cliques of the final graph.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import GraphError
+from repro.kernel import induced_maximal_cliques
 
 #: Delta kinds, in wire/WAL order.
 ADD = "add"
@@ -68,30 +78,6 @@ class CliqueDelta:
 CliqueLookup = Callable[[int], Iterable[Sequence[int]]]
 
 
-def _maximal_cliques(adjacency: dict[int, set[int]]) -> list[frozenset[int]]:
-    """Pivoted Bron–Kerbosch over a small dict-of-sets subgraph.
-
-    The induced subgraphs this module enumerates are common
-    neighbourhoods of a single edge — tiny even on graphs whose global
-    enumeration needs ExtMCE — so a direct recursion is the right tool.
-    """
-    results: list[frozenset[int]] = []
-
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            results.append(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda w: len(adjacency[w] & p))
-        for v in list(p - adjacency[pivot]):
-            nbrs = adjacency[v]
-            expand(r | {v}, p & nbrs, x & nbrs)
-            p.discard(v)
-            x.add(v)
-
-    expand(set(), set(adjacency), set())
-    return results
-
-
 def insert_edge_deltas(
     graph, u: int, v: int, lookup: CliqueLookup
 ) -> list[CliqueDelta]:
@@ -99,28 +85,28 @@ def insert_edge_deltas(
 
     ``graph`` is the adjacency *after* the insertion (duck-typed:
     ``neighbors(v)`` returning a set); ``lookup`` answers against the
-    clique set *before* it.  Removals precede additions so a replay
-    never holds two copies of a subsumed clique.
+    clique set *before* it and is asked only about an endpoint whose sole
+    neighbour is the other endpoint (the singleton case).  Removals
+    precede additions, each in ascending order, so a replay never holds
+    two copies of a subsumed clique.
     """
-    common = set(graph.neighbors(u)) & set(graph.neighbors(v))
-    deltas: list[CliqueDelta] = []
-    seen: set[tuple[int, ...]] = set()
-    for endpoint in (u, v):
-        subsumed_bound = common | {endpoint}
-        for clique in lookup(endpoint):
-            members = tuple(sorted(clique))
-            if members in seen:
-                continue
-            if set(members) <= subsumed_bound:
-                seen.add(members)
-                deltas.append(CliqueDelta(REMOVE, members))
-    if not common:
-        deltas.append(CliqueDelta(ADD, tuple(sorted((u, v)))))
-        return deltas
-    induced = {w: set(graph.neighbors(w)) & common for w in common}
-    for kernel in _maximal_cliques(induced):
-        deltas.append(CliqueDelta(ADD, tuple(sorted(kernel | {u, v}))))
-    return deltas
+    common = graph.neighbors(u) & graph.neighbors(v)
+    kernels = _kernels(graph, common)
+    removals: list[tuple[int, ...]] = []
+    for x, y in ((u, v), (v, u)):
+        outside = graph.neighbors(x) - common
+        outside.discard(y)
+        for kernel in kernels:
+            if _extended(graph, outside, kernel):
+                continue  # kernel ∪ {x} was not maximal before the edge
+            if kernel:
+                removals.append(tuple(sorted(kernel | {x})))
+            elif any(len(clique) == 1 for clique in lookup(x)):
+                removals.append((x,))
+    additions = sorted(tuple(sorted(kernel | {u, v})) for kernel in kernels)
+    return [CliqueDelta(REMOVE, members) for members in sorted(removals)] + [
+        CliqueDelta(ADD, members) for members in additions
+    ]
 
 
 def delete_edge_deltas(
@@ -128,35 +114,42 @@ def delete_edge_deltas(
 ) -> list[CliqueDelta]:
     """Deltas for the deletion of edge ``(u, v)``.
 
-    ``graph`` is the adjacency *after* the deletion; ``lookup`` answers
-    against the clique set *before* it (so the dead cliques — the ones
-    containing both endpoints — are still visible).
+    ``graph`` is the adjacency *after* the deletion.  The dead cliques
+    are ``K ∪ {u, v}`` for each kernel ``K`` of the (unchanged) common
+    neighbourhood, so ``lookup`` is never consulted; it is accepted for
+    symmetry with :func:`insert_edge_deltas`.
     """
-    dead = [
-        tuple(sorted(clique))
-        for clique in lookup(u)
-        if v in clique
+    common = graph.neighbors(u) & graph.neighbors(v)
+    kernels = _kernels(graph, common)
+    dead = sorted(tuple(sorted(kernel | {u, v})) for kernel in kernels)
+    survivors: list[tuple[int, ...]] = []
+    for x in (u, v):
+        outside = graph.neighbors(x) - common
+        for kernel in kernels:
+            if not _extended(graph, outside, kernel):
+                survivors.append(tuple(sorted(kernel | {x})))
+    return [CliqueDelta(REMOVE, members) for members in dead] + [
+        CliqueDelta(ADD, members) for members in sorted(survivors)
     ]
-    deltas = [CliqueDelta(REMOVE, members) for members in dead]
-    candidates: set[tuple[int, ...]] = set()
-    for members in dead:
-        for drop in (u, v):
-            survivor = tuple(w for w in members if w != drop)
-            if survivor:
-                candidates.add(survivor)
-    for survivor in sorted(candidates):
-        if _is_maximal(graph, survivor):
-            deltas.append(CliqueDelta(ADD, survivor))
-    return deltas
 
 
-def _is_maximal(graph, vertices: tuple[int, ...]) -> bool:
-    """Whether ``vertices`` (a clique) is maximal in ``graph``."""
-    members = set(vertices)
-    common: set[int] | None = None
-    for w in vertices:
-        nbrs = set(graph.neighbors(w))
-        common = nbrs if common is None else common & nbrs
-        if not common - members:
-            return True
-    return not (common - members)
+def _kernels(graph, common: set[int]) -> list[frozenset[int]]:
+    """``maxCL(G[common])``, or the one empty kernel when ``common`` is empty."""
+    if not common:
+        return [frozenset()]
+    return induced_maximal_cliques({w: graph.neighbors(w) for w in common}, common)
+
+
+def _extended(graph, outside: set[int], kernel: frozenset[int]) -> bool:
+    """Whether some vertex of ``outside`` is adjacent to all of ``kernel``.
+
+    No vertex of the common neighbourhood can extend a kernel (kernels
+    are maximal there), so with ``outside = N(x) − NB`` (less the other
+    endpoint) this decides whether ``kernel ∪ {x}`` is maximal.
+    """
+    candidates = outside
+    for w in kernel:
+        if not candidates:
+            return False
+        candidates = candidates & graph.neighbors(w)
+    return bool(candidates)

@@ -10,9 +10,12 @@ maximal-clique set (:mod:`repro.live.deltas`) and applies it to the
 applied, subscribers notified — before the next event is admitted.
 
 The hook fires after the maintainer mutates the graph and before the
-store applies the deltas, which is exactly the window the delta rules
-need: adjacency reflects the update, the store's clique set does not
-yet.  Events come in the ``(timestamp, u, v)`` shape
+store applies the deltas.  The delta rules read only the updated
+adjacency around the endpoints; the store's (not yet updated) clique
+set is consulted solely when an inserted edge's endpoint was isolated,
+to tell a stored singleton clique from a vertex the event created — one
+postings read on a rare event instead of two per update.  Events come
+in the ``(timestamp, u, v)`` shape
 :mod:`repro.generators.streams` produces, optionally extended with an
 operation tag for deletions.
 """
@@ -123,7 +126,8 @@ class LiveIngestor:
                 self.report.cliques_removed += 1
 
     def _lookup(self, vertex: int) -> list[tuple[int, ...]]:
-        """Current maximal cliques containing ``vertex`` (pre-update view)."""
+        """Current maximal cliques containing ``vertex`` (pre-update view;
+        asked only about a formerly isolated insert endpoint)."""
         return self._store.vertex_cliques(vertex)
 
     # ------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Tests for Section 5's dynamic maintenance of T_H*."""
 
+import contextlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.bron_kerbosch import tomita_maximal_cliques
-from repro.core.clique_tree import enumerate_star_cliques
+from repro.core.clique_tree import CliqueTree, enumerate_star_cliques
 from repro.dynamic.maintainer import HStarMaintainer
 from repro.errors import EdgeNotFoundError, GraphError
+from repro.graph.adjacency import AdjacencyGraph
 
 from tests.helpers import cliques_of, figure1_graph
 
@@ -98,6 +101,70 @@ class TestUpdateRules:
         for u, v in [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]:
             maintainer.insert_edge(u, v)
         assert maintainer.stats.core_rebuilds >= 1
+        assert_consistent(maintainer)
+
+
+class TestLocalUpdates:
+    """Star-hitting updates resolve ``S_M``/``S'`` from ``G_H*[NB_uv]``:
+    no walk of the clique tree, as long as the core stays valid."""
+
+    CORE = range(8)
+    PERIPHERY = range(100, 130)
+
+    def graph(self, rng):
+        edges = {(u, v) for u in self.CORE for v in self.CORE if u < v}
+        degree = dict.fromkeys([*self.CORE, *self.PERIPHERY], 0)
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        for p in self.PERIPHERY:
+            for c in rng.sample(self.CORE, rng.randint(1, 4)):
+                edges.add((c, p))
+                degree[c] += 1
+                degree[p] += 1
+        return AdjacencyGraph.from_edges(sorted(edges)), degree
+
+    @staticmethod
+    @contextlib.contextmanager
+    def forbid_tree_walks():
+        def walk(*_args, **_kwargs):
+            raise AssertionError("a star update walked the clique tree")
+
+        with mock.patch.object(CliqueTree, "cliques", walk), \
+                mock.patch.object(CliqueTree, "cliques_containing", walk):
+            yield
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_core_hitting_stream_never_walks_the_tree(self, seed):
+        rng = random.Random(seed)
+        graph, degree = self.graph(rng)
+        maintainer = HStarMaintainer(graph)
+        assert maintainer.core == frozenset(self.CORE)
+        hits = maintainer.stats.updates_hitting_star
+        for step in range(120):
+            c = rng.choice(self.CORE)
+            other = rng.choice([*self.CORE, *self.PERIPHERY])
+            if other == c:
+                continue
+            present = maintainer.graph.has_edge(c, other)
+            # Keep h = 8 and the core fixed: core degrees stay >= 9,
+            # periphery degrees <= 6.
+            if present and degree[c] > 9 and degree[other] > (9 if other in self.CORE else 0):
+                with self.forbid_tree_walks():
+                    maintainer.delete_edge(c, other)
+                step_delta = -1
+            elif not present and (other in self.CORE or degree[other] < 6):
+                with self.forbid_tree_walks():
+                    maintainer.insert_edge(c, other)
+                step_delta = 1
+            else:
+                continue
+            degree[c] += step_delta
+            degree[other] += step_delta
+            if step % 10 == 0:
+                assert_consistent(maintainer)
+        assert maintainer.stats.core_rebuilds == 0
+        assert maintainer.stats.updates_hitting_star > hits
         assert_consistent(maintainer)
 
 
