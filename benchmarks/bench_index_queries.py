@@ -5,8 +5,10 @@ over the defective-clique-community generator — the workload whose
 near-clique blocks give every vertex a non-trivial postings list — then
 drives a mixed query workload through :class:`CliqueQueryEngine` and
 records per-operation p50/p95 latency to ``BENCH_index.json`` at the
-repository root (alongside ``BENCH_kernel.json`` and
-``BENCH_parallel.json``).
+repository root, in the ``{bench, schema, host, git_sha, headline,
+runs}`` envelope the other ``BENCH_*.json`` files share.  It also counts
+the ``postings.dir`` pages one postings lookup requests from the buffer
+pool (the page fence makes it one).
 
 It then serves the same index over TCP to concurrent clients while
 transient page-read faults hit the postings file, and records the
@@ -44,12 +46,13 @@ from repro import DiskGraph, ExtMCE, ExtMCEConfig
 from repro.faults import FaultPlan, FaultRule
 from repro.generators.communities import defective_clique_communities
 from repro.index import CliqueIndex, build_index
+from repro.index.format import DIRECTORY_FILENAME
 from repro.service import CliqueQueryClient, CliqueQueryEngine, CliqueQueryServer
 
 try:  # pytest collection from the repository root
-    from benchmarks.common import quantiles
+    from benchmarks.common import git_sha, host_shape, quantiles
 except ImportError:  # executed directly: benchmarks/ itself is sys.path[0]
-    from common import quantiles
+    from common import git_sha, host_shape, quantiles
 
 NUM_VERTICES = 400
 SEED = 7
@@ -84,6 +87,21 @@ def _workload(engine: CliqueQueryEngine, stats: dict) -> dict[str, dict]:
             assert not result.degraded, f"{op} degraded during the benchmark"
         summaries[op] = quantiles(samples)
     return summaries
+
+
+def _directory_pages(index: CliqueIndex, num_vertices: int) -> dict:
+    """``postings.dir`` page requests (cache hits included) per lookup,
+    over one postings lookup for every vertex."""
+    pool = index._pools[DIRECTORY_FILENAME]  # the benchmark reads the pool's own counters
+    before = pool.hits + pool.misses
+    for vertex in range(num_vertices):
+        index.postings(vertex)
+    pages = pool.hits + pool.misses - before
+    return {
+        "lookups": num_vertices,
+        "directory_pages": pages,
+        "per_lookup": pages / num_vertices,
+    }
 
 
 def _service_contract(directory: Path, stats: dict) -> dict:
@@ -212,25 +230,41 @@ def main() -> int:
             )
             assert list(index.cliques_containing(probe)) == expected
             latencies = _workload(engine, stats)
+        with CliqueIndex(tmp / "idx") as index:
+            directory_pages = _directory_pages(index, stats["num_vertices"])
         service_contract = _service_contract(tmp / "idx", stats)
 
         payload = {
             "bench": "index_queries",
+            "schema": 1,
+            "host": host_shape(),
+            "git_sha": git_sha(),
+            "headline": {
+                "cliques_containing_p50_us": latencies["cliques_containing"]["p50_us"],
+                "directory_pages_per_postings_lookup": directory_pages["per_lookup"],
+                "build_seconds": build_seconds,
+                "served_p95_ms": service_contract["p95_ms"],
+            },
             "graph": {
                 "generator": "defective_clique_communities",
                 "vertices": graph.num_vertices,
                 "edges": graph.num_edges,
                 "seed": SEED,
             },
-            "num_cliques": stats["num_cliques"],
-            "max_clique_size": stats["max_clique_size"],
-            "index_bytes": report.total_bytes,
-            "enumerate_seconds": enumerate_seconds,
-            "build_seconds": build_seconds,
-            "queries_per_op": QUERIES_PER_OP,
-            "deterministic_double_build": True,
-            "latency": latencies,
-            "service_contract": service_contract,
+            "runs": {
+                "index": {
+                    "num_cliques": stats["num_cliques"],
+                    "max_clique_size": stats["max_clique_size"],
+                    "index_bytes": report.total_bytes,
+                    "bytes_by_file": report.bytes_by_file,
+                    "enumerate_seconds": enumerate_seconds,
+                    "build_seconds": build_seconds,
+                    "deterministic_double_build": True,
+                },
+                "latency": {"queries_per_op": QUERIES_PER_OP, **latencies},
+                "postings_lookup": directory_pages,
+                "service_contract": service_contract,
+            },
         }
         RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -242,6 +276,8 @@ def main() -> int:
         print(f"  index size       : {report.total_bytes} bytes")
         print(f"  enumerate        : {enumerate_seconds * 1e3:9.1f} ms")
         print(f"  build            : {build_seconds * 1e3:9.1f} ms")
+        print(f"  postings.dir     : {directory_pages['per_lookup']:.2f} pages "
+              f"per postings lookup")
         for op, summary in latencies.items():
             print(f"  {op:<24s}: p50 {summary['p50_us']:8.1f} us   "
                   f"p95 {summary['p95_us']:8.1f} us")

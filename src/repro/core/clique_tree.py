@@ -155,6 +155,23 @@ class CliqueTree:
                 self._memory.release(1, label="clique tree")
         return True
 
+    def rerank(self, vertex: int, cliques: Iterable[Clique]) -> None:
+        """Move ``vertex`` across the core boundary of ``≺``.
+
+        ``cliques`` must be every stored clique containing ``vertex``;
+        their paths are re-threaded along the new order.  A lone
+        periphery vertex is never an H*-max-clique (every child of the
+        root is a core vertex), so ``{vertex}`` is dropped when the
+        vertex leaves the core.
+        """
+        cliques = list(cliques)
+        for clique in cliques:
+            self.remove(clique)
+        self._core = self._core ^ {vertex}
+        for clique in cliques:
+            if len(clique) > 1 or vertex in self._core:
+                self.insert(clique)
+
     def mark_core_maximal(self, core_clique: Iterable[int]) -> None:
         """Flag the node ending ``core_clique`` as a maximal clique of
         ``G_H`` (the marking used by Algorithm 2, Line 7)."""

@@ -20,9 +20,21 @@ The update rules follow Section 5 of the paper:
   the star graph.  Each one's two "one endpoint removed" halves
   re-enter when still maximal in the updated ``G_H*``.
 * **Core change** — when an update changes ``h`` or the membership of
-  ``H`` (degree crossings), the star graph and tree are rebuilt; the
-  experiment counts these separately because the paper's point is that
+  ``H`` (degree crossings), ``H`` moves one vertex at a time to the set
+  the construction picks (every vertex of degree above ``h``, then the
+  smallest ids of degree exactly ``h``).  A vertex ``x`` leaving ``H``
+  loses its star edges to non-core vertices through the deletion rule
+  above, edge by edge; then the cliques through it,
+  ``{x} ∪ maxCL(G_H*[N*(x)])``, are re-ranked, because the order ``≺``
+  of ``T_H*`` puts the core first.  A vertex entering ``H`` does the
+  same in reverse.  Nothing is re-enumerated: each move costs the
+  moving vertex's neighbourhood.  The experiment still counts these
+  core changes (``core_rebuilds``) because the paper's point is that
   they are rare (Table 7's "% of h-vertices retained" row).
+
+Degrees live in buckets (vertex sets by degree) with the counts of
+vertices of degree ``≥ h`` and ``> h`` kept current, so ``h`` itself is
+re-derived in O(1) per update.
 
 The maintainer holds the evolving graph in memory — the substitution for
 the paper's disk-resident ``G`` — but reports as "memory" only the star
@@ -31,6 +43,7 @@ graph and tree units, matching what the paper's maintenance keeps resident.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,10 +112,12 @@ class HStarMaintainer:
         self._h = 0
         self._neighbor_lists: dict[int, set[int]] = {}
         self._tree: CliqueTree | None = None
-        self._degree_count: dict[int, int] = {}
+        # Vertices by degree, plus how many have degree >= h and > h.
+        self._by_degree: dict[int, set[int]] = {}
+        self._at_least_h = 0
+        self._above_h = 0
         for w in self._graph.vertices():
-            d = self._graph.degree(w)
-            self._degree_count[d] = self._degree_count.get(d, 0) + 1
+            self._enter_bucket(w, self._graph.degree(w))
         self._rebuild()
 
     # ------------------------------------------------------------------
@@ -178,7 +193,7 @@ class HStarMaintainer:
         for w in (u, v):
             if w not in self._graph:
                 self._graph.add_vertex(w)
-                self._degree_count[0] = self._degree_count.get(0, 0) + 1
+                self._enter_bucket(w, 0)
         if not self._graph.add_edge(u, v):
             return
         self._bump_degree(u, +1)
@@ -186,15 +201,7 @@ class HStarMaintainer:
         self.stats.updates_total += 1
         self.stats.insertions += 1
         self._notify_update("insert", u, v)
-        if not self._core_still_valid(u, v):
-            self._count_rebuild()
-            return
-        if u not in self._core and v not in self._core:
-            return  # G_H* untouched
-        started = time.perf_counter()
-        self._apply_insertion(u, v)
-        self.stats.updates_hitting_star += 1
-        self.stats.hit_seconds_total += time.perf_counter() - started
+        self._maintain(self._apply_insertion, u, v)
 
     def delete_edge(self, u: int, v: int) -> None:
         """Apply an edge deletion (Section 5, second case analysis)."""
@@ -206,15 +213,34 @@ class HStarMaintainer:
         self.stats.updates_total += 1
         self.stats.deletions += 1
         self._notify_update("delete", u, v)
-        if not self._core_still_valid(u, v):
-            self._count_rebuild()
-            return
-        if u not in self._core and v not in self._core:
-            return
+        self._maintain(self._apply_deletion, u, v)
+
+    def _maintain(self, rule, u: int, v: int) -> None:
+        """Apply one update's star rule under the current ``H``, then move
+        ``H`` when the update invalidated it."""
+        core_valid = self._core_still_valid(u, v)
+        touches_star = u in self._core or v in self._core
+        if core_valid and not touches_star:
+            return  # G_H* untouched
         started = time.perf_counter()
-        self._apply_deletion(u, v)
+        if touches_star:
+            rule(u, v)
+        if core_valid:
+            self._count_hit(started)
+        else:
+            self._count_core_move(started)
+
+    def _count_hit(self, started: float) -> None:
+        """Count one update that touched ``G_H*``, timed from ``started``."""
         self.stats.updates_hitting_star += 1
         self.stats.hit_seconds_total += time.perf_counter() - started
+
+    def _count_core_move(self, started: float) -> None:
+        """Move ``H`` to a valid core, counted as one core change and one
+        star hit timed from ``started``."""
+        self.stats.core_rebuilds += 1
+        self._move_core()
+        self._count_hit(started)
 
     def apply_stream(self, edges: Iterable[tuple[int, int, int]]) -> None:
         """Replay a ``(timestamp, u, v)`` stream of insertions."""
@@ -227,9 +253,9 @@ class HStarMaintainer:
         Per-edge maintenance keeps the tree consistent with the *current*
         core throughout; whether that core is still a valid Definition-1
         h-vertex set only matters at the end, so a batch needs at most one
-        check — and at most one rebuild — no matter how many insertions it
-        carries.  On bursty streams this collapses the transient
-        degree-crossing rebuilds that per-edge application pays for.
+        check — and at most one core change — no matter how many insertions
+        it carries.  On bursty streams this collapses the transient
+        degree-crossing core changes that per-edge application pays for.
         """
         touched: set[int] = set()
         for u, v in edges:
@@ -238,7 +264,7 @@ class HStarMaintainer:
             for w in (u, v):
                 if w not in self._graph:
                     self._graph.add_vertex(w)
-                    self._degree_count[0] = self._degree_count.get(0, 0) + 1
+                    self._enter_bucket(w, 0)
             if not self._graph.add_edge(u, v):
                 continue
             self._bump_degree(u, +1)
@@ -250,10 +276,9 @@ class HStarMaintainer:
             if u in self._core or v in self._core:
                 started = time.perf_counter()
                 self._apply_insertion(u, v)
-                self.stats.updates_hitting_star += 1
-                self.stats.hit_seconds_total += time.perf_counter() - started
+                self._count_hit(started)
         if touched and not self._batch_core_still_valid(touched):
-            self._count_rebuild()
+            self._count_core_move(time.perf_counter())
 
     def _batch_core_still_valid(self, touched: set[int]) -> bool:
         """Definition-1 validity after a batch touching ``touched``."""
@@ -277,7 +302,7 @@ class HStarMaintainer:
         if v in self._graph:
             raise GraphError(f"vertex {v!r} already exists")
         self._graph.add_vertex(v)
-        self._degree_count[0] = self._degree_count.get(0, 0) + 1
+        self._enter_bucket(v, 0)
         for u in neighbors:
             self.insert_edge(v, u)
 
@@ -293,11 +318,7 @@ class HStarMaintainer:
         for u in list(self._graph.neighbors(v)):
             self.delete_edge(v, u)
         self._graph.remove_vertex(v)
-        count = self._degree_count.get(0, 0) - 1
-        if count:
-            self._degree_count[0] = count
-        else:
-            self._degree_count.pop(0, None)
+        self._leave_bucket(v, 0)
 
     # ------------------------------------------------------------------
     # On-demand full enumeration (Section 5's closing paragraph)
@@ -344,52 +365,60 @@ class HStarMaintainer:
                 return False
         return True
 
-    def _bump_degree(self, w: int, delta: int) -> None:
-        """Keep the degree histogram in sync after one degree change."""
-        new_degree = self._graph.degree(w)
-        old_degree = new_degree - delta
-        count = self._degree_count.get(old_degree, 0) - 1
-        if count:
-            self._degree_count[old_degree] = count
-        else:
-            self._degree_count.pop(old_degree, None)
-        self._degree_count[new_degree] = self._degree_count.get(new_degree, 0) + 1
+    def _enter_bucket(self, w: int, degree: int) -> None:
+        self._by_degree.setdefault(degree, set()).add(w)
+        self._at_least_h += degree >= self._h
+        self._above_h += degree > self._h
 
-    def _count_degree_at_least(self, threshold: int) -> int:
-        return sum(
-            count for degree, count in self._degree_count.items() if degree >= threshold
-        )
+    def _leave_bucket(self, w: int, degree: int) -> None:
+        bucket = self._by_degree[degree]
+        bucket.discard(w)
+        if not bucket:
+            del self._by_degree[degree]
+        self._at_least_h -= degree >= self._h
+        self._above_h -= degree > self._h
+
+    def _bump_degree(self, w: int, delta: int) -> None:
+        """Move ``w`` to its new degree bucket after one degree change."""
+        degree = self._graph.degree(w)
+        self._leave_bucket(w, degree - delta)
+        self._enter_bucket(w, degree)
+
+    def _h_index_counts(self) -> tuple[int, int, int]:
+        """``(h, #degree >= h, #degree > h)`` for the current degrees.
+
+        Starts from the maintained ``h`` and its two counts; each step up
+        or down reads one bucket's size, and a single edge update moves
+        ``h`` by at most one step.
+        """
+        h, at_least, above = self._h, self._at_least_h, self._above_h
+        while above >= h + 1:
+            h += 1
+            at_least, above = above, above - len(self._by_degree.get(h, ()))
+        while h > 0 and at_least < h:
+            h -= 1
+            at_least, above = at_least + len(self._by_degree.get(h, ())), at_least
+        return h, at_least, above
 
     def _current_h_index(self) -> int:
-        """h-index from the maintained degree histogram.
+        """h-index of the maintained graph."""
+        return self._h_index_counts()[0]
 
-        A single edge update moves ``h`` by at most one, so the search
-        starts from the previous value instead of sorting all degrees.
-        """
+    def _ranked_core(self) -> set[int]:
+        """The first ``h`` vertices by degree, ties to the smaller id:
+        every vertex of degree above ``h``, then the smallest ids of
+        degree exactly ``h``."""
         h = self._h
-        while self._count_degree_at_least(h + 1) >= h + 1:
-            h += 1
-        while h > 0 and self._count_degree_at_least(h) < h:
-            h -= 1
-        return h
-
-    def _count_rebuild(self) -> None:
-        self.stats.core_rebuilds += 1
-        self.stats.updates_hitting_star += 1
-        started = time.perf_counter()
-        self._rebuild()
-        self.stats.hit_seconds_total += time.perf_counter() - started
+        core = {w for degree, bucket in self._by_degree.items() if degree > h
+                for w in bucket}
+        core.update(heapq.nsmallest(h - len(core), self._by_degree.get(h, ())))
+        return core
 
     def _rebuild(self) -> None:
-        """Recompute ``H``, the star lists, and ``T_H*`` from the graph."""
-        if self._tree is not None:
-            self._tree.release()
-        self._h = self._current_h_index()
-        by_degree = sorted(
-            self._graph.vertices(),
-            key=lambda w: (-self._graph.degree(w), w),
-        )
-        self._core = set(by_degree[: self._h])
+        """Compute ``H``, the star lists and ``T_H*`` from the graph
+        (construction only; updates move ``H`` with :meth:`_move_core`)."""
+        self._h, self._at_least_h, self._above_h = self._h_index_counts()
+        self._core = self._ranked_core()
         self._neighbor_lists = {
             w: set(self._graph.neighbors(w)) for w in self._core
         }
@@ -399,13 +428,62 @@ class HStarMaintainer:
             self._tree.insert(clique)
 
     # ------------------------------------------------------------------
+    # Single-vertex core moves
+    # ------------------------------------------------------------------
+    def _move_core(self) -> None:
+        """Re-derive ``h`` and move ``H`` to :meth:`_ranked_core`, one
+        vertex at a time — the set :meth:`_rebuild` would pick."""
+        self._h, self._at_least_h, self._above_h = self._h_index_counts()
+        target = self._ranked_core()
+        for x in sorted(self._core - target):
+            self._leave_core(x)
+        for y in sorted(target - self._core):
+            self._enter_core(y)
+
+    def _leave_core(self, x: int) -> None:
+        """Take ``x`` out of ``H``.
+
+        Its star edges to non-core vertices leave ``G_H*`` one by one
+        through the deletion rule (``x`` keeps its list meanwhile, so the
+        rule still sees it as a core endpoint); then the cliques through
+        ``x`` re-rank with ``x`` after the core.
+        """
+        self._core.discard(x)
+        for w in sorted(self._neighbor_lists[x] - self._core):
+            self._apply_deletion(x, w)
+        cliques = self._cliques_through(x)
+        del self._neighbor_lists[x]
+        self._tree.rerank(x, cliques)
+
+    def _enter_core(self, y: int) -> None:
+        """Put ``y`` into ``H``: re-rank the cliques through it with ``y``
+        in the core, then add its edges to non-core vertices to ``G_H*``
+        one by one through the insertion rule."""
+        cliques = self._cliques_through(y)
+        self._core.add(y)
+        self._neighbor_lists[y] = self._graph.neighbors(y) & self._core
+        self._tree.rerank(y, cliques)
+        for w in sorted(self._graph.neighbors(y) - self._core):
+            self._apply_insertion(y, w)
+
+    def _cliques_through(self, v: int) -> list[Clique]:
+        """The ``M_H*`` members containing ``v`` while its only star edges
+        are those to the core: ``{v} ∪ maxCL(G_H*[N(v) ∩ H])``."""
+        kernels = induced_maximal_cliques(
+            self._neighbor_lists, self._graph.neighbors(v) & self._core
+        )
+        return [kernel | {v} for kernel in kernels or [frozenset()]]
+
+    # ------------------------------------------------------------------
     # Star-local update rules
     # ------------------------------------------------------------------
     def _star_neighbors(self, w: int) -> set[int]:
-        """``G_H*`` neighborhood of ``w`` (core: full list; periphery: its
-        core neighbors; outside vertices: empty)."""
-        if w in self._core:
-            return self._neighbor_lists[w]
+        """``G_H*`` neighborhood of ``w`` (core: its list; periphery: its
+        core neighbors; outside vertices: empty).  A vertex leaving the
+        core keeps its list until its cliques have re-ranked."""
+        listed = self._neighbor_lists.get(w)
+        if listed is not None:
+            return listed
         return self._graph.neighbors(w) & self._core
 
     def _star_kernels(self, u: int, v: int) -> list[Clique]:
@@ -421,10 +499,10 @@ class HStarMaintainer:
 
     def _apply_insertion(self, u: int, v: int) -> None:
         assert self._tree is not None
-        if u in self._core:
-            self._neighbor_lists[u].add(v)
-        if v in self._core:
-            self._neighbor_lists[v].add(u)
+        for a, b in ((u, v), (v, u)):
+            listed = self._neighbor_lists.get(a)
+            if listed is not None:
+                listed.add(b)
         for kernel in self._star_kernels(u, v):
             self._tree.insert(kernel | {u, v})
             self._tree.remove(kernel | {u})
@@ -432,10 +510,10 @@ class HStarMaintainer:
 
     def _apply_deletion(self, u: int, v: int) -> None:
         assert self._tree is not None
-        if u in self._core:
-            self._neighbor_lists[u].discard(v)
-        if v in self._core:
-            self._neighbor_lists[v].discard(u)
+        for a, b in ((u, v), (v, u)):
+            listed = self._neighbor_lists.get(a)
+            if listed is not None:
+                listed.discard(b)
         kernels = self._star_kernels(u, v)
         for kernel in kernels:
             self._tree.remove(kernel | {u, v})
@@ -446,7 +524,7 @@ class HStarMaintainer:
 
     def _survivor_is_star_maximal(self, survivor: Clique) -> bool:
         members = sorted(survivor)
-        if len(members) == 1 and members[0] not in self._core:
+        if len(members) == 1 and members[0] not in self._neighbor_lists:
             # A lone periphery vertex either left G_H* entirely or still
             # has a core neighbor that extends it; never maximal alone.
             return False

@@ -2,7 +2,7 @@
 
 :func:`build_index` consumes a maximal-clique stream (any iterable of
 vertex sets — :meth:`repro.core.extmce.ExtMCE.enumerate_cliques`, a
-collector, or a parsed clique file) and materialises the five-file index
+collector, or a parsed clique file) and materialises the six-file index
 layout of :mod:`repro.index.format`.  Cliques are assigned ids by their
 rank in canonical order (sorted vertex tuples, lexicographic), so the
 output bytes depend only on the clique *set*: the same graph indexed
@@ -23,6 +23,7 @@ import os
 import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -34,6 +35,9 @@ from repro.index.format import (
     DIRECTORY_ENTRY,
     DIRECTORY_FILENAME,
     DIRECTORY_MAGIC,
+    FINGERPRINT_ENTRY,
+    FINGERPRINTS_FILENAME,
+    FINGERPRINTS_MAGIC,
     MANIFEST_FILENAME,
     MANIFEST_SCHEMA,
     OFFSET_ENTRY,
@@ -43,8 +47,10 @@ from repro.index.format import (
     POSTINGS_MAGIC,
     RECORDS_FILENAME,
     RECORDS_MAGIC,
+    clique_fingerprint,
     encode_clique_record,
     encode_postings,
+    encode_table,
 )
 from repro.storage.iostats import IOStats
 from repro.storage.pagestore import PageStore
@@ -108,32 +114,40 @@ def build_index(
     offsets = bytearray(OFFSETS_MAGIC)
     postings_map: dict[int, list[int]] = {}
     size_histogram: dict[int, int] = {}
+    fingerprints: list[tuple[int, int]] = []
     for clique_id, vertices in enumerate(ordered):
         encoded = encode_clique_record(vertices)
         offsets += OFFSET_ENTRY.pack(len(records), len(encoded), len(vertices))
         records += encoded
+        fingerprints.append((clique_fingerprint(encoded), clique_id))
         size_histogram[len(vertices)] = size_histogram.get(len(vertices), 0) + 1
         for v in vertices:
             postings_map.setdefault(v, []).append(clique_id)
 
     # Postings file + vertex directory, ascending by vertex id.
     postings = bytearray(POSTINGS_MAGIC)
-    vertex_directory = bytearray(DIRECTORY_MAGIC)
+    directory_rows = []
     postings_entries = 0
     for vertex in sorted(postings_map):
         clique_ids = postings_map[vertex]
         encoded = encode_postings(clique_ids)
-        vertex_directory += DIRECTORY_ENTRY.pack(
-            vertex, len(postings), len(encoded), len(clique_ids)
-        )
+        directory_rows.append((vertex, len(postings), len(encoded), len(clique_ids)))
         postings += encoded
         postings_entries += len(clique_ids)
 
+    # Ids were appended ascending, so a stable sort by fingerprint alone
+    # yields the (fingerprint, id) order.
+    fingerprints.sort(key=itemgetter(0))
     blobs = {
         RECORDS_FILENAME: bytes(records),
         OFFSETS_FILENAME: bytes(offsets),
+        FINGERPRINTS_FILENAME: encode_table(
+            FINGERPRINTS_MAGIC, FINGERPRINT_ENTRY, fingerprints
+        ),
         POSTINGS_FILENAME: bytes(postings),
-        DIRECTORY_FILENAME: bytes(vertex_directory),
+        DIRECTORY_FILENAME: encode_table(
+            DIRECTORY_MAGIC, DIRECTORY_ENTRY, directory_rows
+        ),
     }
     for name, blob in blobs.items():
         PageStore(directory / name, io_stats, fault_plan).write_all(blob)

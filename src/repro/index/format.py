@@ -1,10 +1,12 @@
 """Binary layouts for the persisted clique index.
 
-An index directory holds four binary files plus a JSON manifest::
+An index directory holds five binary files plus a JSON manifest::
 
     cliques.dat    clique records, one per maximal clique, in canonical
                    (lexicographic) order; clique ids are implicit ranks
     cliques.idx    fixed 16-byte directory entry per clique id
+    cliques.fp     fixed 8-byte (fingerprint, clique id) entry per clique,
+                   sorted; the fingerprint is the record's own CRC32
     postings.dat   per-vertex postings lists (ascending clique ids)
     postings.dir   fixed 24-byte directory entry per vertex, ascending
     manifest.json  counts, per-file CRC32s, size histogram (commit point)
@@ -13,10 +15,14 @@ All integers are little-endian; variable-width integers use unsigned
 LEB128 ("varint").  Sorted sequences (clique vertices, postings lists)
 are delta-encoded — the first element raw, then successive gaps — so
 records stay small on the locally-dense id ranges community graphs
-produce.  Every variable-length payload carries a trailing CRC32, the
-same discipline as DiskGraph format v2: a flipped bit surfaces as a
-typed :class:`~repro.errors.CorruptDataError`, never a silently wrong
-query answer.
+produce.  The two sorted fixed-width tables (``postings.dir`` and
+``cliques.fp``) are laid out in pages: every page opens with the file
+magic and holds whole entries only, so a reader that keeps each page's
+first and last key in memory finds any key with one page read.  Every
+variable-length payload carries a trailing CRC32, the same discipline
+as DiskGraph format v2: a flipped bit surfaces as a typed
+:class:`~repro.errors.CorruptDataError`, never a silently wrong query
+answer.
 
 The layouts are fully deterministic: the same clique *set* always
 serialises to the same bytes, independent of enumeration order, worker
@@ -25,24 +31,28 @@ count, or kernel.  ``tests/index/test_builder.py`` pins that guarantee.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import zlib
 from typing import Sequence
 
 from repro.errors import CorruptDataError, StorageFormatError
+from repro.storage.pagestore import PAGE_SIZE_BYTES
 
 #: Magic bytes opening each index file (8 bytes each, versioned).
 RECORDS_MAGIC = b"RPXCLQ1\n"
 OFFSETS_MAGIC = b"RPXIDX1\n"
 POSTINGS_MAGIC = b"RPXPST1\n"
-DIRECTORY_MAGIC = b"RPXDIR1\n"
+DIRECTORY_MAGIC = b"RPXDIR2\n"
+FINGERPRINTS_MAGIC = b"RPXFPR1\n"
 
 #: Manifest schema identifier; bump on incompatible layout changes.
-MANIFEST_SCHEMA = "repro.index/1"
+MANIFEST_SCHEMA = "repro.index/2"
 
 #: Filenames inside an index directory.
 RECORDS_FILENAME = "cliques.dat"
 OFFSETS_FILENAME = "cliques.idx"
+FINGERPRINTS_FILENAME = "cliques.fp"
 POSTINGS_FILENAME = "postings.dat"
 DIRECTORY_FILENAME = "postings.dir"
 MANIFEST_FILENAME = "manifest.json"
@@ -55,6 +65,13 @@ OFFSET_ENTRY = struct.Struct("<QII")
 #: ``postings.dir`` entry: vertex (u64), byte offset (u64), byte length
 #: (u32), postings count (u32), sorted ascending by vertex.
 DIRECTORY_ENTRY = struct.Struct("<QQII")
+
+#: ``cliques.fp`` entry: fingerprint (u32), clique id (u32), sorted
+#: ascending by ``(fingerprint, id)``.
+FINGERPRINT_ENTRY = struct.Struct("<II")
+
+#: Bytes at the start of every page of a sorted table (the file magic).
+TABLE_PAGE_HEADER = 8
 
 _CRC = struct.Struct("<I")
 
@@ -160,6 +177,44 @@ def decode_clique_record(
                 f"stored {stored:#010x}, computed {computed:#010x}"
             )
     return vertices, end + _CRC.size
+
+
+def clique_fingerprint(record: bytes) -> int:
+    """The fingerprint ``cliques.fp`` sorts by: an encoded record's CRC32."""
+    (crc,) = _CRC.unpack_from(record, len(record) - _CRC.size)
+    return crc
+
+
+# ---------------------------------------------------------------------------
+# Sorted fixed-width tables (postings.dir, cliques.fp)
+# ---------------------------------------------------------------------------
+def table_entries_per_page(entry: struct.Struct) -> int:
+    """Whole entries that fit on one page after its magic header."""
+    return (PAGE_SIZE_BYTES - TABLE_PAGE_HEADER) // entry.size
+
+
+def table_size(entry: struct.Struct, count: int) -> int:
+    """Byte size of a sorted table of ``count`` entries."""
+    per_page = table_entries_per_page(entry)
+    pages = max(1, -(-count // per_page))
+    last = count - (pages - 1) * per_page
+    return (pages - 1) * PAGE_SIZE_BYTES + TABLE_PAGE_HEADER + last * entry.size
+
+
+def encode_table(magic: bytes, entry: struct.Struct, rows: Sequence[tuple]) -> bytes:
+    """Pack sorted ``rows`` page by page: magic, whole entries, zero padding.
+
+    The last page stops after its last entry, so the file size is
+    :func:`table_size`.
+    """
+    per_page = table_entries_per_page(entry)
+    fields = entry.format.lstrip("<")
+    pages = []
+    for start in range(0, max(len(rows), 1), per_page):
+        chunk = rows[start:start + per_page]
+        packed = struct.pack("<" + fields * len(chunk), *itertools.chain.from_iterable(chunk))
+        pages.append(magic + packed)
+    return b"".join(page.ljust(PAGE_SIZE_BYTES, b"\0") for page in pages[:-1]) + pages[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,23 @@
 
 :class:`CliqueIndex` opens the directory :func:`~repro.index.builder.build_index`
 wrote and answers queries through :class:`~repro.storage.bufferpool.BufferPool`
-page caches — the resident footprint is the manifest plus a fixed number
-of cached pages, never the clique set.  Lookups follow the classic
-inverted-index shape: a binary search over the fixed-width vertex
-directory finds the postings extent, the postings list yields clique
-ids, and the offsets directory turns ids into record-file extents.
+page caches — the resident footprint is the manifest, a page fence per
+sorted table and a fixed number of cached pages, never the clique set.
+Lookups follow the classic inverted-index shape: the vertex directory's
+fence names the one page holding a vertex's postings extent, the
+postings list yields clique ids, and the offsets directory turns ids
+into record-file extents.  :meth:`CliqueIndex.find` answers "which id
+does exactly this clique have" the same way: the fingerprint table's
+fence names one page, and each candidate id is confirmed by reading
+its record.
 
 Every payload CRC32 is verified on read (disable with
 ``verify_checksums=False``); a flipped bit raises
-:class:`~repro.errors.CorruptDataError`.  :meth:`CliqueIndex.verify`
-performs the full offline audit — every record, every postings list,
-the file CRCs in the manifest, and the record/postings cross-counts.
+:class:`~repro.errors.CorruptDataError`.  The two fenced tables are read
+whole once at open, to build the fence, and checked against the
+manifest CRC32 then.  :meth:`CliqueIndex.verify` performs the full
+offline audit — every record, every postings list, the file CRCs in the
+manifest, the record/postings cross-counts and the fingerprint table.
 
 Staleness: the index is a snapshot of one enumeration.  When the graph
 changes underneath it, :meth:`mark_stale` (wired to
@@ -26,7 +32,9 @@ from __future__ import annotations
 
 import heapq
 import json
+import struct
 import zlib
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from types import SimpleNamespace
@@ -38,6 +46,9 @@ from repro.index.format import (
     DIRECTORY_ENTRY,
     DIRECTORY_FILENAME,
     DIRECTORY_MAGIC,
+    FINGERPRINT_ENTRY,
+    FINGERPRINTS_FILENAME,
+    FINGERPRINTS_MAGIC,
     MANIFEST_FILENAME,
     MANIFEST_SCHEMA,
     OFFSET_ENTRY,
@@ -47,13 +58,19 @@ from repro.index.format import (
     POSTINGS_MAGIC,
     RECORDS_FILENAME,
     RECORDS_MAGIC,
+    TABLE_PAGE_HEADER,
     check_magic,
+    clique_fingerprint,
     decode_clique_record,
     decode_postings,
+    encode_clique_record,
+    encode_table,
+    table_entries_per_page,
+    table_size,
 )
 from repro.storage.bufferpool import BufferPool
 from repro.storage.iostats import IOStats
-from repro.storage.pagestore import PageStore
+from repro.storage.pagestore import PAGE_SIZE_BYTES, PageStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultPlan
@@ -74,6 +91,62 @@ _METRICS = metrics.bound(
         ),
     )
 )
+
+
+class _FencedTable:
+    """A sorted fixed-width table: its page fence in memory, pages in a pool.
+
+    The fence holds the smallest and largest key of every page, taken
+    from the one read of the file at open.  A lookup bisects it and reads
+    only the pages whose key range holds the key: one page, unless a
+    run of equal keys straddles a page boundary, and none when the key
+    falls between two pages.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        blob: bytes,
+        magic: bytes,
+        entry: struct.Struct,
+        count: int,
+        pool: BufferPool,
+    ) -> None:
+        self._name = name
+        self._magic = magic
+        self._entry = entry
+        self._count = count
+        self._pool = pool
+        self._per_page = table_entries_per_page(entry)
+        self._firsts: list[int] = []
+        self._lasts: list[int] = []
+        for start in range(0, count, self._per_page):
+            base = (start // self._per_page) * PAGE_SIZE_BYTES + TABLE_PAGE_HEADER
+            last = min(self._per_page, count - start) - 1
+            self._firsts.append(entry.unpack_from(blob, base)[0])
+            self._lasts.append(entry.unpack_from(blob, base + last * entry.size)[0])
+
+    def lookup(self, key: int) -> list[tuple]:
+        """Every entry whose first field equals ``key``, in table order."""
+        entry = self._entry
+        rows: list[tuple] = []
+        for page in range(bisect_left(self._lasts, key), bisect_right(self._firsts, key)):
+            first = page * self._per_page
+            count = min(self._per_page, self._count - first)
+            raw = self._pool.read(
+                page * PAGE_SIZE_BYTES, TABLE_PAGE_HEADER + count * entry.size
+            )
+            if raw[:TABLE_PAGE_HEADER] != self._magic:
+                raise CorruptDataError(f"{self._name} page {page} has no page header")
+
+            def row(position: int) -> tuple:
+                return entry.unpack_from(raw, TABLE_PAGE_HEADER + position * entry.size)
+
+            position = bisect_left(range(count), key, key=lambda i: row(i)[0])
+            while position < count and row(position)[0] == key:
+                rows.append(row(position))
+                position += 1
+        return rows
 
 
 class CliqueIndex:
@@ -106,13 +179,20 @@ class CliqueIndex:
                 f"(expected {MANIFEST_SCHEMA})"
             )
         self._manifest = manifest
+        self._num_cliques = int(manifest["num_cliques"])
         self._stores: dict[str, PageStore] = {}
         self._pools: dict[str, BufferPool] = {}
+        # Open-time checks read straight off the files, not through the
+        # pools: they must not pre-warm the page caches (nor draw from the
+        # fault plan's page-read budget).  The two fenced tables are read
+        # whole by _open_table; the other files are only probed for their
+        # magic.
         for name, magic in (
             (RECORDS_FILENAME, RECORDS_MAGIC),
             (OFFSETS_FILENAME, OFFSETS_MAGIC),
+            (FINGERPRINTS_FILENAME, None),
             (POSTINGS_FILENAME, POSTINGS_MAGIC),
-            (DIRECTORY_FILENAME, DIRECTORY_MAGIC),
+            (DIRECTORY_FILENAME, None),
         ):
             store = PageStore(self._directory / name, self._io, fault_plan)
             declared = manifest["files"].get(name, {}).get("bytes")
@@ -123,15 +203,40 @@ class CliqueIndex:
                     f"index file {store.path} is {store.size_bytes()} bytes, "
                     f"manifest says {declared}"
                 )
-            # Validate the magic straight off the store, not through the
-            # pool: open-time checks must not pre-warm the page caches
-            # (and must not draw from the fault plan's page-read budget).
-            check_magic(Path(store.path).read_bytes()[: len(magic)], magic, name)
+            if magic is not None:
+                with open(store.path, "rb") as handle:
+                    check_magic(handle.read(len(magic)), magic, name)
             self._stores[name] = store
             self._pools[name] = BufferPool(store, capacity_pages=cache_pages)
-        self._num_cliques = int(manifest["num_cliques"])
-        self._num_dir_entries = int(manifest["num_vertices"])
+        self._fingerprints = self._open_table(
+            FINGERPRINTS_FILENAME, FINGERPRINTS_MAGIC, FINGERPRINT_ENTRY,
+            self._num_cliques,
+        )
+        self._vertex_directory = self._open_table(
+            DIRECTORY_FILENAME, DIRECTORY_MAGIC, DIRECTORY_ENTRY,
+            int(manifest["num_vertices"]),
+        )
         self._stale: set[int] = set()
+
+    def _open_table(
+        self, name: str, magic: bytes, entry: struct.Struct, count: int
+    ) -> _FencedTable:
+        """Read a sorted table once: magic, size, manifest CRC32, fence."""
+        blob = Path(self._stores[name].path).read_bytes()
+        check_magic(blob, magic, name)
+        if len(blob) != table_size(entry, count):
+            raise StorageError(
+                f"index file {name} is {len(blob)} bytes, "
+                f"{count} entries need {table_size(entry, count)}"
+            )
+        if self._verify:
+            declared = self._manifest["files"][name]["crc32"]
+            if zlib.crc32(blob) != declared:
+                raise CorruptDataError(
+                    f"index file {name} CRC32 {zlib.crc32(blob):#010x} does not "
+                    f"match manifest {declared:#010x}"
+                )
+        return _FencedTable(name, blob, magic, entry, count, self._pools[name])
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -171,24 +276,28 @@ class CliqueIndex:
         return self._io
 
     def _directory_entry(self, vertex: int) -> tuple[int, int, int] | None:
-        """Binary-search ``postings.dir`` for ``vertex``.
+        """Look ``vertex`` up in ``postings.dir`` (one page read).
 
         Returns ``(offset, length, count)`` into ``postings.dat`` or
         ``None`` when the vertex has no postings (not in any clique).
         """
-        pool = self._pools[DIRECTORY_FILENAME]
-        low, high = 0, self._num_dir_entries - 1
-        base = len(DIRECTORY_MAGIC)
-        while low <= high:
-            mid = (low + high) // 2
-            raw = pool.read(base + mid * DIRECTORY_ENTRY.size, DIRECTORY_ENTRY.size)
-            entry_vertex, offset, length, count = DIRECTORY_ENTRY.unpack(raw)
-            if entry_vertex == vertex:
-                return offset, length, count
-            if entry_vertex < vertex:
-                low = mid + 1
-            else:
-                high = mid - 1
+        rows = self._vertex_directory.lookup(vertex)
+        return rows[0][1:] if rows else None
+
+    def find(self, vertices: Iterable[int]) -> int | None:
+        """The id of the maximal clique with exactly ``vertices``, or ``None``.
+
+        One ``cliques.fp`` page read locates the candidates with the
+        clique's fingerprint; each is confirmed by reading its record,
+        CRC-checked, so a fingerprint collision never returns a wrong id.
+        """
+        wanted = tuple(sorted(set(vertices)))
+        if not wanted:
+            raise GraphError("find needs at least one vertex")
+        fingerprint = clique_fingerprint(encode_clique_record(wanted))
+        for _fingerprint, clique_id in self._fingerprints.lookup(fingerprint):
+            if self.clique(clique_id) == wanted:
+                return clique_id
         return None
 
     def postings(self, vertex: int) -> tuple[int, ...]:
@@ -357,8 +466,10 @@ class CliqueIndex:
         """Full offline integrity audit; raises on the first defect.
 
         Checks file CRC32s against the manifest, decodes every record and
-        postings list (payload CRCs), and cross-checks the postings
-        counts against the records.  Returns a summary dict on success.
+        postings list (payload CRCs), cross-checks the postings counts
+        against the records, and checks that ``cliques.fp`` lists every
+        clique id once, under its record's fingerprint, in sorted order.
+        Returns a summary dict on success.
         """
         for name, declared in sorted(self._manifest["files"].items()):
             blob = PageStore(self._directory / name, self._io).read_all()
@@ -369,11 +480,14 @@ class CliqueIndex:
                     f"manifest {declared['crc32']:#010x}"
                 )
         counted_postings: dict[int, int] = {}
+        fingerprints: list[int] = []
         records = 0
         for _clique_id, vertices in self.scan_cliques():
             records += 1
+            fingerprints.append(clique_fingerprint(encode_clique_record(vertices)))
             for v in vertices:
                 counted_postings[v] = counted_postings.get(v, 0) + 1
+        self._verify_fingerprints(fingerprints)
         directory_total = 0
         for vertex in sorted(counted_postings):
             clique_ids = self.postings(vertex)
@@ -388,6 +502,16 @@ class CliqueIndex:
             "vertices_verified": len(counted_postings),
             "postings_verified": directory_total,
         }
+
+    def _verify_fingerprints(self, fingerprints: list[int]) -> None:
+        """``cliques.fp`` must be the table the builder writes for the records."""
+        blob = PageStore(self._directory / FINGERPRINTS_FILENAME, self._io).read_all()
+        rows = sorted(zip(fingerprints, range(len(fingerprints))))
+        if blob != encode_table(FINGERPRINTS_MAGIC, FINGERPRINT_ENTRY, rows):
+            raise CorruptDataError(
+                f"{FINGERPRINTS_FILENAME} does not list every clique id once "
+                "under its record's fingerprint"
+            )
 
     # ------------------------------------------------------------------
     # Invalidation

@@ -14,7 +14,10 @@ store applies the deltas.  The delta rules read only the updated
 adjacency around the endpoints; the store's (not yet updated) clique
 set is consulted solely when an inserted edge's endpoint was isolated,
 to tell a stored singleton clique from a vertex the event created — one
-postings read on a rare event instead of two per update.  Events come
+postings read on a rare event instead of two per update.  The store then
+finds each delta's clique by fingerprint (one page and one record read),
+and the maintainer moves single vertices when the core changes, so no
+step of an update scales with the base index or the star.  Events come
 in the ``(timestamp, u, v)`` shape
 :mod:`repro.generators.streams` produces, optionally extended with an
 operation tag for deletions.

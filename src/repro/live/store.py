@@ -10,7 +10,11 @@ into a continuously maintained serving structure.  State on disk::
 
 and in memory, the *delta tail*: every logged delta not yet folded into
 the base generation, indexed for overlay reads (added cliques with their
-live ids, tombstoned base ids, per-vertex overlay postings).
+live ids, tombstoned base ids, per-vertex overlay postings).  Applying
+a delta looks its clique up exactly: an added clique by its vertex
+tuple in memory, a base clique with
+:meth:`~repro.index.reader.CliqueIndex.find` (one fingerprint page plus
+one record read), so the write path never scales with the base.
 
 Reads present the :class:`~repro.index.reader.CliqueIndex` surface —
 ``postings`` / ``clique`` / ``clique_size`` / ``top_k_largest`` /
@@ -506,24 +510,20 @@ class LiveCliqueStore:
         self._overlaid.update(vertices)
 
     def _live_id_of(self, vertices: tuple[int, ...]) -> int | None:
-        """The live id of exactly this clique, or ``None``."""
+        """The live id of exactly this clique, or ``None``.
+
+        An overlay add answers from memory; a base clique costs one
+        fingerprint-page read plus one record read (:meth:`CliqueIndex.find`).
+        """
         overlay = self._added_ids.get(vertices)
         if overlay is not None:
             return overlay
         if self._base is None:
             return None
-        candidate: set[int] | None = None
-        for v in vertices:
-            postings = set(self._base.postings(v))
-            candidate = postings if candidate is None else candidate & postings
-            if not candidate:
-                return None
-        for clique_id in sorted(candidate or ()):
-            if clique_id in self._tombstones:
-                continue
-            if self._base.clique(clique_id) == vertices:
-                return clique_id
-        return None
+        clique_id = self._base.find(vertices)
+        if clique_id is None or clique_id in self._tombstones:
+            return None
+        return clique_id
 
     def _events_for(self, delta: CliqueDelta) -> list[SubscriptionEvent]:
         if not self._subscribers:

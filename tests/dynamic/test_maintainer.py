@@ -168,6 +168,59 @@ class TestLocalUpdates:
         assert_consistent(maintainer)
 
 
+class TestCoreMoves:
+    """A core change moves single vertices across ``H``; the star is never
+    re-enumerated, and ``H`` lands where construction would put it."""
+
+    @staticmethod
+    def stream(rng, n, steps):
+        present = set()
+        for _ in range(steps):
+            u, v = rng.sample(range(n), 2)
+            edge = (min(u, v), max(u, v))
+            if edge in present and rng.random() < 0.5:
+                present.discard(edge)
+                yield "delete", edge
+            elif edge not in present:
+                present.add(edge)
+                yield "insert", edge
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_core_changes_never_re_enumerate_the_star(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([8, 12, 20])
+        maintainer = HStarMaintainer()
+
+        def enumerate_forbidden(*_args, **_kwargs):
+            raise AssertionError("a core change re-enumerated the star")
+
+        for op, edge in self.stream(rng, n, 150):
+            before = maintainer.stats.core_rebuilds
+            with mock.patch(
+                "repro.dynamic.maintainer.enumerate_star_cliques", enumerate_forbidden
+            ):
+                if op == "insert":
+                    maintainer.insert_edge(*edge)
+                else:
+                    maintainer.delete_edge(*edge)
+            assert_consistent(maintainer)
+            if maintainer.stats.core_rebuilds > before:
+                # The moved core is the one a fresh construction picks.
+                assert maintainer.core == HStarMaintainer(maintainer.graph).core
+        assert maintainer.stats.core_rebuilds > 5
+
+    def test_leaving_vertex_drops_out_of_the_star(self):
+        """A core vertex whose only neighbours are outside the new core
+        leaves ``G_H*`` entirely (no lone-vertex clique stays behind)."""
+        maintainer = HStarMaintainer()
+        maintainer.insert_edge(0, 1)
+        assert maintainer.h == 1
+        maintainer.delete_edge(0, 1)
+        assert maintainer.h == 0
+        assert maintainer.star_cliques() == []
+        assert_consistent(maintainer)
+
+
 class TestPropertyEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 100_000))

@@ -98,6 +98,16 @@ class MaintainerMachine(RuleBasedStateMachine):
         assert set(self.maintainer.star_cliques()) == expected
 
     @invariant()
+    def h_index_matches_sorted_degrees(self):
+        degrees = sorted(
+            (self.maintainer.graph.degree(v) for v in self.maintainer.graph.vertices()),
+            reverse=True,
+        )
+        h = sum(1 for rank, degree in enumerate(degrees, start=1) if degree >= rank)
+        assert self.maintainer._current_h_index() == h
+        assert self.maintainer.h == h
+
+    @invariant()
     def core_is_valid_h_set(self):
         g = self.maintainer.graph
         h = self.maintainer.h

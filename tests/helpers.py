@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+import weakref
 
 from hypothesis import strategies as st
 
@@ -71,3 +73,24 @@ def small_graphs(draw, max_vertices: int = 14) -> AdjacencyGraph:
 def cliques_of(iterable) -> set[frozenset]:
     """Normalise an iterable of cliques to a set of frozensets."""
     return {frozenset(c) for c in iterable}
+
+
+@contextlib.contextmanager
+def maintainers_built_once():
+    """Fail any :class:`HStarMaintainer` that re-enumerates its star after
+    construction: a core change moves single vertices instead."""
+    from repro.dynamic.maintainer import HStarMaintainer
+
+    original = HStarMaintainer._rebuild
+    built: weakref.WeakSet = weakref.WeakSet()
+
+    def rebuild_once(self):
+        assert self not in built, "HStarMaintainer rebuilt its star after construction"
+        built.add(self)
+        original(self)
+
+    HStarMaintainer._rebuild = rebuild_once
+    try:
+        yield
+    finally:
+        HStarMaintainer._rebuild = original

@@ -12,7 +12,9 @@ from repro.index.format import MANIFEST_FILENAME, MANIFEST_SCHEMA
 from tests.differential.harness import run_enumeration
 from tests.helpers import seeded_gnp
 
-INDEX_FILES = ("cliques.dat", "cliques.idx", "postings.dat", "postings.dir")
+INDEX_FILES = (
+    "cliques.dat", "cliques.idx", "cliques.fp", "postings.dat", "postings.dir"
+)
 
 
 def _file_bytes(directory):

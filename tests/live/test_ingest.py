@@ -1,5 +1,6 @@
 """LiveIngestor: maintainer hook → deltas → store, and bootstrapping."""
 
+import random
 import threading
 
 import pytest
@@ -122,5 +123,63 @@ class TestBootstrap:
             ingestor.ingest([(0, 2, 4)])
             # (2,4) completes the triangle {2,3,4}, subsuming (2,3), (3,4).
             assert store.live_cliques() == {(0, 1, 2), (2, 3, 4)}
+        finally:
+            store.close()
+
+
+class TestExactCliqueLookup:
+    """Applying a delta finds its clique in the base generation through
+    the fingerprint section, never by intersecting postings."""
+
+    @staticmethod
+    def stream(graph, rng, count):
+        """Inserts and deletes that never leave a vertex isolated, so the
+        delta rules never ask the store about an endpoint."""
+        vertices = sorted(graph.vertices())
+        events = []
+        while len(events) < count:
+            if rng.random() < 0.3:
+                u = rng.choice(vertices)
+                v = rng.choice(sorted(graph.neighbors(u)))
+                if graph.degree(u) > 1 and graph.degree(v) > 1:
+                    graph.remove_edge(u, v)
+                    events.append((len(events), "delete", u, v))
+            else:
+                u, v = rng.sample(vertices, 2)
+                if not graph.has_edge(u, v):
+                    graph.add_edge(u, v)
+                    events.append((len(events), u, v))
+        return events
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ingest_reads_no_postings(self, tmp_path, live_metrics, seed):
+        from repro import metrics
+        from repro.generators.scale_free import powerlaw_cluster_graph
+
+        rng = random.Random(seed)
+        graph = powerlaw_cluster_graph(150, 3, 0.6, seed=seed)
+        cliques = sorted(
+            tuple(sorted(c)) for c in set(tomita_maximal_cliques(graph))
+        )
+        events = self.stream(graph.copy(), rng, 400)
+        store = LiveCliqueStore.initialize(tmp_path / "live", cliques)
+        try:
+            maintainer = HStarMaintainer(graph)
+            ingestor = LiveIngestor(maintainer, store)
+            for position, event in enumerate(events):
+                ingestor.apply_event(event)
+                if position % 150 == 149:
+                    store.compact()
+            snapshot = live_metrics.snapshot()
+            assert metrics.counter_value(
+                snapshot, "repro_index_postings_read_total") == 0
+            assert 0 < metrics.counter_value(
+                snapshot, "repro_index_records_read_total"
+            ) <= ingestor.report.cliques_removed
+            oracle = {
+                tuple(sorted(c))
+                for c in tomita_maximal_cliques(maintainer.graph)
+            }
+            assert store.live_cliques() == oracle
         finally:
             store.close()
