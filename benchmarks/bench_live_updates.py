@@ -11,7 +11,10 @@ and records three things to ``BENCH_live.json`` at the repository root
    :class:`CliqueQueryEngine`) over the idle store; and
 3. the same latency *while a compaction is running* — the build stage
    is artificially stretched with an injected ``latency`` fault so the
-   measurement window is real.
+   measurement window is real; and
+4. seconds per compaction: the stream replayed into a fresh store that
+   folds its tail every ``COMPACTION_TAIL`` deltas, each fold (a merge
+   of the previous generation with the tail) timed on its own.
 
 The non-blocking-compaction contract is asserted, making this a
 pass/fail smoke: p95 during compaction must stay within 2x the idle
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 import random
 import shutil
+import statistics
 import tempfile
 import threading
 import time
@@ -50,6 +54,7 @@ DELETE_SHARE = 0.25
 SEED = 11
 IDLE_SAMPLES = 400
 COMPACTION_WINDOW_SECONDS = 2.0
+COMPACTION_TAIL = 512
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_live.json"
 
 
@@ -66,6 +71,25 @@ def _sample_queries(engine: CliqueQueryEngine, rng: random.Random,
         if stop is not None and stop.is_set():
             break
     return samples
+
+
+def _time_compactions(directory: Path, events: list[tuple]) -> list[float]:
+    """Replay ``events`` into a fresh store, folding every
+    ``COMPACTION_TAIL`` deltas; returns the seconds of each fold."""
+    store = LiveCliqueStore.initialize(directory)
+    ingestor = LiveIngestor(HStarMaintainer(), store)
+    seconds = []
+    try:
+        for event in events:
+            ingestor.apply_event(event)
+            if store.tail_length >= COMPACTION_TAIL:
+                started = time.perf_counter()
+                store.compact()
+                seconds.append(time.perf_counter() - started)
+        store.verify()
+    finally:
+        store.close()
+    return seconds
 
 
 def main() -> int:
@@ -108,6 +132,8 @@ def main() -> int:
         store.verify()
         store.close()
 
+        folds = _time_compactions(tmp / "folds", events)
+
         idle_q = quantiles(idle, include_count=True)
         during_q = quantiles(during, include_count=True)
         grace_us = 2_000.0
@@ -146,6 +172,13 @@ def main() -> int:
                     "compaction_window_seconds": COMPACTION_WINDOW_SECONDS,
                     "non_blocking_p95_grace_us": grace_us,
                 },
+                "compaction": {
+                    "tail_deltas": COMPACTION_TAIL,
+                    "compactions": len(folds),
+                    "seconds_per_compaction": statistics.median(folds),
+                    "max_seconds": max(folds),
+                    "total_seconds": sum(folds),
+                },
             },
         }
         RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -162,6 +195,8 @@ def main() -> int:
         print(f"  during compaction: p50 {during_q['p50_us']:8.1f} us   "
               f"p95 {during_q['p95_us']:8.1f} us "
               f"({during_q['samples']} samples)")
+        print(f"  compaction       : {statistics.median(folds) * 1e3:8.2f} ms per fold "
+              f"(median of {len(folds)}, every {COMPACTION_TAIL} deltas)")
         print(f"  results written  : {RESULT_PATH}")
         assert non_blocking, (
             f"compaction blocked readers: p95 {during_q['p95_us']:.1f} us "

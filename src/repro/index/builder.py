@@ -9,6 +9,13 @@ output bytes depend only on the clique *set*: the same graph indexed
 from a ``workers=4`` bitset run and a serial set-kernel run produces
 byte-identical files.  ``tests/index/`` pins this determinism guarantee.
 
+:func:`merge_index` writes the next generation of an index from its
+base plus a change set (removed ids, added cliques) — the live store's
+compaction.  Both functions feed one private writer a stream of
+``(vertices, record bytes)`` in canonical order; the merge copies the
+base's surviving records as bytes instead of re-encoding them, and its
+output is byte-identical to :func:`build_index` of the same set.
+
 The manifest is written last, with the checkpoint durability discipline
 (scratch file → fsync → atomic rename → directory fsync): a crash
 mid-build leaves a directory without a manifest, which
@@ -18,10 +25,12 @@ half-readable index.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import zlib
-from collections.abc import Iterable
+from collections import Counter, defaultdict
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -30,7 +39,7 @@ from typing import TYPE_CHECKING
 
 from repro import metrics
 from repro.core.result import CliqueFileSink
-from repro.errors import StorageError
+from repro.errors import CorruptDataError, StorageError
 from repro.index.format import (
     DIRECTORY_ENTRY,
     DIRECTORY_FILENAME,
@@ -47,11 +56,14 @@ from repro.index.format import (
     POSTINGS_MAGIC,
     RECORDS_FILENAME,
     RECORDS_MAGIC,
+    check_magic,
     clique_fingerprint,
+    decode_clique_record,
     encode_clique_record,
     encode_postings,
     encode_table,
 )
+from repro.index.reader import read_manifest
 from repro.storage.iostats import IOStats
 from repro.storage.pagestore import PageStore
 
@@ -103,26 +115,140 @@ def build_index(
     with nothing to serve is almost certainly a wiring bug upstream).
     """
     ordered = sorted({tuple(sorted(clique)) for clique in cliques})
-    if not ordered:
+    return _write_generation(
+        ((vertices, encode_clique_record(vertices)) for vertices in ordered),
+        directory, io_stats, fault_plan,
+    )
+
+
+def merge_index(
+    base_directory: str | Path,
+    removed_ids: Collection[int],
+    added: Iterable[tuple[int, ...]],
+    directory: str | Path,
+    io_stats: IOStats | None = None,
+    verify_checksums: bool = True,
+) -> IndexBuildReport:
+    """Write the index of ``base − removed_ids + added`` under ``directory``.
+
+    ``added`` holds sorted vertex tuples in ascending order, none of them
+    a surviving base clique.  The base's surviving records are copied as
+    bytes, in id order, and merged with the encoded additions, so the
+    cost is one pass over the base files plus the additions; no
+    unchanged record is re-encoded.  Ids stay canonical ranks, so the
+    result is byte-identical to :func:`build_index` of the same set.
+
+    ``cliques.idx`` is checked against the base manifest's CRC32 and
+    every copied record against its own CRC32 (unless
+    ``verify_checksums`` is off): a flipped bit raises
+    :class:`~repro.errors.CorruptDataError` before anything is written.
+    """
+    io_stats = io_stats if io_stats is not None else IOStats()
+    survivors = _base_records(
+        Path(base_directory), removed_ids, io_stats, verify_checksums
+    )
+    additions = ((vertices, encode_clique_record(vertices)) for vertices in added)
+    return _write_generation(
+        heapq.merge(survivors, additions), directory, io_stats, None
+    )
+
+
+def _base_records(
+    base: Path,
+    removed_ids: Collection[int],
+    io_stats: IOStats,
+    verify_checksums: bool,
+) -> Iterator[tuple[tuple[int, ...], bytes]]:
+    """The base's records as ``(vertices, record bytes)``, id order, minus
+    ``removed_ids``; each file is read once, metered through PageStore."""
+    manifest = read_manifest(base)
+    offsets = PageStore(base / OFFSETS_FILENAME, io_stats).read_all()
+    declared = manifest["files"][OFFSETS_FILENAME]["crc32"]
+    if zlib.crc32(offsets) != declared:
+        raise CorruptDataError(
+            f"{OFFSETS_FILENAME} CRC32 {zlib.crc32(offsets):#010x} does not "
+            f"match manifest {declared:#010x}"
+        )
+    check_magic(offsets, OFFSETS_MAGIC, OFFSETS_FILENAME)
+    records = PageStore(base / RECORDS_FILENAME, io_stats).read_all()
+    check_magic(records, RECORDS_MAGIC, RECORDS_FILENAME)
+    entries = memoryview(offsets)[len(OFFSETS_MAGIC):]
+    if len(entries) != int(manifest["num_cliques"]) * OFFSET_ENTRY.size:
+        raise CorruptDataError(
+            f"{OFFSETS_FILENAME} holds {len(entries)} entry bytes, manifest "
+            f"says {manifest['num_cliques']} cliques"
+        )
+    expected = len(RECORDS_MAGIC)
+    for clique_id, (offset, length, size) in enumerate(OFFSET_ENTRY.iter_unpack(entries)):
+        if offset != expected:
+            raise CorruptDataError(
+                f"{OFFSETS_FILENAME} entry {clique_id} points at bytes "
+                f"[{offset}, {offset + length}) of {RECORDS_FILENAME}, "
+                f"expected a record at {expected}"
+            )
+        expected += length
+        if clique_id in removed_ids:
+            continue
+        record = records[offset:offset + length]
+        try:
+            vertices, end = decode_clique_record(record, verify=verify_checksums)
+        except StorageError as exc:
+            raise CorruptDataError(
+                f"{RECORDS_FILENAME} record {clique_id} at offset {offset}: {exc}"
+            ) from exc
+        if end != length or len(vertices) != size:
+            raise CorruptDataError(
+                f"{RECORDS_FILENAME} record {clique_id} at offset {offset} does "
+                f"not match its {OFFSETS_FILENAME} entry"
+            )
+        yield vertices, record
+    if expected != len(records):
+        raise CorruptDataError(
+            f"{RECORDS_FILENAME} ends with {len(records) - expected} bytes "
+            f"no {OFFSETS_FILENAME} entry covers"
+        )
+
+
+def _write_generation(
+    records: Iterable[tuple[tuple[int, ...], bytes]],
+    directory: str | Path,
+    io_stats: IOStats | None,
+    fault_plan: "FaultPlan | None",
+) -> IndexBuildReport:
+    """Write the six index files from ``(vertices, record bytes)`` pairs.
+
+    The pairs must come in strictly ascending vertex-tuple order: a
+    record's rank in the stream is its clique id.  Both
+    :func:`build_index` and :func:`merge_index` feed this one writer.
+    """
+    # Record file + offsets directory: one pass over the canonical order.
+    record_file = bytearray(RECORDS_MAGIC)
+    offsets = bytearray(OFFSETS_MAGIC)
+    postings_map: defaultdict[int, list[int]] = defaultdict(list)
+    sizes: list[int] = []
+    fingerprints: list[tuple[int, int]] = []
+    previous: tuple[int, ...] = ()
+    clique_id = -1
+    for clique_id, (vertices, encoded) in enumerate(records):
+        if vertices <= previous and clique_id:
+            raise StorageError(
+                f"index records out of canonical order: {list(vertices)} "
+                f"after {list(previous)}"
+            )
+        previous = vertices
+        offsets += OFFSET_ENTRY.pack(len(record_file), len(encoded), len(vertices))
+        record_file += encoded
+        fingerprints.append((clique_fingerprint(encoded), clique_id))
+        sizes.append(len(vertices))
+        for v in vertices:
+            postings_map[v].append(clique_id)
+    size_histogram = Counter(sizes)
+    num_cliques = clique_id + 1
+    if not num_cliques:
         raise StorageError("refusing to build an index from an empty clique stream")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     io_stats = io_stats if io_stats is not None else IOStats()
-
-    # Record file + offsets directory: one pass over the canonical order.
-    records = bytearray(RECORDS_MAGIC)
-    offsets = bytearray(OFFSETS_MAGIC)
-    postings_map: dict[int, list[int]] = {}
-    size_histogram: dict[int, int] = {}
-    fingerprints: list[tuple[int, int]] = []
-    for clique_id, vertices in enumerate(ordered):
-        encoded = encode_clique_record(vertices)
-        offsets += OFFSET_ENTRY.pack(len(records), len(encoded), len(vertices))
-        records += encoded
-        fingerprints.append((clique_fingerprint(encoded), clique_id))
-        size_histogram[len(vertices)] = size_histogram.get(len(vertices), 0) + 1
-        for v in vertices:
-            postings_map.setdefault(v, []).append(clique_id)
 
     # Postings file + vertex directory, ascending by vertex id.
     postings = bytearray(POSTINGS_MAGIC)
@@ -139,7 +265,7 @@ def build_index(
     # yields the (fingerprint, id) order.
     fingerprints.sort(key=itemgetter(0))
     blobs = {
-        RECORDS_FILENAME: bytes(records),
+        RECORDS_FILENAME: bytes(record_file),
         OFFSETS_FILENAME: bytes(offsets),
         FINGERPRINTS_FILENAME: encode_table(
             FINGERPRINTS_MAGIC, FINGERPRINT_ENTRY, fingerprints
@@ -154,7 +280,7 @@ def build_index(
 
     manifest = {
         "schema": MANIFEST_SCHEMA,
-        "num_cliques": len(ordered),
+        "num_cliques": num_cliques,
         "num_vertices": len(postings_map),
         "num_postings": postings_entries,
         "max_clique_size": max(size_histogram),
@@ -167,14 +293,14 @@ def build_index(
     _write_manifest(directory, manifest)
 
     bundle = _METRICS()
-    bundle.cliques.inc(len(ordered))
+    bundle.cliques.inc(num_cliques)
     bundle.postings.inc(postings_entries)
     bytes_by_file = {name: len(blob) for name, blob in blobs.items()}
     bytes_by_file[MANIFEST_FILENAME] = (directory / MANIFEST_FILENAME).stat().st_size
     bundle.bytes.inc(sum(bytes_by_file.values()))
     return IndexBuildReport(
         directory=directory,
-        num_cliques=len(ordered),
+        num_cliques=num_cliques,
         num_vertices=len(postings_map),
         max_clique_size=max(size_histogram),
         bytes_by_file=bytes_by_file,

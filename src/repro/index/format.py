@@ -31,7 +31,9 @@ count, or kernel.  ``tests/index/test_builder.py`` pins that guarantee.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import struct
 import zlib
 from typing import Sequence
@@ -75,6 +77,9 @@ TABLE_PAGE_HEADER = 8
 
 _CRC = struct.Struct("<I")
 
+#: Values below this encode to one- or two-byte varints.
+_VARINT_TABLE_SIZE = 1 << 14
+
 
 # ---------------------------------------------------------------------------
 # Varint + delta codecs
@@ -113,31 +118,61 @@ def decode_varint(buffer: bytes, offset: int = 0) -> tuple[int, int]:
         shift += 7
 
 
+@functools.cache
+def _varint_table() -> tuple[bytes, ...]:
+    """:func:`encode_varint` of every value below ``2**14`` — all one- and
+    two-byte varints — built on first use."""
+    return tuple(map(encode_varint, range(_VARINT_TABLE_SIZE)))
+
+
 def encode_delta_list(values: Sequence[int]) -> bytes:
-    """Delta-encode a strictly ascending sequence of non-negative ints."""
-    out = bytearray()
-    previous = None
-    for value in values:
-        if previous is None:
-            out += encode_varint(value)
-        else:
-            if value <= previous:
-                raise StorageFormatError(
-                    f"delta lists must be strictly ascending, got {value} after {previous}"
-                )
-            out += encode_varint(value - previous)
-        previous = value
-    return bytes(out)
+    """Delta-encode a strictly ascending sequence of non-negative ints.
+
+    The first value and the gaps are looked up in a table of
+    :func:`encode_varint` outputs when they all fit two bytes (the
+    usual case: vertex ids and clique-id gaps are small), and encoded
+    one by one otherwise; the bytes are the same either way.
+    """
+    if not values:
+        return b""
+    gaps = list(map(operator.sub, values[1:], values))
+    if gaps and min(gaps) <= 0:
+        position = next(i for i, gap in enumerate(gaps) if gap <= 0)
+        raise StorageFormatError(
+            f"delta lists must be strictly ascending, got {values[position + 1]} "
+            f"after {values[position]}"
+        )
+    first = values[0]
+    if 0 <= first < _VARINT_TABLE_SIZE and (not gaps or max(gaps) < _VARINT_TABLE_SIZE):
+        table = _varint_table()
+        return table[first] + b"".join(map(table.__getitem__, gaps))
+    return encode_varint(first) + b"".join(map(encode_varint, gaps))
 
 
 def decode_delta_list(buffer: bytes, count: int, offset: int = 0) -> tuple[tuple[int, ...], int]:
-    """Decode ``count`` delta-encoded values; return ``(values, next_offset)``."""
-    values = []
-    current = 0
-    for position in range(count):
-        delta, offset = decode_varint(buffer, offset)
-        current = delta if position == 0 else current + delta
-        values.append(current)
+    """Decode ``count`` delta-encoded values; return ``(values, next_offset)``.
+
+    The varints are read in one pass over the bytes; a buffer that ends
+    mid-list raises :class:`~repro.errors.StorageFormatError`.
+    """
+    values: list[int] = []
+    append = values.append
+    current = value = shift = 0
+    remaining = count
+    try:
+        while remaining:
+            byte = buffer[offset]
+            offset += 1
+            if byte & 0x80:
+                value |= (byte & 0x7F) << shift
+                shift += 7
+                continue
+            current += value | (byte << shift)
+            append(current)
+            value = shift = 0
+            remaining -= 1
+    except IndexError:
+        raise StorageFormatError("truncated varint") from None
     return tuple(values), offset
 
 

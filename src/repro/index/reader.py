@@ -93,6 +93,26 @@ _METRICS = metrics.bound(
 )
 
 
+def read_manifest(directory: Path) -> dict:
+    """Load and schema-check an index directory's manifest."""
+    manifest_path = directory / MANIFEST_FILENAME
+    if not manifest_path.exists():
+        raise StorageError(
+            f"{directory} is not a clique index (missing {MANIFEST_FILENAME}); "
+            "an interrupted build leaves no manifest and must be rebuilt"
+        )
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="ascii"))
+    except (ValueError, UnicodeError) as exc:
+        raise StorageError(f"malformed index manifest at {manifest_path}: {exc}") from exc
+    if manifest.get("schema") != MANIFEST_SCHEMA:
+        raise StorageError(
+            f"unsupported index schema {manifest.get('schema')!r} "
+            f"(expected {MANIFEST_SCHEMA})"
+        )
+    return manifest
+
+
 class _FencedTable:
     """A sorted fixed-width table: its page fence in memory, pages in a pool.
 
@@ -163,22 +183,7 @@ class CliqueIndex:
         self._directory = Path(directory)
         self._verify = verify_checksums
         self._io = io_stats if io_stats is not None else IOStats()
-        manifest_path = self._directory / MANIFEST_FILENAME
-        if not manifest_path.exists():
-            raise StorageError(
-                f"{self._directory} is not a clique index (missing {MANIFEST_FILENAME}); "
-                "an interrupted build leaves no manifest and must be rebuilt"
-            )
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="ascii"))
-        except (ValueError, UnicodeError) as exc:
-            raise StorageError(f"malformed index manifest at {manifest_path}: {exc}") from exc
-        if manifest.get("schema") != MANIFEST_SCHEMA:
-            raise StorageError(
-                f"unsupported index schema {manifest.get('schema')!r} "
-                f"(expected {MANIFEST_SCHEMA})"
-            )
-        self._manifest = manifest
+        self._manifest = manifest = read_manifest(self._directory)
         self._num_cliques = int(manifest["num_cliques"])
         self._stores: dict[str, PageStore] = {}
         self._pools: dict[str, BufferPool] = {}

@@ -34,11 +34,15 @@ blocking readers:
 
 1. **rotate** — create the next WAL, commit a manifest listing *both*
    logs, and move the writer over; the old log is now frozen.
-2. **build** — outside the store lock, scan the base generation (through
-   a private reader, never the serving one) plus the frozen deltas and
-   :func:`~repro.index.builder.build_index` the next generation
-   directory.  A crash here leaves a directory without an index
-   manifest, which recovery deletes.
+2. **build** — outside the store lock, :func:`~repro.index.builder.merge_index`
+   the base generation's files (never the serving reader) with the
+   overlay as it stood at rotation — tombstoned base ids out, added
+   cliques in — into the next generation directory, or
+   :func:`~repro.index.builder.build_index` the additions when there is
+   no base.  Surviving records are copied as CRC-checked bytes, so a
+   fold costs one pass over the base files plus its tail, never a
+   re-encode of unchanged records.  A crash here leaves a directory
+   without an index manifest, which recovery deletes.
 3. **commit** — atomically swap the live manifest to the new generation
    and single WAL, then (under the lock, briefly) swap the in-memory
    base and drop the folded tail entries.
@@ -64,7 +68,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro import metrics
 from repro.errors import GraphError, StorageError, StorageIOError
-from repro.index.builder import build_index
+from repro.index.builder import build_index, merge_index
 from repro.index.reader import CliqueIndex
 from repro.live.deltas import ADD, REMOVE, CliqueDelta
 from repro.live.wal import DeltaLogWriter, ReplayReport, replay_delta_log
@@ -216,7 +220,7 @@ class LiveCliqueStore:
         if ordered:
             generation = "gen-000000"
             build_index(ordered, directory / generation)
-        DeltaLogWriter.create(directory / "wal-000000.log")
+        DeltaLogWriter.create(directory / "wal-000000.log").close()
         _commit_json(directory, LIVE_MANIFEST_FILENAME, {
             "schema": LIVE_MANIFEST_SCHEMA,
             "generation": generation,
@@ -322,6 +326,8 @@ class LiveCliqueStore:
             self._compactor = None
         with self._lock:
             self._closed = True
+            if self._wal is not None:
+                self._wal.close()
             if self._base is not None:
                 self._base.close()
                 self._base = None
@@ -739,7 +745,9 @@ class LiveCliqueStore:
                 # generator over the old base; retire instead of closing.
                 self._retired.append(self._base)
                 self._base = None
-            self._wal = None  # PageStore holds no fd; dropping it is a close
+            if self._wal is not None:
+                self._wal.close()
+                self._wal = None
             self._tombstones = set()
             self._added = {}
             self._added_ids = {}
@@ -809,18 +817,21 @@ class LiveCliqueStore:
     def compact(self) -> str | None:
         """Fold the delta tail into a fresh generation; returns its name.
 
-        Readers are never blocked: the build runs outside the store lock
-        against a frozen WAL and a private base reader; only the final
-        swap takes the lock, briefly.  Returns ``None`` when there was
-        nothing to fold.  On any error the store keeps serving from the
-        current generation and tail unchanged.
+        Readers are never blocked: the build runs outside the store lock,
+        merging the base generation's files with a snapshot of the
+        overlay; only the final swap takes the lock, briefly.  Returns
+        ``None`` when there was nothing to fold.  On any error the store
+        keeps serving from the current generation and tail unchanged.
         """
         with self._lock:
             self._check_writable()
             if not self._tail:
                 return None
             folded_seq = self._next_seq - 1
-            folded = list(self._tail)
+            # The overlay is exactly the folded tail's effect on the base.
+            removed = frozenset(self._tombstones)
+            added = sorted(self._added.values())
+            live_count = self.num_cliques
             old_generation = self.generation
             old_wals = list(self._wal_names)
             old_generation_number = self._generation_number
@@ -845,6 +856,8 @@ class LiveCliqueStore:
                 "base_seq": self._base_seq(),
                 "compacting": True,
             })
+            if self._wal is not None:
+                self._wal.close()
             self._wal = new_wal
             self._wal_names = old_wals + [new_wal_name]
             self._wal_number = new_wal_number
@@ -852,31 +865,20 @@ class LiveCliqueStore:
         started = time.perf_counter()
         try:
             # Step 2: build the next generation, lock-free.  The serving
-            # base reader is never touched — a private reader scans the
-            # generation directory so bufferpool state cannot race.
+            # base reader is never touched: the merge reads the generation
+            # directory's files itself, so bufferpool state cannot race.
             self._draw_compaction_fault("build")
-            cliques: set[tuple[int, ...]] = set()
-            if old_generation is not None:
-                with CliqueIndex(
-                    self._directory / old_generation,
-                    cache_pages=self._cache_pages,
-                    verify_checksums=self._verify,
-                    io_stats=self._io,
-                ) as snapshot:
-                    cliques = {vs for _cid, vs in snapshot.scan_cliques()}
-            for delta in folded:
-                if delta.kind == ADD:
-                    cliques.add(tuple(delta.vertices))
-                else:
-                    cliques.discard(tuple(delta.vertices))
             new_generation: str | None = None
-            if cliques:
+            if live_count:
                 new_generation = generation_name
-                build_index(
-                    sorted(cliques),
-                    self._directory / generation_name,
-                    io_stats=self._io,
-                )
+                target = self._directory / generation_name
+                if old_generation is None:
+                    build_index(added, target, io_stats=self._io)
+                else:
+                    merge_index(
+                        self._directory / old_generation, removed, added, target,
+                        io_stats=self._io, verify_checksums=self._verify,
+                    )
 
             # Step 3: commit — the manifest swap is the only moment the
             # new generation becomes real.

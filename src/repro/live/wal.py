@@ -11,9 +11,10 @@ the payload.  Records are self-delimiting, so replay needs no directory.
 
 Durability and failure semantics follow the checkpoint discipline:
 
-* every append goes through :class:`~repro.storage.pagestore.PageStore`
-  (I/O accounting plus the ``"write"`` fault-injection site) and is
-  fsynced before :meth:`DeltaLogWriter.append` returns — an
+* every append goes through the writer's one open
+  :class:`~repro.storage.pagestore.PageAppender` (I/O accounting plus
+  the ``"write"`` fault-injection site, one unbuffered ``write(2)``)
+  and is fsynced before :meth:`DeltaLogWriter.append` returns — an
   acknowledged delta survives a crash;
 * a *torn tail* — the file ends mid-record, the signature of a crash
   during an append — is recovered by truncating back to the last whole
@@ -49,7 +50,7 @@ from repro.index.format import (
 )
 from repro.live.deltas import ADD, REMOVE, CliqueDelta
 from repro.storage.iostats import IOStats
-from repro.storage.pagestore import PageStore
+from repro.storage.pagestore import PageAppender, PageStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultPlan
@@ -186,7 +187,11 @@ def replay_delta_log(
 
 
 class DeltaLogWriter:
-    """Append-only writer over one WAL file, fsynced per append batch."""
+    """Append-only writer over one WAL file, fsynced per append batch.
+
+    The writer holds one open append handle for its lifetime and tracks
+    the log length in memory; :meth:`close` releases the handle.
+    """
 
     def __init__(
         self,
@@ -199,6 +204,8 @@ class DeltaLogWriter:
         self._path = Path(path)
         self._fsync = fsync
         self._poisoned: str | None = None
+        self._appender = PageAppender(self._store)
+        self._length = self._store.size_bytes()
 
     @property
     def path(self) -> Path:
@@ -207,15 +214,15 @@ class DeltaLogWriter:
 
     def size_bytes(self) -> int:
         """Current log size in bytes."""
-        return self._store.size_bytes()
+        return self._length
 
     @classmethod
     def create(cls, path: str | Path, **kwargs) -> "DeltaLogWriter":
         """Create a fresh, empty log (magic only) and return its writer."""
         writer = cls(path, **kwargs)
-        if writer._store.exists() and writer._store.size_bytes() > 0:
+        if writer._length > 0:
             raise StorageError(f"refusing to create WAL over existing file {path}")
-        writer._store.write_all(WAL_MAGIC)
+        writer._length = writer._appender.write(WAL_MAGIC)
         writer._sync()
         return writer
 
@@ -256,28 +263,28 @@ class DeltaLogWriter:
         encoded = b"".join(encode_delta_record(delta) for delta in deltas)
         if not encoded:
             return 0
-        length_before = self._store.size_bytes()
         try:
-            self._store.append(encoded)
+            written = self._appender.write(encoded)
             self._sync()
         except StorageError:
             try:
-                self._truncate(length_before)
+                self._truncate(self._length)
             except OSError as exc:  # pragma: no cover — repair path
                 self._poisoned = f"tail repair failed: {exc}"
             raise
+        self._length += written
         bundle = _METRICS()
         bundle.records.inc(len(deltas))
         bundle.bytes.inc(len(encoded))
         return len(encoded)
 
     def _truncate(self, length: int) -> None:
-        if self._path.exists() and self._path.stat().st_size > length:
+        fd = self._appender.fileno()
+        if os.fstat(fd).st_size > length:
             _METRICS().torn_tails.inc()
-            with open(self._path, "r+b") as handle:
-                handle.truncate(length)
-                handle.flush()
-                os.fsync(handle.fileno())
+            os.ftruncate(fd, length)
+            os.fsync(fd)
+        self._length = length
 
     def sync(self) -> None:
         """Force an fsync now, even when per-append fsync is disabled.
@@ -285,13 +292,13 @@ class DeltaLogWriter:
         Graceful drain calls this so an operator SIGTERM never races a
         store opened with ``fsync=False`` for throughput.
         """
-        fd = os.open(self._path, os.O_RDWR)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        os.fsync(self._appender.fileno())
 
     def _sync(self) -> None:
         if not self._fsync:
             return
         self.sync()
+
+    def close(self) -> None:
+        """Release the append handle (idempotent)."""
+        self._appender.close()

@@ -120,15 +120,11 @@ class PageStore:
 
     def append(self, data: bytes) -> None:
         """Append ``data`` (counted as page writes)."""
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        data = self._apply_write_fault("append", data)
+        appender = PageAppender(self)
         try:
-            with open(self._path, "ab") as handle:
-                handle.write(data)
-        except OSError as exc:
-            raise StorageIOError("append", self._path, str(exc)) from exc
-        self._io.record_write(_pages(len(data)))
-        _METRICS().bytes_written.inc(len(data))
+            appender.write(data)
+        finally:
+            appender.close()
 
     def read_all(self) -> bytes:
         """Read the whole file sequentially (one scan)."""
@@ -292,3 +288,49 @@ class PageStore:
 
             return corrupt_bytes(data, fault.fraction)
         return data
+
+
+class PageAppender:
+    """A page store's file held open for appending.
+
+    The one append path: :meth:`PageStore.append` opens an appender per
+    call, a long-lived writer (the WAL) keeps one.  The file is opened
+    unbuffered on the first write, so each write is one ``write(2)``
+    and a crash never strands bytes in a user-space buffer.  Every write
+    passes the store's ``"write"`` fault site and is metered in pages.
+    """
+
+    def __init__(self, store: PageStore) -> None:
+        store.path.parent.mkdir(parents=True, exist_ok=True)
+        self._store = store
+        self._handle = None
+
+    def write(self, data: bytes) -> int:
+        """Append ``data``; returns the bytes written."""
+        store = self._store
+        data = store._apply_write_fault("append", data)
+        try:
+            handle = self._open()
+            view = memoryview(data)
+            while view:
+                view = view[handle.write(view):]
+        except OSError as exc:
+            raise StorageIOError("append", store.path, str(exc)) from exc
+        store.io_stats.record_write(_pages(len(data)))
+        _METRICS().bytes_written.inc(len(data))
+        return len(data)
+
+    def fileno(self) -> int:
+        """The open file descriptor (for ``fsync`` and truncation)."""
+        return self._open().fileno()
+
+    def _open(self):
+        if self._handle is None:
+            self._handle = open(self._store.path, "ab", buffering=0)
+        return self._handle
+
+    def close(self) -> None:
+        """Close the file (idempotent)."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None

@@ -94,3 +94,48 @@ def maintainers_built_once():
         yield
     finally:
         HStarMaintainer._rebuild = original
+
+
+#: Every file of an index directory, the manifest included.
+INDEX_DIRECTORY_FILES = (
+    "cliques.dat", "cliques.idx", "cliques.fp", "postings.dat", "postings.dir",
+    "manifest.json",
+)
+
+
+@contextlib.contextmanager
+def merges_match_fresh_builds():
+    """Fail any live compaction whose merged generation differs, in any
+    byte of any file, from a fresh :func:`build_index` of the same clique
+    set (the base's records minus the removed ids plus the additions)."""
+    import tempfile
+    from pathlib import Path
+
+    from repro.index import CliqueIndex, build_index
+    from repro.live import store as live_store
+
+    original = live_store.merge_index
+
+    def checked_merge(base_directory, removed_ids, added, directory, **kwargs):
+        added = list(added)
+        report = original(base_directory, removed_ids, added, directory, **kwargs)
+        with CliqueIndex(base_directory) as base:
+            expected = {
+                vertices for clique_id, vertices in base.scan_cliques()
+                if clique_id not in removed_ids
+            }
+        expected.update(added)
+        with tempfile.TemporaryDirectory() as scratch:
+            build_index(expected, scratch)
+            for name in INDEX_DIRECTORY_FILES:
+                fresh = (Path(scratch) / name).read_bytes()
+                assert (Path(directory) / name).read_bytes() == fresh, (
+                    f"merged {name} differs from a fresh build of the same set"
+                )
+        return report
+
+    live_store.merge_index = checked_merge
+    try:
+        yield
+    finally:
+        live_store.merge_index = original

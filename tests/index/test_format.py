@@ -60,6 +60,29 @@ class TestDeltaList:
         with pytest.raises(StorageFormatError, match="ascending"):
             encode_delta_list([5, 2])
 
+    @settings(max_examples=200)
+    @given(st.lists(
+        st.one_of(st.integers(0, 300), st.integers(0, 40_000), st.integers(0, 10**7)),
+        unique=True, min_size=1,
+    ))
+    def test_bytes_are_the_varints_of_first_value_and_gaps(self, values):
+        """Whatever path the encoder takes, its bytes are encode_varint of
+        the first value followed by encode_varint of each gap, and the
+        decoder reads them back from inside a larger buffer."""
+        ordered = sorted(values)
+        gaps = [b - a for a, b in zip(ordered, ordered[1:])]
+        expected = b"".join(map(encode_varint, [ordered[0], *gaps]))
+        assert encode_delta_list(ordered) == expected
+        assert decode_delta_list(b"\xff" + expected + b"\xff", len(ordered), 1) == (
+            tuple(ordered), 1 + len(expected)
+        )
+
+    def test_truncated_list_is_format_error(self):
+        encoded = encode_delta_list([5, 300, 20_000])
+        for cut in range(len(encoded)):
+            with pytest.raises(StorageFormatError, match="truncated"):
+                decode_delta_list(encoded[:cut], 3)
+
     def test_dense_run_encodes_one_byte_per_gap(self):
         # 1000 consecutive ids: first varint + 999 single-byte deltas.
         encoded = encode_delta_list(list(range(5000, 6000)))
