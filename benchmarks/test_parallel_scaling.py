@@ -1,8 +1,7 @@
 """Parallel scaling sweep: ParallelExtMCE speedup over worker counts.
 
-Runs the same enumeration at 1, 2 and 4 workers (plus a coarse-grain
-comparison run) and reports wall-clock speedup relative to the serial
-driver.  Besides the rendered table
+Runs the same enumeration at 1, 2 and 4 workers and reports wall-clock
+speedup relative to the serial driver.  Besides the rendered table
 (``benchmarks/results/parallel_scaling.txt``) the sweep writes a
 machine-readable ``BENCH_parallel.json`` summary next to it.
 
@@ -48,10 +47,10 @@ NUM_VERTICES = 4_000
 PAYLOAD_REDUCTION_FLOOR = 10.0
 
 
-def _run_one(graph, workers, task_grain="fine"):
+def _run_one(graph, workers):
     with tempfile.TemporaryDirectory(prefix="par_scaling_") as tmp:
         disk = DiskGraph.create(f"{tmp}/g.bin", graph)
-        config = ExtMCEConfig(workdir=tmp, workers=workers, task_grain=task_grain)
+        config = ExtMCEConfig(workdir=tmp, workers=workers)
         driver = ParallelExtMCE if workers > 1 else ExtMCE
         algo = driver(disk, config)
         started = time.perf_counter()
@@ -59,7 +58,6 @@ def _run_one(graph, workers, task_grain="fine"):
         elapsed = time.perf_counter() - started
     return {
         "workers": workers,
-        "task_grain": task_grain if workers > 1 else None,
         "cliques": cliques,
         "seconds": elapsed,
         "recursions": algo.report.num_recursions,
@@ -104,9 +102,8 @@ def _payload_reduction(graph):
 
 def test_parallel_scaling_sweep(benchmark, save_result):
     graph = scaling_graph(NUM_VERTICES)
-    plan = [(w, "fine") for w in WORKER_COUNTS] + [(2, "coarse")]
     results = benchmark.pedantic(
-        lambda: [_run_one(graph, w, grain) for w, grain in plan],
+        lambda: [_run_one(graph, w) for w in WORKER_COUNTS],
         rounds=1, iterations=1,
     )
     serial_seconds = results[0]["seconds"]
@@ -125,12 +122,11 @@ def test_parallel_scaling_sweep(benchmark, save_result):
         render_table(
             f"Parallel scaling: ParallelExtMCE on powerlaw-cluster "
             f"(n={NUM_VERTICES}, m=5, p=0.7), host cpus={os.cpu_count()}",
-            ["workers", "grain", "cliques", "seconds", "speedup",
+            ["workers", "cliques", "seconds", "speedup",
              "fallbacks", "payload B", "shm B", "split", "stolen"],
             [
                 (
                     r["workers"],
-                    r["task_grain"] or "-",
                     r["cliques"],
                     f"{r['seconds']:.2f}",
                     f"{r['speedup']:.2f}x"
@@ -153,8 +149,7 @@ def test_parallel_scaling_sweep(benchmark, save_result):
         "headline": {
             "headline_speedup": headline_speedup,
             "serial_seconds": serial_seconds,
-            "fine_2_workers_seconds": results[1]["seconds"],
-            "coarse_2_workers_seconds": results[-1]["seconds"],
+            "two_workers_seconds": results[1]["seconds"],
         },
         "graph": {"model": "powerlaw_cluster", "n": NUM_VERTICES, "m": 5, "p": 0.7},
         "payload_reduction": reduction,
@@ -180,10 +175,9 @@ def test_parallel_scaling_sweep(benchmark, save_result):
     )
 
     if host_cpus >= 4:
-        fine_runs = [r for r in results if r["task_grain"] == "fine"]
-        assert fine_runs[-1]["speedup"] > 1.5, (
+        assert results[-1]["speedup"] > 1.5, (
             f"expected >1.5x at 4 workers on a {host_cpus}-cpu host, "
-            f"got {fine_runs[-1]['speedup']:.2f}x"
+            f"got {results[-1]['speedup']:.2f}x"
         )
     if host_cpus >= 2:
         assert headline_speedup is not None and headline_speedup > 1.0, (

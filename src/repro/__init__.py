@@ -115,7 +115,7 @@ from repro.service import (
     CliqueQueryEngine,
     CliqueQueryServer,
 )
-from repro.telemetry import TraceWriter, load_trace, merge_traces, summarize_trace
+from repro.telemetry import TraceWriter, load_trace, summarize_trace
 from repro.verification import VerificationReport, verify_clique_set
 
 __version__ = "1.0.0"
@@ -189,7 +189,6 @@ __all__ = [
     "maximal_cliques_bitset",
     "maximal_independent_sets",
     "maximum_clique",
-    "merge_traces",
     "parallel_bron_kerbosch_maximal_cliques",
     "reduce_graph",
     "subproblem_bitset",

@@ -90,14 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="worker processes for the parallel engine "
                                  "(1 = serial driver; output is identical "
                                  "for every worker count)")
-    enumerate_.add_argument("--task-grain", choices=("coarse", "fine"),
-                            default="fine",
-                            help="parallel scheduling granularity: 'fine' "
-                                 "(default) cuts 2 chunks per worker and "
-                                 "lets workers split skewed subtrees back "
-                                 "into the queue (work stealing); 'coarse' "
-                                 "is the static 4-per-worker split; the "
-                                 "clique stream is identical either way")
     enumerate_.add_argument("--canonical", action="store_true",
                             help="write the output file in canonical sorted "
                                  "order (byte-identical across runs and "
@@ -379,7 +371,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 args.checkpoint_dir,
                 config=ExtMCEConfig(
                     memory_budget_units=args.budget, trace_path=args.trace,
-                    workers=args.workers, task_grain=args.task_grain,
+                    workers=args.workers,
                     kernel=args.kernel, reduction=args.reduction,
                     verify_checksums=args.verify_checksums,
                     max_retries=args.max_retries, fault_plan=fault_plan,
@@ -401,7 +393,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 checkpoint=args.checkpoint_dir is not None,
                 trace_path=args.trace,
                 workers=args.workers,
-                task_grain=args.task_grain,
                 kernel=args.kernel,
                 reduction=args.reduction,
                 verify_checksums=args.verify_checksums,
@@ -447,7 +438,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     print(f"recursions      : {algo.report.num_recursions}")
     print(f"graph scans     : {algo.report.sequential_scans}")
     if args.workers > 1:
-        print(f"workers         : {args.workers} (task grain: {args.task_grain})")
+        print(f"workers         : {args.workers}")
     if args.output:
         print(f"cliques written : {args.output}")
     if index_sink is not None:

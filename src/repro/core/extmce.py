@@ -128,16 +128,6 @@ class ExtMCEConfig:
         :class:`ExtMCE` ignores it; ``1`` means in-process execution even
         under the parallel driver.  Kept here (rather than on the driver)
         so checkpoints and :meth:`ExtMCE.resume` round-trip it.
-    task_grain:
-        Scheduling granularity of the parallel engine (``"coarse"`` or
-        ``"fine"``, see :mod:`repro.parallel.scheduler`).  ``"fine"``
-        (the default) cuts 2 task chunks per worker and arms worker-side
-        splitting — a worker holding a skewed subtree hands its
-        unfinished tail back to the queue when the queue runs dry — so
-        stragglers cannot serialize a step.  ``"coarse"`` reproduces the
-        static 4-per-worker chunking.  The clique stream is
-        byte-identical across grains (asserted by the differential
-        matrix); the serial driver ignores it.
     kernel:
         Enumeration kernel (``"set"`` or ``"bitset"``, see
         :mod:`repro.kernel`) used for tree construction; the M2/M3
@@ -176,8 +166,8 @@ class ExtMCEConfig:
         Write a :mod:`repro.metrics` snapshot (JSON at this path, plus
         the Prometheus text exposition at ``<path>.prom``) when the run
         ends.  Setting this enables the process-wide metrics registry if
-        it is not already enabled; worker-process metrics are merged in
-        before the snapshot is written.
+        it is not already enabled; worker-process metrics arrive with
+        each chunk's result and are absorbed as the chunk is harvested.
     """
 
     memory_budget_units: int | None = None
@@ -190,7 +180,6 @@ class ExtMCEConfig:
     checkpoint: bool = False
     trace_path: str | Path | None = None
     workers: int = 1
-    task_grain: str = "fine"
     kernel: str = "bitset"
     reduction: str = "off"
     verify_checksums: bool = True

@@ -22,11 +22,12 @@ Design constraints, in order:
    whose metric list is sorted by ``(name, labels)``; counter totals are
    pure functions of the work performed, never of scheduling (wall-clock
    quantities live only in histogram *values*, not in series identity).
-3. **Worker merge mirrors trace merge.**  Each worker process runs its
-   own registry and dumps a snapshot file next to its trace file; the
-   driver folds the files back in with :meth:`MetricsRegistry.absorb`,
-   exactly as :meth:`repro.telemetry.TraceWriter.absorb` folds worker
-   events — counters and histograms sum, gauges keep their maximum.
+3. **Worker snapshots travel with results.**  A parallel worker records
+   each metered chunk into a fresh registry and returns its snapshot in
+   the chunk's result envelope, next to the chunk's trace event; the
+   driver folds it in with :meth:`MetricsRegistry.absorb` as it harvests
+   the chunk — counters and histograms sum, gauges keep their maximum.
+   No worker writes a metrics file, so nothing stale can be read back.
 
 Exposition: :func:`render_prometheus` emits the Prometheus text format
 (``# HELP`` / ``# TYPE`` / cumulative ``_bucket`` series), and
@@ -289,10 +290,9 @@ class MetricsRegistry:
         return {"schema": SNAPSHOT_SCHEMA, "metrics": entries}
 
     def absorb(self, snapshot: dict) -> None:
-        """Fold a snapshot (e.g. one worker's) into this registry.
+        """Fold a snapshot (e.g. one worker chunk's) into this registry.
 
-        The metrics analogue of :meth:`repro.telemetry.TraceWriter.absorb`:
-        counters and histograms sum, gauges keep the maximum of the two
+        Counters and histograms sum, gauges keep the maximum of the two
         levels.  Unknown series are created on the fly, so absorbing into
         an empty registry reproduces the snapshot exactly.
         """
@@ -436,14 +436,6 @@ def is_snapshot(payload: object) -> bool:
     return isinstance(payload, dict) and payload.get("schema") == SNAPSHOT_SCHEMA
 
 
-def merge_snapshots(snapshots: list[dict]) -> dict:
-    """Deterministically merge snapshots (counters/histograms sum, gauges max)."""
-    merged = MetricsRegistry()
-    for snapshot in snapshots:
-        merged.absorb(snapshot)
-    return merged.snapshot()
-
-
 def load_snapshot(path: str | Path) -> dict:
     """Read and validate a snapshot JSON file."""
     return _validated(json.loads(Path(path).read_text(encoding="ascii")))
@@ -582,7 +574,6 @@ __all__ = [
     "get_registry",
     "is_snapshot",
     "load_snapshot",
-    "merge_snapshots",
     "metric_names",
     "render_metrics_table",
     "render_prometheus",

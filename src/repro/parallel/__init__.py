@@ -11,19 +11,19 @@ arXiv:1807.09417), adapted to the paper's step-wise H*-graph recursion:
   through one named shared-memory segment that workers attach
   zero-copy (with crash-leftover sweeping);
 * :mod:`repro.parallel.scheduler` — :class:`ParallelEngine`, the
-  run-scoped owner of the persistent worker pool, the published
-  segment, and the task-grain policy (``coarse``/``fine``);
+  run-scoped owner of the persistent worker pool and the published
+  segment;
 * :mod:`repro.parallel.executor` — runs descriptor-addressed chunks on
   the engine's pool with driver-mediated work stealing (split tails
   requeue to idle workers), disk spooling for oversized results,
-  per-worker trace files and chunk-granular fault recovery (bounded
-  retry, pool rebuild after worker death, inline degradation);
+  worker telemetry carried in each chunk's result envelope, and
+  chunk-granular fault recovery (bounded retry, pool rebuild after
+  worker death, inline degradation);
 * :mod:`repro.parallel.merge` — reassembles worker results into the
   exact stream the serial driver would produce (worker-count- and
   schedule-invariant by construction);
 * :mod:`repro.parallel.driver` — :class:`ParallelExtMCE`, the drop-in
-  driver wrapper wired to ``ExtMCEConfig.workers`` and
-  ``ExtMCEConfig.task_grain``.
+  driver wrapper wired to ``ExtMCEConfig.workers``.
 
 Quick start::
 
@@ -49,27 +49,17 @@ from repro.parallel.partition import (
     serialize_star,
     tree_tasks,
 )
-from repro.parallel.scheduler import (
-    GRAIN_POLICIES,
-    TASK_GRAINS,
-    ChunkPolicy,
-    GrainPolicy,
-    ParallelEngine,
-    validate_task_grain,
-)
+from repro.parallel.scheduler import ChunkPolicy, ParallelEngine
 from repro.parallel.shm import sweep_stale_segments
 
 __all__ = [
     "ChunkPolicy",
     "ExecutorStats",
-    "GRAIN_POLICIES",
-    "GrainPolicy",
     "LiftChunk",
     "LiftTask",
     "ParallelEngine",
     "ParallelExtMCE",
     "StepExecutor",
-    "TASK_GRAINS",
     "TreeTask",
     "chunk_lift_tasks",
     "chunk_tree_tasks",
@@ -79,5 +69,4 @@ __all__ = [
     "serialize_star",
     "sweep_stale_segments",
     "tree_tasks",
-    "validate_task_grain",
 ]

@@ -27,22 +27,21 @@ maximality hashtable (Section 4.3) is consulted and mutated only here,
 on a clique stream whose order is reconstructed by the merger to match
 the serial driver exactly.  Hence the headline guarantee, asserted by
 the test suite: *serial ExtMCE, ``workers=1``, and ``workers=4`` produce
-identical results in identical order — at either task grain*.
+identical results in identical order*.
 
-Worker telemetry: each worker writes its own trace file under the run
-workdir; on run completion the per-worker streams are merged
-(:func:`repro.telemetry.merge_traces`) into the driver's main trace, so
-one JSONL file still tells the whole story.
+Worker telemetry needs no files: each chunk's envelope carries its
+completion event and, when metrics are on, its registry snapshot, and
+the step executor emits the event into the driver's trace (with a
+``worker`` label) and absorbs the snapshot as it harvests the chunk.
+One JSONL file tells the whole story, step by step.
 """
 
 from __future__ import annotations
 
-import shutil
 import time
 from collections.abc import Iterator
 from pathlib import Path
 
-from repro import metrics
 from repro.core.categories import compute_core_plus_max_cliques
 from repro.core.clique_tree import assemble_clique_tree
 from repro.core.extmce import ExtMCE, ExtMCEConfig
@@ -66,11 +65,9 @@ class ParallelExtMCE(ExtMCE):
     """ExtMCE with a persistent worker pool and per-step shm fan-out.
 
     Configure the worker count through
-    :attr:`~repro.core.extmce.ExtMCEConfig.workers` and the scheduling
-    granularity through
-    :attr:`~repro.core.extmce.ExtMCEConfig.task_grain`; ``workers=1``
-    (the default) runs fully in-process and behaves exactly like the
-    serial driver.  All other knobs, the checkpoint/resume protocol,
+    :attr:`~repro.core.extmce.ExtMCEConfig.workers`; ``workers=1`` (the
+    default) runs fully in-process and behaves exactly like the serial
+    driver.  All other knobs, the checkpoint/resume protocol,
     sinks and reports are inherited unchanged.
 
     Examples
@@ -96,8 +93,6 @@ class ParallelExtMCE(ExtMCE):
         super().__init__(*args, **kwargs)
         self._engine: ParallelEngine | None = None
         self._executor: StepExecutor | None = None
-        self._worker_trace_dir: Path | None = None
-        self._worker_metrics_dir: Path | None = None
         self.fallback_steps = 0
         #: Run-level accumulation of every step executor's recovery
         #: counters (retries, timeouts, rebuilds, inline fallbacks).
@@ -128,16 +123,8 @@ class ParallelExtMCE(ExtMCE):
     # ------------------------------------------------------------------
     def _ensure_engine(self, workdir: Path) -> ParallelEngine:
         if self._engine is None:
-            if self._trace is not None:
-                self._worker_trace_dir = workdir / "worker_traces"
-            if metrics.enabled():
-                self._worker_metrics_dir = workdir / "worker_metrics"
             self._engine = ParallelEngine(
-                self.workers,
-                task_grain=getattr(self._config, "task_grain", "fine"),
-                trace_dir=self._worker_trace_dir,
-                metrics_dir=self._worker_metrics_dir,
-                spool_dir=workdir / "worker_spool",
+                self.workers, spool_dir=workdir / "worker_spool"
             )
             self.swept_segments = self._engine.swept_segments
         return self._engine
@@ -183,7 +170,6 @@ class ParallelExtMCE(ExtMCE):
                         step=step,
                         workers=self.workers,
                         kernel=self._config.kernel,
-                        task_grain=engine.policy.name,
                         payload_bytes=self.last_payload_bytes,
                         shm_bytes=self.last_shm_bytes,
                         tasks_split=executor.tasks_split,
@@ -197,21 +183,18 @@ class ParallelExtMCE(ExtMCE):
     def _drive(
         self, workdir: Path, source: DiskGraph | None = None
     ) -> Iterator[Clique]:
-        # Shut the engine down and merge worker traces and metrics inside
-        # _drive's lifetime: the base class closes the main trace, writes
-        # the metrics snapshot, and may delete the workdir right after
-        # this generator finishes, so all three must happen first.  The
-        # engine close also unlinks whatever segment is still published —
-        # the orderly half of the no-leaked-segments contract (the
-        # start-of-run sweep covers SIGKILL).
+        # Shut the engine down inside _drive's lifetime: the base class
+        # may delete the workdir (and with it the spool directory) right
+        # after this generator finishes.  The engine close also unlinks
+        # whatever segment is still published — the orderly half of the
+        # no-leaked-segments contract (the start-of-run sweep covers
+        # SIGKILL).
         try:
             yield from super()._drive(workdir, source=source)
         finally:
             if self._engine is not None:
                 self._engine.close()
                 self._engine = None
-            self._merge_worker_traces()
-            self._merge_worker_metrics()
 
     # ------------------------------------------------------------------
     # Hook overrides
@@ -220,10 +203,7 @@ class ParallelExtMCE(ExtMCE):
         if self._executor is None or (step == 1 and self._first_step is not None):
             return super()._build_step_tree(step, star)
         tasks = tree_tasks(star)
-        chunks = chunk_tree_tasks(
-            tasks, self.workers,
-            oversubscription=self._executor.engine.policy.oversubscription,
-        )
+        chunks = chunk_tree_tasks(tasks, self.workers)
         results = self._executor.map_tree(chunks)
         star_cliques, core_maximal = merge_tree_results(tasks, results, star)
         tree = assemble_clique_tree(
@@ -242,53 +222,13 @@ class ParallelExtMCE(ExtMCE):
         """Phase-2 resolver: fan the spill partitions out to the pool."""
         assert self._executor is not None
         tasks = lift_tasks(ordered, store)
-        chunks = chunk_lift_tasks(
-            tasks, store, self.workers,
-            oversubscription=self._executor.engine.policy.oversubscription,
-        )
+        chunks = chunk_lift_tasks(tasks, store, self.workers)
         results = self._executor.map_lift(chunks)
         max_cliques_of, pages_read = merge_lift_results(tasks, results)
         io = store.io_stats
         if io is not None and pages_read:
             io.record_read(pages_read)
         return max_cliques_of
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def _merge_worker_traces(self) -> None:
-        directory = self._worker_trace_dir
-        self._worker_trace_dir = None
-        if directory is None or not directory.exists():
-            return
-        if self._trace is not None and not self._trace.closed:
-            from repro.telemetry import merge_traces
-
-            self._trace.absorb(merge_traces(sorted(directory.glob("*.jsonl"))))
-        shutil.rmtree(directory, ignore_errors=True)
-
-    def _merge_worker_metrics(self) -> None:
-        """Fold every worker's last snapshot into the driver's registry.
-
-        The metrics analogue of :meth:`_merge_worker_traces`: snapshot
-        files are absorbed in sorted-path order (absorption is commutative
-        — counters and histograms sum, gauges max — so the order only
-        matters for error attribution).  Unreadable files are skipped the
-        way the trace merger skips missing ones: a worker that died before
-        its first flush must not take the run's metrics down with it.
-        """
-        directory = self._worker_metrics_dir
-        self._worker_metrics_dir = None
-        if directory is None or not directory.exists():
-            return
-        if metrics.enabled():
-            registry = metrics.get_registry()
-            for path in sorted(directory.glob("worker_*.json")):
-                try:
-                    registry.absorb(metrics.load_snapshot(path))
-                except (OSError, ValueError):
-                    continue
-        shutil.rmtree(directory, ignore_errors=True)
 
 
 __all__ = ["ParallelExtMCE"]

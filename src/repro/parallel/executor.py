@@ -15,11 +15,10 @@ callback-driven: each ``apply_async`` callback and error callback queues
 its submission's ticket and sets an event, and the driver sleeps on that
 event with a timeout running to the nearest chunk deadline — no idle
 polling, and a finished chunk is harvested as soon as its result
-arrives.  Under the ``"fine"`` grain each chunk carries a split policy:
-a worker that has spent its time slice while the shared pending counter
-says the queue is dry stops, returns the finished prefix plus its
-unfinished tail, and the driver requeues the tail for whichever worker
-goes idle next.  Oversized
+arrives.  Each chunk carries a split policy: a worker that has spent
+its time slice while the shared pending counter says the queue is dry
+stops, returns the finished prefix plus its unfinished tail, and the
+driver requeues the tail for whichever worker goes idle next.  Oversized
 result payloads are spooled to disk and only the file name travels back
 through the pool pipe.
 
@@ -51,9 +50,18 @@ path, and degradation must converge to the correct answer.
 Workers never share file handles with the driver: each worker process
 opens its own spill files (read-only, parsed into a per-step LRU no
 larger than the driver store's ``max_resident``, so a file is read once
-per worker per step), its own trace file (append mode, flushed per
-event), and its own spool files (write-temp-then-rename), which is what
-keeps parallel telemetry, partition I/O and result spooling crash-safe.
+per worker per step) and its own spool files (write-temp-then-rename).
+
+Telemetry travels on the one channel results already use: the chunk
+envelope.  When the submission asks for metrics, a pooled chunk records
+into a fresh registry whose snapshot rides back next to its results;
+every envelope also carries the worker's label and the fields of its
+``tree_chunk_completed``/``lift_chunk_completed`` event.  The driver
+absorbs the snapshot and emits the event through ``on_event`` when it
+harvests the chunk, so worker telemetry lands in the main trace inside
+its own step, and a chunk whose result is discarded contributes
+nothing.  Workers never record into the registry they inherited at fork
+and write no telemetry files.
 """
 
 from __future__ import annotations
@@ -76,7 +84,11 @@ from repro.baselines.bron_kerbosch import tomita_maximal_cliques, tomita_subprob
 from repro.errors import InjectedFaultError, SharedMemoryError
 from repro.graph.adjacency import AdjacencyGraph
 from repro.kernel import induced_maximal_cliques
-from repro.parallel.scheduler import ChunkPolicy, ParallelEngine
+from repro.parallel.scheduler import (
+    SPOOL_THRESHOLD_BYTES,
+    ChunkPolicy,
+    ParallelEngine,
+)
 from repro.parallel.shm import attach_compact
 from repro.storage.pagestore import PAGE_SIZE_BYTES
 from repro.storage.partitions import read_partition_file
@@ -92,9 +104,9 @@ Clique = frozenset
 _SALVAGE_TIMEOUT_SECONDS = 0.05
 
 #: Executor metrics.  Chunk counts, latencies and attach counts are
-#: observed in whatever process runs the chunk (worker registries are
-#: merged back into the driver's); the recovery and scheduling counters
-#: are always driver-side.
+#: observed in whatever process runs the chunk (a pooled chunk's snapshot
+#: is absorbed into the driver's registry at harvest); the recovery and
+#: scheduling counters are always driver-side.
 _METRICS = metrics.bound(
     lambda registry: SimpleNamespace(
         chunks={
@@ -228,28 +240,20 @@ class WorkerContext:
     at most the driver store's ``max_resident`` parsed files, so each
     worker reads a spill file once per step (pages are counted per
     actual read) and never holds more than the paper's memory bound
-    ``N`` of partitions.  Lazily, it also holds this worker's private
-    :class:`~repro.telemetry.TraceWriter`.  The trace file is per-PID, so
-    append-mode handles are never shared across processes; every event is
-    flushed on emit, so a crashing worker still leaves a readable trace.
+    ``N`` of partitions.  ``label`` names the process in the chunk
+    events the driver emits for it (``"inline"`` for the driver's own
+    context).
     """
 
-    def __init__(
-        self,
-        trace_dir: str | None,
-        metrics_dir: str | None = None,
-        pending=None,
-    ) -> None:
+    def __init__(self, pending=None, label: str = "inline") -> None:
         self._token: str | None = None
         self._handle: _GraphHandle | None = None
         self._spill: OrderedDict[str, dict[int, frozenset[int]]] = OrderedDict()
         #: Spill files actually read by this process, and their pages.
         self.partition_loads = 0
         self.pages_read = 0
-        self._trace_dir = trace_dir
-        self._trace = None
-        self._metrics_dir = metrics_dir
         self.pending = pending
+        self.label = label
 
     def _enter_step(self, token: str) -> None:
         if token != self._token:
@@ -298,60 +302,16 @@ class WorkerContext:
             with self.pending.get_lock():
                 self.pending.value -= 1
 
-    def emit(self, event: str, **fields: object) -> None:
-        if self._trace_dir is None:
-            return
-        if self._trace is None:
-            from repro.telemetry import TraceWriter
-
-            # Append, never truncate: trace files from earlier steps share
-            # this directory until the end-of-run merge, and a recycled PID
-            # must extend — not erase — its predecessor's file.
-            self._trace = TraceWriter(
-                Path(self._trace_dir) / f"worker_{os.getpid():08d}.jsonl",
-                mode="append",
-            )
-        self._trace.emit(event, **fields)
-
-    def flush_metrics(self) -> None:
-        """Dump this process's registry snapshot for the driver to absorb.
-
-        Atomic (write-temp-then-rename) and keyed by PID, so a crash
-        mid-chunk leaves the previous complete snapshot behind and the
-        driver's merge never reads a torn file.  No-op when the executor
-        was built without a metrics directory (metrics disabled, or the
-        in-driver inline context, whose observations land directly in the
-        driver's registry).
-        """
-        if self._metrics_dir is None or not metrics.enabled():
-            return
-        metrics.dump_snapshot(
-            metrics.get_registry().snapshot(),
-            Path(self._metrics_dir) / f"worker_{os.getpid():08d}.json",
-        )
-
 
 _CONTEXT: WorkerContext | None = None
 
 
-def _init_worker(
-    trace_dir: str | None, metrics_dir: str | None = None, pending=None
-) -> None:
+def _init_worker(pending=None) -> None:
     global _CONTEXT
-    if metrics_dir is not None:
-        # Fresh registry per worker process: a forked child inherits the
-        # driver's live registry, and dumping *that* would hand the
-        # driver its own counts back on merge.  A recycled PID continues
-        # its predecessor's totals (snapshot files are keyed by PID and
-        # overwritten per flush, so starting from zero would lose them).
-        registry = metrics.MetricsRegistry()
-        previous = Path(metrics_dir) / f"worker_{os.getpid():08d}.json"
-        if previous.exists():
-            registry.absorb(metrics.load_snapshot(previous))
-        metrics.set_registry(registry)
-    else:
-        metrics.disable()
-    _CONTEXT = WorkerContext(trace_dir, metrics_dir, pending)
+    # A forked child inherits the driver's live registry; recording into
+    # that copy would be lost at best.  Metered chunks install their own.
+    metrics.disable()
+    _CONTEXT = WorkerContext(pending, label=f"worker_{os.getpid():08d}")
 
 
 def _solve_tree_task(handle: _GraphHandle, task: "TreeTask"):
@@ -389,15 +349,27 @@ def _should_split(policy: ChunkPolicy, started: float, remaining: int) -> bool:
     return _CONTEXT is not None and _CONTEXT.queue_is_dry()
 
 
-def _seal(phase: str, payload, remaining, policy: ChunkPolicy) -> dict:
+def _seal(payload, remaining, policy: ChunkPolicy, event: dict) -> dict:
     """Wrap results in the envelope protocol, spooling oversized payloads.
 
     The envelope is what travels back through the pool pipe:
-    ``{"results" | "spool", "remaining"}``.  Spooled payloads are written
-    atomically (temp + rename) so the driver either loads a complete
-    file or treats the chunk as failed and retries it.
+    ``{"results" | "spool", "remaining", "event", "worker", "metrics"}``
+    — ``event`` holds the fields of the chunk's completion event and
+    ``metrics`` the chunk's registry snapshot (filled in by
+    :func:`_dispatch_chunk` for metered submissions, else ``None``).
+    Spooled payloads are written atomically (temp + rename) so the
+    driver either loads a complete file or treats the chunk as failed
+    and retries it.
     """
-    envelope: dict = {"results": payload, "remaining": remaining, "spool": None}
+    assert _CONTEXT is not None
+    envelope: dict = {
+        "results": payload,
+        "remaining": remaining,
+        "spool": None,
+        "event": event,
+        "worker": _CONTEXT.label,
+        "metrics": None,
+    }
     if policy.spool_dir is not None:
         data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         if len(data) >= policy.spool_threshold:
@@ -422,29 +394,22 @@ def _run_tree_chunk(descriptor: dict, chunk, policy: ChunkPolicy) -> dict:
     assert _CONTEXT is not None, "worker used before initialization"
     results: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
     remaining: tuple = ()
-    bundle = _METRICS()
     started = time.perf_counter()
-    try:
-        handle = _CONTEXT.graph_for(descriptor)
-        for position, task in enumerate(chunk):
-            results.append((task.index, _solve_tree_task(handle, task)))
-            if _should_split(policy, started, len(chunk) - position - 1):
-                remaining = tuple(chunk[position + 1 :])
-                break
-        bundle.chunks["tree"].inc()
-        bundle.latency["tree"].observe(time.perf_counter() - started)
-        _CONTEXT.emit(
-            "tree_chunk_completed",
-            tasks=len(results),
-            cliques=sum(len(found) for _, found in results),
-            split_off=len(remaining),
-        )
-        _CONTEXT.flush_metrics()
-    except Exception as error:
-        _CONTEXT.emit("tree_chunk_failed", tasks=len(chunk), error=repr(error))
-        _CONTEXT.flush_metrics()
-        raise
-    return _seal("tree", results, remaining or None, policy)
+    handle = _CONTEXT.graph_for(descriptor)
+    for position, task in enumerate(chunk):
+        results.append((task.index, _solve_tree_task(handle, task)))
+        if _should_split(policy, started, len(chunk) - position - 1):
+            remaining = tuple(chunk[position + 1 :])
+            break
+    bundle = _METRICS()
+    bundle.chunks["tree"].inc()
+    bundle.latency["tree"].observe(time.perf_counter() - started)
+    event = {
+        "tasks": len(results),
+        "cliques": sum(len(found) for _, found in results),
+        "split_off": len(remaining),
+    }
+    return _seal(results, remaining or None, policy, event)
 
 
 def _run_lift_chunk(descriptor: dict, chunk: "LiftChunk", policy: ChunkPolicy) -> dict:
@@ -454,7 +419,8 @@ def _run_lift_chunk(descriptor: dict, chunk: "LiftChunk", policy: ChunkPolicy) -
     cache and hands them to :func:`~repro.kernel.induced_maximal_cliques`,
     the serial resolver's function.  The envelope payload is ``(per-task
     maxCL lists, pages read)`` so the driver can fold worker I/O back
-    into its metered totals.
+    into its metered totals; the completion event also reports the spill
+    files this chunk actually loaded.
     """
     context = _CONTEXT
     assert context is not None, "worker used before initialization"
@@ -462,45 +428,38 @@ def _run_lift_chunk(descriptor: dict, chunk: "LiftChunk", policy: ChunkPolicy) -
     loads_before, pages_before = context.partition_loads, context.pages_read
     results: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
     remaining = None
-    bundle = _METRICS()
     started = time.perf_counter()
-    try:
-        for position, task in enumerate(chunk.tasks):
-            adjacency: dict[int, frozenset[int]] = {}
-            for pindex in task.partition_indices:
-                partition = context.spill_partition(
-                    token, chunk.paths[pindex], chunk.max_resident
-                )
-                for v in task.shared:
-                    if v in partition:
-                        adjacency[v] = partition[v]
-            cliques = induced_maximal_cliques(adjacency, task.shared)
-            results.append(
-                (task.index, tuple(tuple(sorted(clique)) for clique in cliques))
+    for position, task in enumerate(chunk.tasks):
+        adjacency: dict[int, frozenset[int]] = {}
+        for pindex in task.partition_indices:
+            partition = context.spill_partition(
+                token, chunk.paths[pindex], chunk.max_resident
             )
-            if _should_split(policy, started, len(chunk.tasks) - position - 1):
-                tail = chunk.tasks[position + 1 :]
-                needed = sorted({p for task in tail for p in task.partition_indices})
-                remaining = replace(
-                    chunk, tasks=tail, paths={p: chunk.paths[p] for p in needed}
-                )
-                break
-        pages_read = context.pages_read - pages_before
-        bundle.chunks["lift"].inc()
-        bundle.latency["lift"].observe(time.perf_counter() - started)
-        context.emit(
-            "lift_chunk_completed",
-            tasks=len(results),
-            partitions_loaded=context.partition_loads - loads_before,
-            pages_read=pages_read,
-            split_off=0 if remaining is None else len(remaining.tasks),
+            for v in task.shared:
+                if v in partition:
+                    adjacency[v] = partition[v]
+        cliques = induced_maximal_cliques(adjacency, task.shared)
+        results.append(
+            (task.index, tuple(tuple(sorted(clique)) for clique in cliques))
         )
-        context.flush_metrics()
-    except Exception as error:
-        context.emit("lift_chunk_failed", tasks=len(chunk.tasks), error=repr(error))
-        context.flush_metrics()
-        raise
-    return _seal("lift", (results, pages_read), remaining, policy)
+        if _should_split(policy, started, len(chunk.tasks) - position - 1):
+            tail = chunk.tasks[position + 1 :]
+            needed = sorted({p for task in tail for p in task.partition_indices})
+            remaining = replace(
+                chunk, tasks=tail, paths={p: chunk.paths[p] for p in needed}
+            )
+            break
+    pages_read = context.pages_read - pages_before
+    bundle = _METRICS()
+    bundle.chunks["lift"].inc()
+    bundle.latency["lift"].observe(time.perf_counter() - started)
+    event = {
+        "tasks": len(results),
+        "partitions_loaded": context.partition_loads - loads_before,
+        "pages_read": pages_read,
+        "split_off": 0 if remaining is None else len(remaining.tasks),
+    }
+    return _seal((results, pages_read), remaining, policy, event)
 
 
 class _Poison:
@@ -519,7 +478,8 @@ def _dispatch_chunk(task):
     ``task`` is ``(directive, phase, descriptor, chunk, policy)``.  The
     directive is attached driver-side by :meth:`StepExecutor._submit` so
     workers never hold a :class:`~repro.faults.FaultPlan`; ``None`` means
-    run normally.
+    run normally.  A metered submission (``policy.metrics``) runs against
+    a fresh registry whose snapshot is returned in the envelope.
     """
     directive, phase, descriptor, chunk, policy = task
     if _CONTEXT is not None:
@@ -547,9 +507,16 @@ def _dispatch_chunk(task):
             }
             assert _CONTEXT is not None
             _CONTEXT.graph_for(doctored)
-    if phase == "tree":
-        return _run_tree_chunk(descriptor, chunk, policy)
-    return _run_lift_chunk(descriptor, chunk, policy)
+    run = _run_tree_chunk if phase == "tree" else _run_lift_chunk
+    if not policy.metrics:
+        return run(descriptor, chunk, policy)
+    registry = metrics.enable(metrics.MetricsRegistry())
+    try:
+        envelope = run(descriptor, chunk, policy)
+    finally:
+        metrics.disable()
+    envelope["metrics"] = registry.snapshot()
+    return envelope
 
 
 @dataclass
@@ -630,25 +597,18 @@ class StepExecutor:
         self,
         engine: "ParallelEngine | int",
         payload: dict,
-        trace_dir: str | Path | None = None,
         task_timeout: float | None = None,
         max_retries: int = 2,
         fault_plan: "FaultPlan | None" = None,
         on_event: Callable[..., None] | None = None,
-        metrics_dir: str | Path | None = None,
         spool_dir: str | Path | None = None,
-        spool_threshold: int | None = None,
+        spool_threshold: int = SPOOL_THRESHOLD_BYTES,
     ) -> None:
         if isinstance(engine, ParallelEngine):
             self._engine = engine
             self._owns_engine = False
         else:
-            self._engine = ParallelEngine(
-                int(engine),
-                trace_dir=trace_dir,
-                metrics_dir=metrics_dir,
-                spool_dir=spool_dir,
-            )
+            self._engine = ParallelEngine(int(engine), spool_dir=spool_dir)
             self._owns_engine = True
         if "token" not in payload:
             payload = {
@@ -811,7 +771,7 @@ class StepExecutor:
         return False
 
     def _harvest(self, phase, item, handle, pending, collected):
-        """Unwrap one completed handle: envelope, spool, split tail."""
+        """Unwrap one completed handle: envelope, spool, telemetry, split tail."""
         try:
             envelope = handle.get()
             payload = self._open_envelope(envelope)
@@ -824,6 +784,7 @@ class StepExecutor:
             )
             self._fail(phase, item, pending, collected)
             return
+        self._record(phase, item.chunk_id, envelope)
         collected.append(payload)
         remaining = envelope.get("remaining")
         if remaining is not None:
@@ -840,6 +801,18 @@ class StepExecutor:
                 tasks_stolen=stolen,
             )
             pending.append(_Pending(self._next_chunk_id(), remaining, stolen=True))
+
+    def _record(self, phase, chunk_id, envelope) -> None:
+        """Fold one finished chunk's telemetry into the driver: absorb its
+        metrics snapshot (metered pool chunks only) and emit its
+        completion event."""
+        snapshot = envelope["metrics"]
+        if snapshot is not None and metrics.enabled():
+            metrics.get_registry().absorb(snapshot)
+        self._emit(
+            f"{phase}_chunk_completed", chunk_index=chunk_id,
+            worker=envelope["worker"], **envelope["event"],
+        )
 
     def _open_envelope(self, envelope):
         """Extract the result payload, loading (and removing) spool files."""
@@ -892,16 +865,11 @@ class StepExecutor:
                         directive = ("shm_stale",)
         policy = ChunkPolicy(
             chunk_id=item.chunk_id,
-            split_after_seconds=self._engine.policy.split_after_seconds,
+            split_after_seconds=self._engine.split_after_seconds,
             spool_dir=self._engine.spool_dir,
+            spool_threshold=self._spool_threshold,
+            metrics=metrics.enabled(),
         )
-        if self._spool_threshold is not None:
-            policy = ChunkPolicy(
-                chunk_id=policy.chunk_id,
-                split_after_seconds=policy.split_after_seconds,
-                spool_dir=policy.spool_dir,
-                spool_threshold=self._spool_threshold,
-            )
         task = (directive, phase, self._payload, payload_chunk, policy)
         try:
             shipped = len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
@@ -978,20 +946,23 @@ class StepExecutor:
 
         The inline context resolves the same descriptor the workers see
         — attaching the shared segment in-driver when one is published —
-        and never splits or spools (``ChunkPolicy`` defaults).
+        and never splits or spools (``ChunkPolicy`` defaults).  It records
+        straight into the driver's registry and emits its completion
+        event through the same hook as pooled chunks.
         """
         global _CONTEXT
         if self._inline_context is None:
-            self._inline_context = WorkerContext(self._engine.trace_dir)
+            self._inline_context = WorkerContext()
         previous = _CONTEXT
         _CONTEXT = self._inline_context
         policy = ChunkPolicy(chunk_id=self._next_chunk_id())
+        run = _run_tree_chunk if phase == "tree" else _run_lift_chunk
         try:
-            if phase == "tree":
-                return _run_tree_chunk(self._payload, chunk, policy)["results"]
-            return _run_lift_chunk(self._payload, chunk, policy)["results"]
+            envelope = run(self._payload, chunk, policy)
         finally:
             _CONTEXT = previous
+        self._record(phase, policy.chunk_id, envelope)
+        return envelope["results"]
 
     def _next_chunk_id(self) -> int:
         self._chunk_seq += 1

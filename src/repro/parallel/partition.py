@@ -21,14 +21,13 @@ Two fan-out shapes, one per dominant step cost:
   file is read at most once per worker per step while it stays
   resident.
 
-Chunks outnumber workers by the grain's ``oversubscription`` (2 per
-worker for ``fine``, 4 for ``coarse``; :data:`OVERSUBSCRIPTION` is the
-default for direct callers): the pool schedules them dynamically, which
-absorbs skewed per-vertex subtree costs without giving up the
-deterministic merge — every task carries its global ``index``, and the
-merger orders by it.  More chunks are not free: each one costs a
-dispatch round trip through the pool, so the fine grain leaves skew to
-the worker-side split protocol instead of cutting finer up front.
+Chunks outnumber workers by :data:`OVERSUBSCRIPTION` (2 per worker):
+the pool schedules them dynamically, which absorbs skewed per-vertex
+subtree costs without giving up the deterministic merge — every task
+carries its global ``index``, and the merger orders by it.  More chunks
+are not free: each one costs a dispatch round trip through the pool, so
+skew is left to the worker-side split protocol instead of cutting finer
+up front.
 """
 
 from __future__ import annotations
@@ -44,9 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Clique = frozenset
 
-#: Chunks handed to the pool per worker; >1 enables dynamic load
-#: balancing over skewed subproblem costs.
-OVERSUBSCRIPTION = 4
+#: Chunks handed to the pool per worker: one running, one queued behind
+#: it.  Further rebalancing is the split protocol's job.
+OVERSUBSCRIPTION = 2
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,6 @@ def chunk_tree_tasks(
     Striping (rather than contiguous slicing) spreads the expensive
     low-id core subproblems — whose subtrees are largest because they own
     every clique their vertex minimizes — across chunks.
-    ``oversubscription`` comes from the engine's
-    :class:`~repro.parallel.scheduler.GrainPolicy`.
     """
     if not tasks:
         return []

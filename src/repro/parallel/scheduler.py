@@ -14,20 +14,18 @@ initialization — fixed costs that swamped the parallelism
   (segment name + generation + kernel) that workers resolve against a
   per-process attachment cache.
 
-Task granularity is a policy, not a constant: ``"coarse"`` reproduces
-the old static oversubscribed chunking (4 chunks per worker, never
-split), ``"fine"`` starts from 2 chunks per worker *and* arms the
+Task granularity is fixed: each step starts from 2 chunks per worker
+(:data:`~repro.parallel.partition.OVERSUBSCRIPTION`) and arms the
 worker-side split protocol — a worker that has already spent its time
-slice on a chunk while the shared pending counter says the queue is dry
-returns its unfinished tail to the driver, which requeues it for
-whichever worker is idle (work stealing with the driver as the queue).
-Two chunks per worker is the smallest cut that keeps one chunk queued
-behind each running one, which hides the per-chunk dispatch round trip
-(pickling, the pool's task and result pipes, one callback); every further
-chunk adds another round trip.  Skew is the split protocol's job, not
-the initial cut's.  Both
-grains produce byte-identical streams: the merge orders by task index,
-never by schedule.
+slice (:data:`SPLIT_AFTER_SECONDS`) on a chunk while the shared pending
+counter says the queue is dry returns its unfinished tail to the driver,
+which requeues it for whichever worker is idle (work stealing with the
+driver as the queue).  Two chunks per worker is the smallest cut that
+keeps one chunk queued behind each running one, which hides the
+per-chunk dispatch round trip (pickling, the pool's task and result
+pipes, one callback); every further chunk adds another round trip.
+Skew is the split protocol's job, not the initial cut's.  Splits never
+change the stream: the merge orders by task index, never by schedule.
 """
 
 from __future__ import annotations
@@ -43,8 +41,9 @@ from repro.errors import GraphError, ReproError
 from repro.parallel import shm as shm_mod
 from repro.parallel.partition import serialize_star
 
-#: Supported task-granularity policies.
-TASK_GRAINS = ("coarse", "fine")
+#: Worker-side time slice after which a chunk holding unfinished tasks
+#: may hand its tail back to the driver (see ``ChunkPolicy``).
+SPLIT_AFTER_SECONDS = 0.05
 
 #: Results bigger than this are spooled to disk instead of travelling
 #: through the pool's result pipe (see ``ChunkPolicy.spool_threshold``).
@@ -72,53 +71,23 @@ _METRICS = metrics.bound(
 )
 
 
-def validate_task_grain(grain: str) -> str:
-    """Return ``grain`` if supported, else raise ``ReproError``."""
-    if grain not in TASK_GRAINS:
-        raise ReproError(
-            f"unknown task grain {grain!r}; choose from {TASK_GRAINS}"
-        )
-    return grain
-
-
-@dataclass(frozen=True)
-class GrainPolicy:
-    """How one task-grain setting decomposes and rebalances work.
-
-    ``oversubscription`` scales the initial chunk count (chunks per
-    worker); ``split_after_seconds`` is the worker-side time slice after
-    which a chunk holding ≥ 2 unfinished tasks may hand its tail back to
-    the driver — ``None`` disarms splitting entirely.  ``fine`` cuts 2
-    chunks per worker (one running, one queued behind it) and leaves
-    rebalancing to splits; ``coarse`` is the static 4-per-worker
-    reference.
-    """
-
-    name: str
-    oversubscription: int
-    split_after_seconds: float | None
-
-
-GRAIN_POLICIES = {
-    "coarse": GrainPolicy("coarse", oversubscription=4, split_after_seconds=None),
-    "fine": GrainPolicy("fine", oversubscription=2, split_after_seconds=0.05),
-}
-
-
 @dataclass(frozen=True)
 class ChunkPolicy:
     """Per-submission execution policy shipped alongside each chunk.
 
-    Everything a worker needs to decide splitting and spooling without
-    holding any engine state: the chunk's queue identity, the split time
-    slice (``None`` = never split), and where/when to spool oversized
-    result payloads.
+    Everything a worker needs to decide splitting, spooling and metering
+    without holding any engine state: the chunk's queue identity, the
+    split time slice (``None`` = never split), where/when to spool
+    oversized result payloads, and whether to record the chunk into a
+    fresh metrics registry whose snapshot rides back in the envelope
+    (set from :func:`repro.metrics.enabled` at submit time).
     """
 
     chunk_id: int
     split_after_seconds: float | None = None
     spool_dir: str | None = None
     spool_threshold: int = SPOOL_THRESHOLD_BYTES
+    metrics: bool = False
 
 
 class ParallelEngine:
@@ -136,20 +105,14 @@ class ParallelEngine:
         self,
         workers: int,
         *,
-        task_grain: str = "fine",
-        trace_dir: str | Path | None = None,
-        metrics_dir: str | Path | None = None,
         spool_dir: str | Path | None = None,
         sweep: bool = True,
     ) -> None:
         self.workers = max(1, int(workers))
-        self.policy = GRAIN_POLICIES[validate_task_grain(task_grain)]
-        self.trace_dir = str(trace_dir) if trace_dir is not None else None
-        self.metrics_dir = str(metrics_dir) if metrics_dir is not None else None
+        self.split_after_seconds: float | None = SPLIT_AFTER_SECONDS
         self.spool_dir = str(spool_dir) if spool_dir is not None else None
-        for directory in (self.trace_dir, self.metrics_dir, self.spool_dir):
-            if directory is not None:
-                Path(directory).mkdir(parents=True, exist_ok=True)
+        if self.spool_dir is not None:
+            Path(self.spool_dir).mkdir(parents=True, exist_ok=True)
         self.swept_segments: list[str] = (
             shm_mod.sweep_stale_segments() if sweep else []
         )
@@ -193,7 +156,7 @@ class ParallelEngine:
             return multiprocessing.Pool(
                 processes=self.workers,
                 initializer=_init_worker,
-                initargs=(self.trace_dir, self.metrics_dir, self._pending),
+                initargs=(self._pending,),
             )
         except Exception:
             return None
@@ -306,11 +269,8 @@ class ParallelEngine:
 
 
 __all__ = [
-    "GRAIN_POLICIES",
     "ChunkPolicy",
-    "GrainPolicy",
     "ParallelEngine",
+    "SPLIT_AFTER_SECONDS",
     "SPOOL_THRESHOLD_BYTES",
-    "TASK_GRAINS",
-    "validate_task_grain",
 ]

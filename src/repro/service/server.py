@@ -287,13 +287,16 @@ class _Handler(socketserver.StreamRequestHandler):
                 self.reset_connection()
                 return False
             if fault.kind == "slow_write":
-                # Server-side slow loris: the reply completes, slowly.
-                step = max(1, len(response) // 8)
-                pause = fault.latency_seconds / 8
-                for start in range(0, len(response), step):
+                # Server-side slow loris: the reply completes, slowly.  At
+                # most 8 ceil-sized pieces, each preceded by its share of
+                # the latency, so the last byte leaves only after all of it.
+                step = -(-len(response) // 8)
+                starts = range(0, len(response), step)
+                pause = fault.latency_seconds / len(starts)
+                for start in starts:
+                    time.sleep(pause)
                     if not self._write_line(response[start : start + step]):
                         return False
-                    time.sleep(pause)
                 return True
         return self._write_line(response)
 

@@ -11,9 +11,7 @@ summarises traces for post-hoc analysis, and the CLI exposes it via
 from __future__ import annotations
 
 import json
-import os
 import time
-from collections.abc import Iterable
 from pathlib import Path
 
 from repro.analysis.tables import render_table
@@ -21,7 +19,7 @@ from repro.errors import StorageError
 
 
 #: Accepted :class:`TraceWriter` open policies.
-TRACE_MODES = ("truncate", "append", "rotate")
+TRACE_MODES = ("truncate", "append")
 
 
 class TraceWriter:
@@ -38,11 +36,10 @@ class TraceWriter:
       ``--trace`` path silently concatenated two runs and broke the
       monotone-``seq`` invariant every reader relies on.
     * ``"append"`` — continue an existing trace; ``seq`` resumes after
-      the file's last event.  Used by resumed checkpoint runs and by
-      worker processes that may reopen their per-PID file after a pool
-      rebuild.
-    * ``"rotate"`` — rename the existing file to ``<path>.1`` (replacing
-      any previous rotation), then start fresh.
+      the file's last event.  Used by resumed checkpoint runs.
+
+    Only the driver process writes a trace: parallel workers hand their
+    chunk events to it in their result envelopes.
     """
 
     def __init__(self, path: str | Path, mode: str = "truncate") -> None:
@@ -51,8 +48,6 @@ class TraceWriter:
         self._path = Path(path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._seq = 0
-        if mode == "rotate" and self._path.exists():
-            os.replace(self._path, self._path.with_name(self._path.name + ".1"))
         needs_newline = False
         if mode == "append" and self._path.exists():
             self._seq = _next_seq(self._path)
@@ -93,28 +88,6 @@ class TraceWriter:
         self._handle.write("\n")
         self._handle.flush()
 
-    def absorb(self, events: list[dict]) -> None:
-        """Re-emit pre-merged events under this writer's own counters.
-
-        Used to fold per-worker trace streams (see :func:`merge_traces`)
-        into the driver's main trace: each absorbed event keeps its
-        payload — including the ``worker`` label and its original
-        ``seq``/``elapsed``, renamed ``worker_seq``/``worker_elapsed`` —
-        but is stamped with this writer's monotone ``seq``, so the merged
-        file still satisfies the single-counter invariant.
-        """
-        for event in events:
-            fields = {
-                key: value
-                for key, value in event.items()
-                if key not in ("seq", "elapsed", "event")
-            }
-            if "seq" in event:
-                fields["worker_seq"] = event["seq"]
-            if "elapsed" in event:
-                fields["worker_elapsed"] = event["elapsed"]
-            self.emit(str(event.get("event", "worker_event")), **fields)
-
     def close(self) -> None:
         """Close the underlying file (idempotent)."""
         if not self._handle.closed:
@@ -125,9 +98,8 @@ class TraceWriter:
 
     def __exit__(self, *exc_info: object) -> None:
         """Close on scope exit — exceptions propagate, the handle never
-        leaks.  Drivers and workers both rely on this (plus the per-event
-        flush in :meth:`emit`) so a raising worker still leaves a
-        readable, mergeable trace file behind."""
+        leaks.  With the per-event flush in :meth:`emit`, a raising run
+        still leaves a readable trace file behind."""
         self.close()
 
 
@@ -173,36 +145,6 @@ def load_trace(path: str | Path) -> list[dict]:
             except json.JSONDecodeError as exc:
                 raise StorageError(f"{path}:{line_number}: bad trace line: {exc}") from exc
     return events
-
-
-def merge_traces(paths: Iterable[str | Path]) -> list[dict]:
-    """Merge per-worker trace files into one deterministic event stream.
-
-    Each worker process writes its own JSON-lines file (``TraceWriter``'s
-    append-mode handle is never shared across processes), so after a
-    parallel phase the run's telemetry is scattered over several files.
-    This merger produces a single stream whose order is a pure function
-    of the files' *contents*: events are sorted by ``(worker label,
-    per-file seq)`` — never by the wall-clock interleaving of their
-    writes — and renumbered with a fresh global ``seq``, so the merged
-    file satisfies the same monotone-``seq`` invariant as a
-    single-process trace.
-
-    Missing files are skipped (a worker that received no tasks never
-    opens its trace).
-    """
-    merged: list[dict] = []
-    for path in sorted(Path(p) for p in paths):
-        if not path.exists():
-            continue
-        for event in load_trace(path):
-            event = dict(event)
-            event.setdefault("worker", path.stem)
-            merged.append(event)
-    merged.sort(key=lambda e: (str(e.get("worker", "")), e.get("seq", 0)))
-    for seq, event in enumerate(merged):
-        event["seq"] = seq
-    return merged
 
 
 def summarize_trace(events: list[dict]) -> str:

@@ -40,7 +40,6 @@ def run_enumeration(
     *,
     kernel: str = "bitset",
     workers: int = 1,
-    task_grain: str = "fine",
     verify_checksums: bool = True,
     trace: bool = False,
     reduction: str = "off",
@@ -62,7 +61,6 @@ def run_enumeration(
         config = ExtMCEConfig(
             workdir=workdir,
             workers=workers,
-            task_grain=task_grain,
             kernel=kernel,
             reduction=reduction,
             verify_checksums=verify_checksums,

@@ -1,12 +1,12 @@
 """The differential matrix: byte-identical streams across configurations.
 
 The headline guarantee of this codebase — serial ExtMCE, every worker
-count, both enumeration kernels, and both task grains produce *exactly*
-the same clique stream — is asserted here as bytes, over the full
-``kernel × workers × task_grain`` matrix (plus checksum-off variants),
-together with the metrics invariants that tie each run's counters to
-its own stream.  Grain matters because ``fine`` arms work stealing:
-split chunks must still merge into the canonical order.
+count and both enumeration kernels produce *exactly* the same clique
+stream — is asserted here as bytes, over the full ``kernel × workers``
+matrix (with and without checksums), together with the metrics
+invariants that tie each run's counters to its own stream.  Parallel
+runs arm work stealing, so split chunks must still merge into the
+canonical order.
 """
 
 from __future__ import annotations
@@ -21,14 +21,9 @@ from tests.differential.harness import (
 from tests.helpers import figure1_graph
 
 MATRIX = [
-    pytest.param(kernel, workers, grain, True,
-                 id=f"{kernel}-w{workers}-{grain}-crc")
-    for kernel in ("set", "bitset")
-    for workers in (1, 2, 4)
-    for grain in ("coarse", "fine")
-] + [
-    pytest.param(kernel, workers, "fine", False,
-                 id=f"{kernel}-w{workers}-fine-nocrc")
+    pytest.param(kernel, workers, verify,
+                 id=f"{kernel}-w{workers}-{'crc' if verify else 'nocrc'}")
+    for verify in (True, False)
     for kernel in ("set", "bitset")
     for workers in (1, 2, 4)
 ]
@@ -50,14 +45,13 @@ def reference(tmp_path_factory):
 
 
 class TestStreamMatrix:
-    @pytest.mark.parametrize("kernel, workers, grain, verify", MATRIX)
+    @pytest.mark.parametrize("kernel, workers, verify", MATRIX)
     def test_byte_identical_stream_and_consistent_metrics(
-        self, kernel, workers, grain, verify, reference, tmp_path
+        self, kernel, workers, verify, reference, tmp_path
     ):
         result = run_enumeration(
             _graph(), tmp_path,
-            kernel=kernel, workers=workers, task_grain=grain,
-            verify_checksums=verify,
+            kernel=kernel, workers=workers, verify_checksums=verify,
         )
         # Stronger than canonical-bytes equality: the enumeration *order*
         # itself must match the reference, element by element.
@@ -65,9 +59,9 @@ class TestStreamMatrix:
         assert result.canonical_bytes == reference.canonical_bytes
         assert_stream_metrics_consistent(result)
 
-    @pytest.mark.parametrize("kernel, workers, grain, verify", MATRIX)
+    @pytest.mark.parametrize("kernel, workers, verify", MATRIX)
     def test_driver_totals_invariant_across_matrix(
-        self, kernel, workers, grain, verify, reference, tmp_path
+        self, kernel, workers, verify, reference, tmp_path
     ):
         """Emitted/suppressed/category totals are configuration-independent.
 
@@ -77,8 +71,7 @@ class TestStreamMatrix:
         """
         result = run_enumeration(
             _graph(), tmp_path,
-            kernel=kernel, workers=workers, task_grain=grain,
-            verify_checksums=verify,
+            kernel=kernel, workers=workers, verify_checksums=verify,
         )
         for name in (
             "repro_mce_cliques_emitted_total",

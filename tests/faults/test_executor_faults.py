@@ -34,6 +34,11 @@ def events():
     return on_event
 
 
+def recovery_events(log):
+    """Every event but the per-chunk completion reports."""
+    return [name for name, _ in log if not name.endswith("_chunk_completed")]
+
+
 def run_tree(executor, star):
     tasks = tree_tasks(star)
     chunks = chunk_tree_tasks(tasks, workers=2)
@@ -174,7 +179,7 @@ class TestShmFaults:
             star_cliques, _ = run_tree(executor, star)
             assert not executor.stats.any_recovery
         assert cliques_of(star_cliques) == expected_cliques(star)
-        assert events.log == []
+        assert recovery_events(events.log) == []
 
 
 class TestTelemetryShape:
@@ -184,7 +189,27 @@ class TestTelemetryShape:
         ) as executor:
             run_tree(executor, star)
             assert not executor.stats.any_recovery
-        assert events.log == []
+        assert recovery_events(events.log) == []
+        # The only events are one completion report per executed chunk.
+        completed = [f for name, f in events.log if name == "tree_chunk_completed"]
+        assert len(completed) == len(events.log)
+        assert len(completed) >= len(chunk_tree_tasks(tree_tasks(star), workers=2))
+        assert all(f["worker"].startswith("worker_") for f in completed)
+
+    def test_inline_fallback_reports_its_chunk(self, star, events):
+        plan = FaultPlan([FaultRule("chunk", "worker_error", max_firings=None)])
+        with StepExecutor(
+            2, serialize_star(star), fault_plan=plan, on_event=events,
+            max_retries=0,
+        ) as executor:
+            run_tree(executor, star)
+        names = [name for name, _ in events.log]
+        completed = [f for name, f in events.log if name == "tree_chunk_completed"]
+        assert completed and all(f["worker"] == "inline" for f in completed)
+        assert len(completed) == names.count("chunk_inline_fallback")
+        # No worker-side failure event: the driver's chunk_error is the one.
+        assert names.count("chunk_error") == len(completed)
+        assert not any(name.endswith("_chunk_failed") for name in names)
 
     def test_stats_merge(self):
         from repro.parallel.executor import ExecutorStats

@@ -1,5 +1,5 @@
-"""Executor tests: pool vs inline equivalence, fallback, worker traces,
-work stealing, result spooling and callback-driven harvest."""
+"""Executor tests: pool vs inline equivalence, fallback, worker chunk
+events, work stealing, result spooling and callback-driven harvest."""
 
 import os
 import sys
@@ -12,7 +12,7 @@ from repro.core.hstar import extract_hstar_graph
 from repro.parallel.executor import StepExecutor
 from repro.parallel.merge import merge_tree_results
 from repro.parallel.partition import chunk_tree_tasks, serialize_star, tree_tasks
-from repro.parallel.scheduler import GrainPolicy, ParallelEngine
+from repro.parallel.scheduler import ParallelEngine
 
 from tests.helpers import cliques_of, seeded_gnp
 
@@ -112,7 +112,7 @@ class TestWorkStealing:
         with ParallelEngine(2) as engine:
             # A zero-length slice makes every chunk split whenever the
             # queue is dry: maximum steal traffic, same stream.
-            engine.policy = GrainPolicy("fine", oversubscription=8, split_after_seconds=0.0)
+            engine.split_after_seconds = 0.0
             descriptor = engine.publish_star(star, "set")
             with StepExecutor(engine, descriptor) as executor:
                 tasks = tree_tasks(star)
@@ -125,15 +125,6 @@ class TestWorkStealing:
                 assert not executor.stats.any_recovery  # stealing is not recovery
         assert stolen_cliques == expected_cliques
         assert stolen_core == expected_core
-
-    def test_coarse_grain_never_splits(self, star):
-        with ParallelEngine(2, task_grain="coarse") as engine:
-            descriptor = engine.publish_star(star, "set")
-            with StepExecutor(engine, descriptor) as executor:
-                star_cliques, _ = _run_tree(executor, star)
-                assert executor.tasks_split == 0
-                assert executor.tasks_stolen == 0
-        assert cliques_of(star_cliques) == cliques_of(enumerate_star_cliques(star))
 
 
 class TestSpooling:
@@ -151,23 +142,27 @@ class TestSpooling:
 
 
 class TestWorkerTraces:
-    def test_workers_write_private_flushed_trace_files(self, star, tmp_path):
-        trace_dir = tmp_path / "wt"
-        with StepExecutor(2, serialize_star(star), trace_dir=trace_dir) as executor:
+    def test_worker_chunk_events_arrive_in_worker_order(self, star):
+        events = []
+        with StepExecutor(
+            2, serialize_star(star),
+            on_event=lambda event, **fields: events.append((event, fields)),
+        ) as executor:
             _run_tree(executor, star)
-        from repro.telemetry import load_trace
-
-        files = sorted(trace_dir.glob("worker_*.jsonl"))
-        assert files, "workers should have written per-process trace files"
-        total = 0
-        for path in files:
-            events = [e for e in load_trace(path)]
-            seqs = [e["seq"] for e in events]
-            assert seqs == list(range(len(seqs)))  # per-file monotone seq
-            total += sum(1 for e in events if e["event"] == "tree_chunk_completed")
+        completed = [f for name, f in events if name == "tree_chunk_completed"]
+        by_worker: dict[str, list[int]] = {}
+        for fields in completed:
+            assert fields["worker"].startswith("worker_")
+            by_worker.setdefault(fields["worker"], []).append(fields["chunk_index"])
+        assert by_worker, "pool workers should have reported their chunks"
+        for indices in by_worker.values():
+            # Each worker runs its chunks in queue order, and the driver
+            # emits them in the order that worker returned them.
+            assert indices == sorted(set(indices))
         tasks = tree_tasks(star)
         # >= rather than ==: a split chunk completes as several events
-        assert total >= len(chunk_tree_tasks(tasks, workers=2))
+        assert len(completed) >= len(chunk_tree_tasks(tasks, workers=2, oversubscription=4))
+        assert sum(f["tasks"] for f in completed) == len(tasks)
 
 
 class TestCallbackHarvest:

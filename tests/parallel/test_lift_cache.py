@@ -8,7 +8,6 @@ bound holds, and a run whose steps need more partitions than stay
 resident still streams exactly what the serial driver streams.
 """
 
-import json
 import random
 from dataclasses import replace
 
@@ -74,20 +73,26 @@ def test_inline_chunks_share_one_read_per_file(lift):
     assert pages == sum(pages_of(paths[p]) for p in touched)
 
 
-def test_pool_workers_read_each_file_once_per_step(lift, tmp_path):
+def test_pool_workers_read_each_file_once_per_step(lift):
     store, ordered, tasks, star = lift
-    trace_dir = tmp_path / "traces"
-    with StepExecutor(2, serialize_star(star), trace_dir=trace_dir) as executor:
+    events = []
+    with StepExecutor(
+        2, serialize_star(star),
+        on_event=lambda event, **fields: events.append((event, fields)),
+    ) as executor:
         resolved, pages = run_lift(executor, store, tasks, workers=2)
     assert resolved == resolve_hnb_cliques(ordered, store)
     touched = {p for task in tasks for p in task.partition_indices}
+    loads: dict[str, int] = {}
     reported = 0
-    for path in sorted(trace_dir.glob("worker_*.jsonl")):
-        events = [json.loads(line) for line in path.read_text().splitlines()]
-        chunks = [e for e in events if e["event"] == "lift_chunk_completed"]
-        loads = sum(e["partitions_loaded"] for e in chunks)
-        assert loads <= len(touched), f"{path.name} re-read spill files"
-        reported += sum(e["pages_read"] for e in chunks)
+    for name, fields in events:
+        if name == "lift_chunk_completed":
+            worker = fields["worker"]
+            loads[worker] = loads.get(worker, 0) + fields["partitions_loaded"]
+            reported += fields["pages_read"]
+    assert loads and all(w.startswith("worker_") for w in loads)
+    for worker, count in loads.items():
+        assert count <= len(touched), f"{worker} re-read spill files"
     assert reported == pages
     assert pages <= 2 * sum(pages_of(store.partition_paths()[p]) for p in touched)
 
@@ -127,8 +132,7 @@ def test_worker_cache_never_exceeds_max_resident(lift, monkeypatch):
     assert len(context._spill) == 0
 
 
-@pytest.mark.parametrize("task_grain", ["fine", "coarse"])
-def test_tight_budget_two_workers_stream_matches_serial(tmp_path, task_grain, monkeypatch):
+def test_tight_budget_two_workers_stream_matches_serial(tmp_path, monkeypatch):
     graph = seeded_gnp(90, 0.2, seed=43)
     disk = DiskGraph.create(tmp_path / "g.bin", graph)
     budget = graph.num_edges + graph.num_vertices
@@ -154,7 +158,6 @@ def test_tight_budget_two_workers_stream_matches_serial(tmp_path, task_grain, mo
                 workdir=tmp_path / "parallel",
                 memory_budget_units=budget,
                 workers=2,
-                task_grain=task_grain,
             ),
         ).enumerate_cliques()
     )

@@ -1,4 +1,4 @@
-"""Worker metrics fold back into the driver registry, like traces do."""
+"""Worker metrics ride back in chunk envelopes into the driver registry."""
 
 from __future__ import annotations
 
@@ -42,6 +42,32 @@ class TestWorkerMetricsMerge:
     def test_driver_totals_match_stream(self, tmp_path, live_metrics):
         stream, snapshot = _run(tmp_path, live_metrics)
         assert counter_value(snapshot, "repro_mce_cliques_emitted_total") == len(stream)
+
+    def test_stale_worker_snapshot_files_are_ignored(self, tmp_path, live_metrics):
+        """A killed run can leave per-worker files in a workdir that a
+        resumed or repeated run reuses; none of them may reach the totals."""
+        stale = metrics.MetricsRegistry()
+        stale.counter(
+            "repro_parallel_chunks_total", labels={"phase": "tree"}
+        ).inc(1000)
+        metrics.dump_snapshot(
+            stale.snapshot(),
+            tmp_path / "w" / "worker_metrics" / "worker_00000001.json",
+        )
+        _stream, planted = _run(tmp_path, live_metrics)
+        clean_dir = tmp_path / "clean"
+        clean_dir.mkdir()
+        metrics.enable(metrics.MetricsRegistry())
+        _stream, clean = _run(clean_dir, live_metrics)
+
+        def initial_chunks(snapshot):
+            # A split adds one executed chunk; its count is timing-dependent.
+            return counter_value(
+                snapshot, "repro_parallel_chunks_total"
+            ) - counter_value(snapshot, "repro_parallel_tasks_split_total")
+
+        assert initial_chunks(planted) == initial_chunks(clean) > 0
+        assert counter_value(planted, "repro_parallel_chunks_total") < 1000
 
     def test_worker_metrics_dir_cleaned_up(self, tmp_path, live_metrics):
         _run(tmp_path, live_metrics)

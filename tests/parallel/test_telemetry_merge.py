@@ -1,128 +1,109 @@
-"""Parallel telemetry: per-worker files folded into one coherent trace."""
+"""Parallel telemetry: worker chunk events land in the one driver trace.
+
+Workers write no trace files.  Each chunk's result envelope carries its
+completion event, and the step executor emits it into the driver's trace
+(with a ``worker`` label) when it harvests the chunk.
+"""
 
 import json
 
-from repro import DiskGraph, ExtMCEConfig, ParallelExtMCE, load_trace, merge_traces
-from repro.telemetry import TraceWriter
+from repro import DiskGraph, ExtMCEConfig, ParallelExtMCE, load_trace
+from repro.faults import FaultPlan, FaultRule
+from repro.metrics import counter_value
 
 from tests.helpers import seeded_gnp
 
+CHUNK_EVENTS = ("tree_chunk_completed", "lift_chunk_completed")
 
-class TestMergeTraces:
-    def test_merge_orders_by_worker_then_seq(self, tmp_path):
-        a = tmp_path / "worker_a.jsonl"
-        b = tmp_path / "worker_b.jsonl"
-        with TraceWriter(b) as w:
-            w.emit("beta0")
-            w.emit("beta1")
-        with TraceWriter(a) as w:
-            w.emit("alpha0")
-        merged = merge_traces([b, a])
-        assert [e["event"] for e in merged] == ["alpha0", "beta0", "beta1"]
-        assert [e["seq"] for e in merged] == [0, 1, 2]
-        assert merged[0]["worker"] == "worker_a"
 
-    def test_missing_files_skipped(self, tmp_path):
-        present = tmp_path / "worker_x.jsonl"
-        with TraceWriter(present) as w:
-            w.emit("only")
-        merged = merge_traces([present, tmp_path / "worker_gone.jsonl"])
-        assert [e["event"] for e in merged] == ["only"]
-
-    def test_duplicate_worker_labels_keep_both_streams(self, tmp_path):
-        """Events already carrying a ``worker`` field (e.g. re-merged
-        output) must not be relabeled by the file they sit in, and two
-        files claiming the same label must interleave by seq, losing
-        nothing."""
-        a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
-        a.write_text(
-            '{"seq": 0, "event": "x0", "worker": "shared"}\n'
-            '{"seq": 2, "event": "x2", "worker": "shared"}\n'
-        )
-        b.write_text('{"seq": 1, "event": "y1", "worker": "shared"}\n')
-        merged = merge_traces([a, b])
-        assert [e["event"] for e in merged] == ["x0", "y1", "x2"]
-        assert all(e["worker"] == "shared" for e in merged)
-        assert [e["seq"] for e in merged] == [0, 1, 2]
-
-    def test_events_without_seq_sort_first_and_are_renumbered(self, tmp_path):
-        path = tmp_path / "worker_w.jsonl"
-        path.write_text(
-            '{"seq": 5, "event": "late"}\n'
-            '{"event": "no_seq"}\n'
-        )
-        merged = merge_traces([path])
-        assert [e["event"] for e in merged] == ["no_seq", "late"]
-        assert [e["seq"] for e in merged] == [0, 1]
-
-    def test_empty_file_contributes_nothing(self, tmp_path):
-        empty = tmp_path / "worker_empty.jsonl"
-        empty.write_text("")
-        full = tmp_path / "worker_full.jsonl"
-        with TraceWriter(full) as w:
-            w.emit("real")
-        merged = merge_traces([empty, full])
-        assert [e["event"] for e in merged] == ["real"]
-
-    def test_no_files_at_all(self, tmp_path):
-        assert merge_traces([]) == []
-        assert merge_traces([tmp_path / "ghost.jsonl"]) == []
-
-    def test_merge_is_input_order_independent(self, tmp_path):
-        paths = []
-        for name in ("worker_c", "worker_a", "worker_b"):
-            path = tmp_path / f"{name}.jsonl"
-            with TraceWriter(path) as w:
-                w.emit(f"{name}_event")
-            paths.append(path)
-        forward = merge_traces(paths)
-        backward = merge_traces(reversed(paths))
-        assert forward == backward
-
-    def test_merged_seq_is_strictly_monotone(self, tmp_path):
-        for name in ("worker_a", "worker_b", "worker_c"):
-            with TraceWriter(tmp_path / f"{name}.jsonl") as w:
-                for i in range(4):
-                    w.emit("tick", i=i)
-        merged = merge_traces(sorted(tmp_path.glob("*.jsonl")))
-        seqs = [e["seq"] for e in merged]
-        assert seqs == list(range(12))
-
-    def test_absorb_renumbers_and_keeps_payload(self, tmp_path):
-        worker = tmp_path / "worker_w.jsonl"
-        with TraceWriter(worker) as w:
-            w.emit("chunk_done", tasks=3)
-        main = tmp_path / "main.jsonl"
-        with TraceWriter(main) as writer:
-            writer.emit("run_started")
-            writer.absorb(merge_traces([worker]))
-        events = load_trace(main)
-        assert [e["event"] for e in events] == ["run_started", "chunk_done"]
-        assert [e["seq"] for e in events] == [0, 1]
-        assert events[1]["tasks"] == 3
-        assert events[1]["worker"] == "worker_w"
-        assert events[1]["worker_seq"] == 0
+def _traced_run(tmp_path, **config_kwargs):
+    graph = seeded_gnp(60, 0.15, seed=5)
+    disk = DiskGraph.create(tmp_path / "g.bin", graph)
+    trace = tmp_path / "run.jsonl"
+    algo = ParallelExtMCE(
+        disk,
+        ExtMCEConfig(
+            workdir=tmp_path / "w", workers=2, trace_path=trace, **config_kwargs
+        ),
+    )
+    return algo, trace
 
 
 class TestDriverTraceIntegration:
     def test_parallel_run_produces_single_coherent_trace(self, tmp_path):
-        graph = seeded_gnp(60, 0.15, seed=5)
-        disk = DiskGraph.create(tmp_path / "g.bin", graph)
-        trace = tmp_path / "run.jsonl"
-        algo = ParallelExtMCE(
-            disk,
-            ExtMCEConfig(workdir=tmp_path / "w", workers=2, trace_path=trace),
-        )
+        algo, trace = _traced_run(tmp_path)
         list(algo.enumerate_cliques())
         events = [json.loads(line) for line in trace.read_text().splitlines()]
         kinds = {e["event"] for e in events}
         assert "run_started" in kinds and "run_completed" in kinds
         assert "parallel_step_completed" in kinds
-        # Worker events were folded in and the merged file still has one
+        # Worker events reached the driver's trace, which still has one
         # strictly monotone seq counter.
         assert any("worker" in e for e in events)
         seqs = [e["seq"] for e in events]
         assert seqs == list(range(len(seqs)))
-        # The per-worker spill directory is cleaned up after the fold-in.
         assert not (tmp_path / "w" / "worker_traces").exists()
+
+    def test_traced_metered_run_creates_no_worker_telemetry_files(
+        self, tmp_path, live_metrics
+    ):
+        algo, _trace = _traced_run(tmp_path, metrics_path=tmp_path / "m.json")
+        workdir = tmp_path / "w"
+        seen: set[str] = set()
+        for _clique in algo.enumerate_cliques():
+            # Checked while the run is live, not only after its cleanup.
+            seen.update(path.name for path in workdir.iterdir() if path.is_dir())
+        assert "worker_traces" not in seen
+        assert "worker_metrics" not in seen
+        assert not list(workdir.rglob("worker_*.json*"))
+
+    def test_chunk_events_precede_their_step_completion(self, tmp_path, live_metrics):
+        algo, trace = _traced_run(tmp_path, metrics_path=tmp_path / "m.json")
+        list(algo.enumerate_cliques())
+        events = load_trace(trace)
+        window: list[dict] = []
+        steps = 0
+        for event in events:
+            if event["event"] != "parallel_step_completed":
+                window.append(event)
+                continue
+            steps += 1
+            names = [e["event"] for e in window]
+            # The base driver's step_completed closes the step's own work;
+            # every chunk of the step was harvested before it.
+            closing = names.index("step_completed")
+            assert window[closing]["step"] == event["step"]
+            assert not any(name in CHUNK_EVENTS for name in names[closing:])
+            window = []
+        assert steps >= 1
+        assert not any(e["event"] in CHUNK_EVENTS for e in window)
+        # One event per harvested chunk, and one count per event.
+        chunk_events = [e for e in events if e["event"] in CHUNK_EVENTS]
+        assert chunk_events
+        assert all(e["worker"].startswith("worker_") for e in chunk_events)
+        snapshot = json.loads((tmp_path / "m.json").read_text())
+        assert counter_value(snapshot, "repro_parallel_chunks_total") == len(
+            chunk_events
+        )
+
+    def test_inline_chunk_events_reach_the_trace(self, tmp_path, live_metrics):
+        plan = FaultPlan(
+            [FaultRule(operation="chunk", kind="worker_error", max_firings=None)],
+            seed=3,
+        )
+        algo, trace = _traced_run(
+            tmp_path, fault_plan=plan, max_retries=1,
+            metrics_path=tmp_path / "m.json",
+        )
+        list(algo.enumerate_cliques())
+        events = load_trace(trace)
+        fallbacks = [e for e in events if e["event"] == "chunk_inline_fallback"]
+        inline = [
+            e for e in events
+            if e["event"] in CHUNK_EVENTS and e["worker"] == "inline"
+        ]
+        assert fallbacks
+        assert len(inline) == len(fallbacks)
+        assert not any(e["event"].endswith("_chunk_failed") for e in events)
+        snapshot = json.loads((tmp_path / "m.json").read_text())
+        assert counter_value(snapshot, "repro_parallel_chunks_total") == len(inline)

@@ -165,6 +165,36 @@ class TestSlowLoris:
             server.stop()
             index.close()
 
+    @pytest.mark.parametrize("length", [64, 8, 1, 9, 65])
+    def test_full_latency_passes_before_the_last_byte(self, length, monkeypatch):
+        """Deterministic version of the bound above: with ``time.sleep``
+        patched, the pauses logged before the final write sum to the whole
+        injected latency, also when the reply length is a multiple of 8."""
+        from types import SimpleNamespace
+
+        from repro.service import server as server_mod
+
+        log = []
+        monkeypatch.setattr(
+            server_mod, "time",
+            SimpleNamespace(sleep=lambda seconds: log.append(("sleep", seconds))),
+        )
+        fault = SimpleNamespace(kind="slow_write", latency_seconds=0.02)
+        handler = SimpleNamespace(
+            server=SimpleNamespace(_draw_net_fault=lambda path: fault),
+            client_address=("127.0.0.1", 1),
+            _write_line=lambda data: log.append(("write", data)) or True,
+        )
+        response = b"x" * (length - 1) + b"\n"
+        assert server_mod._Handler._send_response(handler, response)
+        writes = [data for kind, data in log if kind == "write"]
+        assert b"".join(writes) == response
+        assert 1 <= len(writes) <= 8
+        last_write = max(i for i, (kind, _) in enumerate(log) if kind == "write")
+        assert log[last_write + 1 :] == []
+        paused = sum(s for kind, s in log[:last_write] if kind == "sleep")
+        assert paused == pytest.approx(fault.latency_seconds)
+
     def test_slow_peer_does_not_block_other_connections(self, corpus):
         """While one reply trickles out, a second connection is served."""
         _graph, cliques, directory = corpus

@@ -13,7 +13,6 @@ from repro.metrics import (
     MetricsRegistry,
     NullRegistry,
     counter_value,
-    merge_snapshots,
     metric_names,
     render_metrics_table,
     render_prometheus,
@@ -137,9 +136,9 @@ class TestSnapshots:
         assert other.snapshot() == snapshot
 
     def test_merge_sums_counters_and_histograms_maxes_gauges(self):
-        first = self._populated().snapshot()
-        second = self._populated().snapshot()
-        merged = merge_snapshots([first, second])
+        registry = self._populated()
+        registry.absorb(self._populated().snapshot())
+        merged = registry.snapshot()
         assert counter_value(merged, "c_total") == 10
         gauge = next(e for e in merged["metrics"] if e["name"] == "g")
         assert gauge["value"] == 5  # max, not sum

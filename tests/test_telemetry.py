@@ -92,29 +92,6 @@ class TestTraceModes:
             trace.emit("only")
         assert load_trace(tmp_path / "t.jsonl")[0]["seq"] == 0
 
-    def test_rotate_preserves_previous_run(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with TraceWriter(path) as trace:
-            trace.emit("old")
-        with TraceWriter(path, mode="rotate") as trace:
-            trace.emit("new")
-        assert [e["event"] for e in load_trace(path)] == ["new"]
-        rotated = load_trace(tmp_path / "t.jsonl.1")
-        assert [e["event"] for e in rotated] == ["old"]
-
-    def test_rotate_replaces_earlier_rotation(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        for name in ("a", "b", "c"):
-            with TraceWriter(path, mode="rotate") as trace:
-                trace.emit(name)
-        assert [e["event"] for e in load_trace(path)] == ["c"]
-        assert [e["event"] for e in load_trace(tmp_path / "t.jsonl.1")] == ["b"]
-
-    def test_rotate_without_existing_file(self, tmp_path):
-        with TraceWriter(tmp_path / "t.jsonl", mode="rotate") as trace:
-            trace.emit("only")
-        assert not (tmp_path / "t.jsonl.1").exists()
-
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown trace mode"):
             TraceWriter(tmp_path / "t.jsonl", mode="overwrite")
