@@ -3,7 +3,9 @@
 Times full maximal-clique enumeration over the 4000-vertex benchmark
 graphs with ``kernel="set"`` and ``kernel="bitset"`` (bitset timings
 *include* the CSR/bitmask conversion), asserts the two clique streams
-are identical element-for-element, and writes ``BENCH_kernel.json``.
+are identical element-for-element, and writes ``BENCH_kernel.json`` in
+the common benchmark envelope ``{bench, schema, host{cpus, python,
+platform}, git_sha, headline, runs}``.
 
 Three graphs spanning the regimes documented in docs/ALGORITHMS.md:
 
@@ -13,21 +15,20 @@ Three graphs spanning the regimes documented in docs/ALGORITHMS.md:
 * ``powerlaw m=16`` — a denser scale-free graph, moderate win.
 * ``powerlaw m=5`` — the sparse scaling graph, where both paths are
   interpreter-bound and the win is small; recorded for honesty.
-
-The sweep also pickles both worker-payload formats for each graph's
-H*-star so the CSR-vs-dict payload shrinkage lands in the same JSON.
 """
 
 import json
-import pickle
 import time
 
 from repro.analysis.tables import render_table
 from repro.baselines.bron_kerbosch import tomita_maximal_cliques
-from repro.core.hstar import extract_hstar_graph
 from repro.generators.communities import defective_clique_communities
 from repro.generators.scale_free import powerlaw_cluster_graph
-from repro.parallel.partition import serialize_star
+
+try:  # pytest collection from the repository root
+    from benchmarks.common import ROOT, git_sha, host_shape
+except ImportError:  # executed directly: benchmarks/ itself is sys.path[0]
+    from common import ROOT, git_sha, host_shape
 
 NUM_VERTICES = 4_000
 
@@ -56,14 +57,6 @@ def _time_enumeration(graph, kernel):
     return time.perf_counter() - started, stream
 
 
-def _payload_bytes(graph):
-    star = extract_hstar_graph(graph)
-    return {
-        kernel: len(pickle.dumps(serialize_star(star, kernel=kernel)))
-        for kernel in ("set", "bitset")
-    }
-
-
 def _run_one(name, make_graph):
     graph = make_graph()
     set_seconds, set_stream = _time_enumeration(graph, "set")
@@ -71,7 +64,6 @@ def _run_one(name, make_graph):
     assert bitset_stream == set_stream, (
         f"{name}: bitset stream diverged from the set stream"
     )
-    payload = _payload_bytes(graph)
     return {
         "graph": name,
         "vertices": graph.num_vertices,
@@ -80,12 +72,10 @@ def _run_one(name, make_graph):
         "set_seconds": set_seconds,
         "bitset_seconds": bitset_seconds,
         "speedup": set_seconds / bitset_seconds if bitset_seconds else float("inf"),
-        "payload_bytes_set": payload["set"],
-        "payload_bytes_bitset": payload["bitset"],
     }
 
 
-def test_kernel_speedup_sweep(benchmark, save_result, results_dir):
+def test_kernel_speedup_sweep(benchmark, save_result):
     results = benchmark.pedantic(
         lambda: [_run_one(name, make) for name, make in GRAPHS],
         rounds=1,
@@ -97,10 +87,7 @@ def test_kernel_speedup_sweep(benchmark, save_result, results_dir):
         render_table(
             f"Bitset kernel speedup (n={NUM_VERTICES}, identical streams "
             "asserted; bitset timings include conversion)",
-            [
-                "graph", "edges", "cliques", "set s", "bitset s",
-                "speedup", "payload set", "payload csr",
-            ],
+            ["graph", "edges", "cliques", "set s", "bitset s", "speedup"],
             [
                 (
                     r["graph"],
@@ -109,8 +96,6 @@ def test_kernel_speedup_sweep(benchmark, save_result, results_dir):
                     f"{r['set_seconds']:.2f}",
                     f"{r['bitset_seconds']:.2f}",
                     f"{r['speedup']:.2f}x",
-                    r["payload_bytes_set"],
-                    r["payload_bytes_bitset"],
                 )
                 for r in results
             ],
@@ -118,24 +103,24 @@ def test_kernel_speedup_sweep(benchmark, save_result, results_dir):
     )
     summary = {
         "bench": "kernel_speedup",
-        "num_vertices": NUM_VERTICES,
-        "stream_identical": True,
+        "schema": 1,
+        "host": host_shape(),
+        "git_sha": git_sha(),
         "headline": {
             "graph": results[0]["graph"],
             "speedup": results[0]["speedup"],
         },
+        "num_vertices": NUM_VERTICES,
+        "stream_identical": True,
         "runs": results,
     }
-    (results_dir.parent.parent / "BENCH_kernel.json").write_text(
-        json.dumps(summary, indent=2) + "\n"
-    )
+    (ROOT / "BENCH_kernel.json").write_text(json.dumps(summary, indent=2) + "\n")
 
     # Sparse rows sit at interpreter-bound parity (~1x), so they only
     # guard against a pathological regression; the dense-community
     # headline graph must clear the committed 3x bar.
     for r in results:
         assert r["speedup"] > 0.8, f"{r['graph']}: bitset regressed vs set"
-        assert r["payload_bytes_bitset"] < r["payload_bytes_set"]
     assert results[0]["speedup"] > HEADLINE_SPEEDUP, (
         f"headline speedup {results[0]['speedup']:.2f}x below "
         f"{HEADLINE_SPEEDUP}x on {results[0]['graph']}"

@@ -68,7 +68,6 @@ def _run_one(graph, workers):
         "shm_bytes": getattr(algo, "shm_bytes_total", 0),
         "tasks_split": getattr(algo, "tasks_split_total", 0),
         "tasks_stolen": getattr(algo, "tasks_stolen_total", 0),
-        "spooled_chunks": getattr(algo, "spooled_chunks_total", 0),
     }
 
 
@@ -88,8 +87,8 @@ def _payload_reduction(graph):
     steps = {}
     with ParallelEngine(1) as engine:
         for name, star in (("first_step_hstar", hstar), ("steady_state_lstar", lstar)):
-            inband_bytes = len(pickle.dumps(serialize_star(star, kernel="bitset")))
-            descriptor = engine.publish_star(star, "bitset")
+            inband_bytes = len(pickle.dumps(serialize_star(star)))
+            descriptor = engine.publish_star(star)
             descriptor_bytes = len(pickle.dumps(descriptor))
             steps[name] = {
                 "descriptor_bytes": descriptor_bytes,

@@ -94,12 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write the output file in canonical sorted "
                                  "order (byte-identical across runs and "
                                  "worker counts; buffers all cliques)")
-    enumerate_.add_argument("--kernel", choices=("set", "bitset"),
-                            default="bitset",
-                            help="enumeration hot path: 'bitset' (big-int "
-                                 "adjacency masks, default) or 'set' "
-                                 "(frozenset reference); the clique stream "
-                                 "is identical either way")
     enumerate_.add_argument("--reduction", choices=("off", "prune", "full"),
                             default="off",
                             help="exact graph reduction before enumeration "
@@ -371,8 +365,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 args.checkpoint_dir,
                 config=ExtMCEConfig(
                     memory_budget_units=args.budget, trace_path=args.trace,
-                    workers=args.workers,
-                    kernel=args.kernel, reduction=args.reduction,
+                    workers=args.workers, reduction=args.reduction,
                     verify_checksums=args.verify_checksums,
                     max_retries=args.max_retries, fault_plan=fault_plan,
                     metrics_path=args.metrics_out,
@@ -393,7 +386,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 checkpoint=args.checkpoint_dir is not None,
                 trace_path=args.trace,
                 workers=args.workers,
-                kernel=args.kernel,
                 reduction=args.reduction,
                 verify_checksums=args.verify_checksums,
                 max_retries=args.max_retries,

@@ -260,46 +260,28 @@ class CliqueTree:
 def enumerate_star_cliques(
     star: StarGraph,
     use_structure: bool = True,
-    kernel: str = "set",
 ) -> Iterator[Clique]:
     """Enumerate the maximal cliques of ``G_H*`` (the H*-max-cliques).
 
     With ``use_structure=True`` (default) the independent-periphery
-    structure is exploited as described in the module docstring; otherwise
-    the generic pivoted enumerator runs on the materialised star graph.
+    structure is exploited as described in the module docstring: the
+    core graph is compacted once and each periphery vertex's anchor
+    subproblem is carved out of it with a subset mask.  Otherwise the
+    generic pivoted enumerator runs on the materialised star graph.
     Both yield the same set — a property the test suite asserts.
-
-    ``kernel="bitset"`` compacts the core graph once and carves each
-    periphery vertex's anchor subproblem out of it with a subset mask,
-    instead of materialising one induced ``AdjacencyGraph`` per periphery
-    vertex; the emitted stream is byte-identical to the set path.
     """
-    from repro.kernel import validate_kernel
+    from repro.kernel import maximal_cliques_bitset
 
     if not use_structure:
-        yield from tomita_maximal_cliques(star.star_graph(), kernel=kernel)
+        yield from tomita_maximal_cliques(star.star_graph(), kernel="bitset")
         return
-
-    if validate_kernel(kernel) == "bitset":
-        from repro.kernel import maximal_cliques_bitset
-
-        compact = star.core_compact()
-        for core_clique in maximal_cliques_bitset(compact):
-            if not star.common_periphery(core_clique):
-                yield core_clique
-        for w, anchors in _anchor_items(star):
-            subset = compact.subset_mask(anchors)
-            for core_clique in maximal_cliques_bitset(compact, subset):
-                yield core_clique | {w}
-        return
-
-    core_graph = star.core_graph()
-    for core_clique in tomita_maximal_cliques(core_graph):
+    compact = star.core_compact()
+    for core_clique in maximal_cliques_bitset(compact):
         if not star.common_periphery(core_clique):
             yield core_clique
     for w, anchors in _anchor_items(star):
-        induced = core_graph.induced_subgraph(anchors)
-        for core_clique in tomita_maximal_cliques(induced):
+        subset = compact.subset_mask(anchors)
+        for core_clique in maximal_cliques_bitset(compact, subset):
             yield core_clique | {w}
 
 
@@ -347,7 +329,6 @@ def build_clique_tree_from_cliques(
     star: StarGraph,
     cliques: Iterable[Clique],
     memory: "MemoryModel | None" = None,
-    kernel: str = "set",
 ) -> tuple[CliqueTree, set[Clique]]:
     """Construct ``T_H*`` from an already-known H*-max-clique set.
 
@@ -357,7 +338,9 @@ def build_clique_tree_from_cliques(
     the saving Table 7's "Time w/ T_H*" column measures.  ``M_H`` is still
     recomputed from the (small) core graph for the Algorithm 2 markings.
     """
-    core_maximal = set(tomita_maximal_cliques(star.core_graph(), kernel=kernel))
+    from repro.kernel import maximal_cliques_bitset
+
+    core_maximal = set(maximal_cliques_bitset(star.core_compact()))
     tree = assemble_clique_tree(star, cliques, core_maximal, memory=memory)
     return tree, core_maximal
 
@@ -366,19 +349,19 @@ def build_clique_tree(
     star: StarGraph,
     memory: "MemoryModel | None" = None,
     use_structure: bool = True,
-    kernel: str = "set",
 ) -> tuple[CliqueTree, set[Clique]]:
     """Construct ``T_H*`` and the core-maximal clique set ``M_H``.
 
     Returns the populated tree and ``M_H`` (the maximal cliques of the
     core graph), with the tree's ``M_H`` paths marked per Algorithm 2's
     requirement.  Memory for every tree node is charged to ``memory``.
-    ``kernel`` selects the enumeration hot path; the tree is identical.
     """
-    core_maximal = set(tomita_maximal_cliques(star.core_graph(), kernel=kernel))
+    from repro.kernel import maximal_cliques_bitset
+
+    core_maximal = set(maximal_cliques_bitset(star.core_compact()))
     tree = assemble_clique_tree(
         star,
-        enumerate_star_cliques(star, use_structure=use_structure, kernel=kernel),
+        enumerate_star_cliques(star, use_structure=use_structure),
         core_maximal,
         memory=memory,
     )

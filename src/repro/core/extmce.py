@@ -129,14 +129,12 @@ class ExtMCEConfig:
         under the parallel driver.  Kept here (rather than on the driver)
         so checkpoints and :meth:`ExtMCE.resume` round-trip it.
     kernel:
-        Enumeration kernel (``"set"`` or ``"bitset"``, see
-        :mod:`repro.kernel`) used for tree construction; the M2/M3
-        lifting always resolves ``maxCL(G[HNB])`` on bitmasks
-        (:func:`~repro.kernel.induced_maximal_cliques`), whose per-set
-        lists equal either kernel's.  The clique stream is
-        byte-identical across kernels — asserted by the test suite — so
-        the default is the fast bitset path; ``"set"`` remains for
-        metered memory accounting and as the reference implementation.
+        Accepted for compatibility and ignored: ExtMCE enumerates on the
+        bitset kernel (:mod:`repro.kernel`) only, so ``"bitset"`` is the
+        one legal value and any other raises :class:`ValueError`.  The
+        set-based Tomita enumerator in :mod:`repro.baselines` stays the
+        in-memory comparator and the test oracle the bitset stream is
+        checked against.
     verify_checksums:
         Verify per-record CRC32s when reading checksummed (format v2)
         disk graphs; flipping this off trades integrity for a little
@@ -186,6 +184,12 @@ class ExtMCEConfig:
     max_retries: int = 2
     fault_plan: "FaultPlan | None" = None
     metrics_path: str | Path | None = None
+
+    def __post_init__(self) -> None:
+        if self.kernel != "bitset":
+            raise ValueError(
+                f"unsupported kernel {self.kernel!r}; ExtMCE runs on 'bitset' only"
+            )
 
 
 @dataclass
@@ -675,16 +679,12 @@ class ExtMCE:
         """
         if step == 1 and self._first_step is not None:
             return build_clique_tree_from_cliques(
-                star,
-                self._first_step[1],
-                memory=self._memory,
-                kernel=self._config.kernel,
+                star, self._first_step[1], memory=self._memory
             )
         return build_clique_tree(
             star,
             memory=self._memory,
             use_structure=self._config.use_structure,
-            kernel=self._config.kernel,
         )
 
     def _compute_categories(self, star: StarGraph, core_maximal, store):

@@ -173,9 +173,9 @@ class HStarMaintainer:
         ``kind`` is ``"insert"`` or ``"delete"``; the hook fires after
         the update is applied, once per edge that actually changed the
         graph (duplicate insertions are silent).  The canonical consumer
-        is :meth:`repro.index.reader.CliqueIndex.invalidation_hook`,
-        which marks the endpoints' postings stale so a persisted clique
-        index built before the update stops claiming freshness.
+        is :class:`repro.live.ingest.LiveIngestor`, which turns each
+        update into clique deltas on a live store; that store's delta
+        overlay is the staleness signal the query engine serves.
         """
         self._update_hooks.append(hook)
 
@@ -424,7 +424,7 @@ class HStarMaintainer:
         }
         star = self.star()
         self._tree = CliqueTree.for_star(star, memory=self._memory)
-        for clique in enumerate_star_cliques(star, kernel="bitset"):
+        for clique in enumerate_star_cliques(star):
             self._tree.insert(clique)
 
     # ------------------------------------------------------------------

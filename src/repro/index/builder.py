@@ -6,8 +6,8 @@ collector, or a parsed clique file) and materialises the six-file index
 layout of :mod:`repro.index.format`.  Cliques are assigned ids by their
 rank in canonical order (sorted vertex tuples, lexicographic), so the
 output bytes depend only on the clique *set*: the same graph indexed
-from a ``workers=4`` bitset run and a serial set-kernel run produces
-byte-identical files.  ``tests/index/`` pins this determinism guarantee.
+from a ``workers=4`` ExtMCE run and the set-based Tomita enumerator
+produces byte-identical files.  ``tests/index/`` pins this determinism guarantee.
 
 :func:`merge_index` writes the next generation of an index from its
 base plus a change set (removed ids, added cliques) — the live store's

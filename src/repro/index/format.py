@@ -26,7 +26,7 @@ answer.
 
 The layouts are fully deterministic: the same clique *set* always
 serialises to the same bytes, independent of enumeration order, worker
-count, or kernel.  ``tests/index/test_builder.py`` pins that guarantee.
+count, or enumerator.  ``tests/index/test_builder.py`` pins that guarantee.
 """
 
 from __future__ import annotations

@@ -20,12 +20,11 @@ manifest CRC32 then.  :meth:`CliqueIndex.verify` performs the full
 offline audit — every record, every postings list, the file CRCs in the
 manifest, the record/postings cross-counts and the fingerprint table.
 
-Staleness: the index is a snapshot of one enumeration.  When the graph
-changes underneath it, :meth:`mark_stale` (wired to
-:class:`~repro.dynamic.maintainer.HStarMaintainer` via
-:meth:`invalidation_hook`) flags the affected vertices so queries can
-report possibly-outdated answers; full incremental maintenance is
-deliberately out of scope.
+Staleness: a frozen index is a snapshot of one enumeration and never
+changes, so :meth:`~CliqueIndex.is_stale` is always ``False``.  A graph
+that changes is served by :class:`~repro.live.store.LiveCliqueStore`,
+which keeps this surface and answers ``is_stale`` precisely from its
+delta overlay; the query engine reads both the same way.
 """
 
 from __future__ import annotations
@@ -85,9 +84,6 @@ _METRICS = metrics.bound(
         ),
         record_reads=registry.counter(
             "repro_index_records_read_total", "clique records fetched from disk"
-        ),
-        stale_marks=registry.counter(
-            "repro_index_stale_marked_total", "vertices marked stale by invalidation"
         ),
     )
 )
@@ -221,7 +217,6 @@ class CliqueIndex:
             DIRECTORY_FILENAME, DIRECTORY_MAGIC, DIRECTORY_ENTRY,
             int(manifest["num_vertices"]),
         )
-        self._stale: set[int] = set()
 
     def _open_table(
         self, name: str, magic: bytes, entry: struct.Struct, count: int
@@ -404,7 +399,7 @@ class CliqueIndex:
         return [self.clique(cid) for _neg_size, cid in winners]
 
     def stats(self) -> dict:
-        """Index-wide statistics (manifest counts plus staleness)."""
+        """Index-wide statistics (manifest counts; a frozen index is never stale)."""
         manifest = self._manifest
         return {
             "num_cliques": int(manifest["num_cliques"]),
@@ -414,7 +409,7 @@ class CliqueIndex:
             "size_histogram": {
                 int(size): count for size, count in manifest["size_histogram"].items()
             },
-            "stale_vertices": len(self._stale),
+            "stale_vertices": 0,
             "bytes_by_file": {
                 name: entry["bytes"] for name, entry in manifest["files"].items()
             },
@@ -519,38 +514,13 @@ class CliqueIndex:
             )
 
     # ------------------------------------------------------------------
-    # Invalidation
+    # Staleness (a frozen snapshot never goes stale)
     # ------------------------------------------------------------------
     @property
     def stale_vertices(self) -> frozenset[int]:
-        """Vertices whose postings may be outdated by graph updates."""
-        return frozenset(self._stale)
+        """Always empty: the snapshot answers exactly what it indexed."""
+        return frozenset()
 
     def is_stale(self, *vertices: int) -> bool:
-        """Whether any of ``vertices`` has been marked stale."""
-        return any(v in self._stale for v in vertices)
-
-    def mark_stale(self, *vertices: int) -> None:
-        """Flag vertices as possibly outdated (idempotent)."""
-        fresh = [v for v in vertices if v not in self._stale]
-        if fresh:
-            self._stale.update(fresh)
-            _METRICS().stale_marks.inc(len(fresh))
-
-    def clear_stale(self) -> None:
-        """Reset the stale set (after a rebuild from a fresh stream)."""
-        self._stale.clear()
-
-    def invalidation_hook(self):
-        """A callable for :meth:`HStarMaintainer.register_update_hook`.
-
-        Every applied edge insertion or deletion can change which maximal
-        cliques its endpoints belong to, so both endpoints' postings are
-        flagged stale.  Full incremental index maintenance is future
-        work; the hook guarantees staleness is at least *visible*.
-        """
-
-        def hook(kind: str, u: int, v: int) -> None:  # noqa: ARG001 — uniform signature
-            self.mark_stale(u, v)
-
-        return hook
+        """Always ``False``; see the module docstring."""
+        return False

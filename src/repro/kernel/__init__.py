@@ -6,10 +6,12 @@ pivoted Tomita expansion (:func:`maximal_cliques_bitset`,
 :func:`subproblem_bitset`) whose clique stream is byte-identical to the
 set-based enumerators in :mod:`repro.baselines.bron_kerbosch`.
 
-Consumers select it through ``kernel="bitset"`` switches on the
-enumeration entry points (and ``--kernel`` on the CLI); see
-``docs/ALGORITHMS.md`` for the representation and the determinism
-argument.
+It is the only kernel ExtMCE runs: tree construction, the parallel
+workers and the ``maxCL(G[S])`` resolver all use it.  The set-based
+Tomita enumerator in :mod:`repro.baselines` selects it with
+``kernel="bitset"``; ``KERNELS`` and :func:`validate_kernel` name the
+two choices that baseline offers.  See ``docs/ALGORITHMS.md`` for the
+representation and the determinism argument.
 """
 
 from repro.kernel.bitmce import (

@@ -15,8 +15,8 @@ arXiv:1807.09417), adapted to the paper's step-wise H*-graph recursion:
   segment;
 * :mod:`repro.parallel.executor` — runs descriptor-addressed chunks on
   the engine's pool with driver-mediated work stealing (split tails
-  requeue to idle workers), disk spooling for oversized results,
-  worker telemetry carried in each chunk's result envelope, and
+  requeue to idle workers), results and worker telemetry carried in
+  each chunk's result envelope, and
   chunk-granular fault recovery (bounded retry, pool rebuild after
   worker death, inline degradation);
 * :mod:`repro.parallel.merge` — reassembles worker results into the

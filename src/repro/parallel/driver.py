@@ -109,7 +109,6 @@ class ParallelExtMCE(ExtMCE):
         self.shm_bytes_total = 0
         self.tasks_split_total = 0
         self.tasks_stolen_total = 0
-        self.spooled_chunks_total = 0
         #: Crash-leftover segments removed by the engine's start sweep.
         self.swept_segments: list[str] = []
 
@@ -121,11 +120,9 @@ class ParallelExtMCE(ExtMCE):
     # ------------------------------------------------------------------
     # Engine lifecycle: one pool + one published segment per run
     # ------------------------------------------------------------------
-    def _ensure_engine(self, workdir: Path) -> ParallelEngine:
+    def _ensure_engine(self) -> ParallelEngine:
         if self._engine is None:
-            self._engine = ParallelEngine(
-                self.workers, spool_dir=workdir / "worker_spool"
-            )
+            self._engine = ParallelEngine(self.workers)
             self.swept_segments = self._engine.swept_segments
         return self._engine
 
@@ -135,9 +132,9 @@ class ParallelExtMCE(ExtMCE):
                 step, star, current, workdir, hashtable, step_start
             )
             return
-        engine = self._ensure_engine(workdir)
+        engine = self._ensure_engine()
         pool_started = time.perf_counter()
-        descriptor = engine.publish_star(star, self._config.kernel)
+        descriptor = engine.publish_star(star)
         with StepExecutor(
             engine,
             descriptor,
@@ -160,7 +157,6 @@ class ParallelExtMCE(ExtMCE):
                 self.shm_bytes_total += executor.shm_bytes
                 self.tasks_split_total += executor.tasks_split
                 self.tasks_stolen_total += executor.tasks_stolen
-                self.spooled_chunks_total += executor.spooled_chunks
                 if executor.fell_back:
                     self.fallback_steps += 1
                 engine.retire_segment()
@@ -169,12 +165,10 @@ class ParallelExtMCE(ExtMCE):
                         "parallel_step_completed",
                         step=step,
                         workers=self.workers,
-                        kernel=self._config.kernel,
                         payload_bytes=self.last_payload_bytes,
                         shm_bytes=self.last_shm_bytes,
                         tasks_split=executor.tasks_split,
                         tasks_stolen=executor.tasks_stolen,
-                        spooled_chunks=executor.spooled_chunks,
                         fell_back=executor.fell_back,
                         pool_elapsed=round(time.perf_counter() - pool_started, 6),
                         **executor.stats.to_dict(),
@@ -183,10 +177,9 @@ class ParallelExtMCE(ExtMCE):
     def _drive(
         self, workdir: Path, source: DiskGraph | None = None
     ) -> Iterator[Clique]:
-        # Shut the engine down inside _drive's lifetime: the base class
-        # may delete the workdir (and with it the spool directory) right
-        # after this generator finishes.  The engine close also unlinks
-        # whatever segment is still published — the orderly half of the
+        # Shut the engine down inside _drive's lifetime, so the pool never
+        # outlives the run.  The engine close also unlinks whatever
+        # segment is still published — the orderly half of the
         # no-leaked-segments contract (the start-of-run sweep covers
         # SIGKILL).
         try:

@@ -18,9 +18,9 @@ polling, and a finished chunk is harvested as soon as its result
 arrives.  Each chunk carries a split policy: a worker that has spent
 its time slice while the shared pending counter says the queue is dry
 stops, returns the finished prefix plus its unfinished tail, and the
-driver requeues the tail for whichever worker goes idle next.  Oversized
-result payloads are spooled to disk and only the file name travels back
-through the pool pipe.
+driver requeues the tail for whichever worker goes idle next.  Results
+travel back through the pool's result pipe, pickled once, whatever
+their size.
 
 Recovery semantics are unchanged from the per-step-pool era — the unit
 of loss is one chunk, never the step:
@@ -50,7 +50,7 @@ path, and degradation must converge to the correct answer.
 Workers never share file handles with the driver: each worker process
 opens its own spill files (read-only, parsed into a per-step LRU no
 larger than the driver store's ``max_resident``, so a file is read once
-per worker per step) and its own spool files (write-temp-then-rename).
+per worker per step).
 
 Telemetry travels on the one channel results already use: the chunk
 envelope.  When the submission asks for metrics, a pooled chunk records
@@ -75,20 +75,13 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from functools import partial
-from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
 from repro import metrics
-from repro.baselines.bron_kerbosch import tomita_maximal_cliques, tomita_subproblem
 from repro.errors import InjectedFaultError, SharedMemoryError
-from repro.graph.adjacency import AdjacencyGraph
-from repro.kernel import induced_maximal_cliques
-from repro.parallel.scheduler import (
-    SPOOL_THRESHOLD_BYTES,
-    ChunkPolicy,
-    ParallelEngine,
-)
+from repro.kernel import CompactGraph, induced_maximal_cliques
+from repro.parallel.scheduler import ChunkPolicy, ParallelEngine
 from repro.parallel.shm import attach_compact
 from repro.storage.pagestore import PAGE_SIZE_BYTES
 from repro.storage.partitions import read_partition_file
@@ -162,14 +155,6 @@ _METRICS = metrics.bound(
             "repro_parallel_shm_attach_total",
             "worker attachments to shared-memory graph segments",
         ),
-        spooled=registry.counter(
-            "repro_parallel_spooled_chunks_total",
-            "chunk results that travelled via the disk spool",
-        ),
-        spooled_bytes=registry.counter(
-            "repro_parallel_spooled_bytes_total",
-            "bytes of chunk results spooled to disk",
-        ),
     )
 )
 
@@ -177,19 +162,16 @@ _METRICS = metrics.bound(
 class _GraphHandle:
     """One resolved graph descriptor living in a worker's cache."""
 
-    __slots__ = ("kernel", "compact", "graph", "shm")
+    __slots__ = ("compact", "shm")
 
-    def __init__(self, kernel, compact=None, graph=None, shm=None):
-        self.kernel = kernel
+    def __init__(self, compact, shm=None):
         self.compact = compact
-        self.graph = graph
         self.shm = shm
 
     def release(self) -> None:
-        """Drop graph refs, then unmap the segment (order matters: the
+        """Drop the graph ref, then unmap the segment (order matters: the
         CSR memoryviews pin the buffer until they are collected)."""
         self.compact = None
-        self.graph = None
         shm, self.shm = self.shm, None
         if shm is not None:
             try:
@@ -199,35 +181,16 @@ class _GraphHandle:
 
 
 def _load_graph(descriptor: dict) -> _GraphHandle:
-    """Resolve a descriptor into a usable graph (attach or rehydrate)."""
-    kernel = descriptor.get("kernel", "set")
+    """Resolve a descriptor into the step's core CSR (attach or rehydrate)."""
     spec = descriptor.get("shm")
     if spec is not None:
         compact, shm = attach_compact(spec["name"], spec["generation"])
         _METRICS().shm_attach.inc()
-        if kernel == "set":
-            # The set kernel wants dict-of-sets adjacency; copy out of
-            # the segment and release it immediately.
-            graph = compact.to_adjacency_graph()
-            del compact
-            try:
-                shm.close()
-            except BufferError:
-                pass
-            return _GraphHandle(kernel, graph=graph)
-        return _GraphHandle(kernel, compact=compact, shm=shm)
+        return _GraphHandle(compact, shm=shm)
     payload = descriptor["inband"]
-    if kernel == "bitset":
-        from repro.kernel import CompactGraph
-
-        compact = CompactGraph.from_csr(
-            payload["labels"], payload["indptr"], payload["indices"]
-        )
-        return _GraphHandle(kernel, compact=compact)
-    graph = AdjacencyGraph.from_adjacency(
-        {v: neighbors for v, neighbors in payload["core_adjacency"].items()}
+    return _GraphHandle(
+        CompactGraph.from_csr(payload["labels"], payload["indptr"], payload["indices"])
     )
-    return _GraphHandle(kernel, graph=graph)
 
 
 class WorkerContext:
@@ -314,30 +277,14 @@ def _init_worker(pending=None) -> None:
     _CONTEXT = WorkerContext(pending, label=f"worker_{os.getpid():08d}")
 
 
-def _solve_tree_task(handle: _GraphHandle, task: "TreeTask"):
-    if handle.kernel == "bitset":
-        from repro.kernel import maximal_cliques_bitset, subproblem_bitset
+def _solve_tree_task(compact: CompactGraph, task: "TreeTask"):
+    from repro.kernel import maximal_cliques_bitset, subproblem_bitset
 
-        compact = handle.compact
-        if task.kind == "core":
-            return tuple(
-                tuple(sorted(clique))
-                for clique in subproblem_bitset(compact, task.vertex)
-            )
-        subset = compact.subset_mask(task.anchors)
-        return tuple(
-            tuple(sorted(clique))
-            for clique in maximal_cliques_bitset(compact, subset)
-        )
-    graph = handle.graph
     if task.kind == "core":
-        return tuple(
-            tuple(sorted(clique)) for clique in tomita_subproblem(graph, task.vertex)
-        )
-    induced = graph.induced_subgraph(task.anchors)
-    return tuple(
-        tuple(sorted(clique)) for clique in tomita_maximal_cliques(induced)
-    )
+        cliques = subproblem_bitset(compact, task.vertex)
+    else:
+        cliques = maximal_cliques_bitset(compact, compact.subset_mask(task.anchors))
+    return tuple(tuple(sorted(clique)) for clique in cliques)
 
 
 def _should_split(policy: ChunkPolicy, started: float, remaining: int) -> bool:
@@ -349,39 +296,22 @@ def _should_split(policy: ChunkPolicy, started: float, remaining: int) -> bool:
     return _CONTEXT is not None and _CONTEXT.queue_is_dry()
 
 
-def _seal(payload, remaining, policy: ChunkPolicy, event: dict) -> dict:
-    """Wrap results in the envelope protocol, spooling oversized payloads.
+def _seal(payload, remaining, event: dict) -> dict:
+    """Wrap results in the envelope that travels back through the pool pipe.
 
-    The envelope is what travels back through the pool pipe:
-    ``{"results" | "spool", "remaining", "event", "worker", "metrics"}``
-    — ``event`` holds the fields of the chunk's completion event and
+    ``{"results", "remaining", "event", "worker", "metrics"}`` —
+    ``event`` holds the fields of the chunk's completion event and
     ``metrics`` the chunk's registry snapshot (filled in by
     :func:`_dispatch_chunk` for metered submissions, else ``None``).
-    Spooled payloads are written atomically (temp + rename) so the
-    driver either loads a complete file or treats the chunk as failed
-    and retries it.
     """
     assert _CONTEXT is not None
-    envelope: dict = {
+    return {
         "results": payload,
         "remaining": remaining,
-        "spool": None,
         "event": event,
         "worker": _CONTEXT.label,
         "metrics": None,
     }
-    if policy.spool_dir is not None:
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        if len(data) >= policy.spool_threshold:
-            name = f"chunk_{policy.chunk_id:08d}.pkl"
-            target = Path(policy.spool_dir) / name
-            tmp = target.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_bytes(data)
-            tmp.replace(target)
-            envelope["results"] = None
-            envelope["spool"] = name
-            envelope["spool_bytes"] = len(data)
-    return envelope
 
 
 def _run_tree_chunk(descriptor: dict, chunk, policy: ChunkPolicy) -> dict:
@@ -395,9 +325,9 @@ def _run_tree_chunk(descriptor: dict, chunk, policy: ChunkPolicy) -> dict:
     results: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
     remaining: tuple = ()
     started = time.perf_counter()
-    handle = _CONTEXT.graph_for(descriptor)
+    compact = _CONTEXT.graph_for(descriptor).compact
     for position, task in enumerate(chunk):
-        results.append((task.index, _solve_tree_task(handle, task)))
+        results.append((task.index, _solve_tree_task(compact, task)))
         if _should_split(policy, started, len(chunk) - position - 1):
             remaining = tuple(chunk[position + 1 :])
             break
@@ -409,7 +339,7 @@ def _run_tree_chunk(descriptor: dict, chunk, policy: ChunkPolicy) -> dict:
         "cliques": sum(len(found) for _, found in results),
         "split_off": len(remaining),
     }
-    return _seal(results, remaining or None, policy, event)
+    return _seal(results, remaining or None, event)
 
 
 def _run_lift_chunk(descriptor: dict, chunk: "LiftChunk", policy: ChunkPolicy) -> dict:
@@ -459,7 +389,7 @@ def _run_lift_chunk(descriptor: dict, chunk: "LiftChunk", policy: ChunkPolicy) -
         "pages_read": pages_read,
         "split_off": 0 if remaining is None else len(remaining.tasks),
     }
-    return _seal((results, pages_read), remaining, policy, event)
+    return _seal((results, pages_read), remaining, event)
 
 
 class _Poison:
@@ -502,7 +432,6 @@ def _dispatch_chunk(task):
             # exercises the real header check, raises SharedMemoryError.
             doctored = {
                 "token": descriptor["token"] + "?stale",
-                "kernel": descriptor.get("kernel", "set"),
                 "shm": {**spec, "generation": spec["generation"] + 1},
             }
             assert _CONTEXT is not None
@@ -527,8 +456,8 @@ class ExecutorStats:
     ``chunk_timeouts`` / ``chunk_errors`` classify the failures;
     ``pool_rebuilds`` counts pool teardown-and-recreate cycles;
     ``inline_chunks`` counts chunks that exhausted their retries and were
-    recomputed in-process.  Scheduling activity (splits, steals, spools)
-    is *not* recovery and lives on the executor itself.
+    recomputed in-process.  Scheduling activity (splits, steals) is
+    *not* recovery and lives on the executor itself.
     """
 
     chunk_retries: int = 0
@@ -601,23 +530,16 @@ class StepExecutor:
         max_retries: int = 2,
         fault_plan: "FaultPlan | None" = None,
         on_event: Callable[..., None] | None = None,
-        spool_dir: str | Path | None = None,
-        spool_threshold: int = SPOOL_THRESHOLD_BYTES,
     ) -> None:
         if isinstance(engine, ParallelEngine):
             self._engine = engine
             self._owns_engine = False
         else:
-            self._engine = ParallelEngine(int(engine), spool_dir=spool_dir)
+            self._engine = ParallelEngine(int(engine))
             self._owns_engine = True
         if "token" not in payload:
-            payload = {
-                "token": f"inband-step-{id(payload):x}",
-                "kernel": payload.get("kernel", "set"),
-                "inband": payload,
-            }
+            payload = {"token": f"inband-step-{id(payload):x}", "inband": payload}
         self._payload = payload
-        self._spool_threshold = spool_threshold
         self._task_timeout = task_timeout
         self._max_retries = max(0, int(max_retries))
         self._faults = fault_plan
@@ -638,7 +560,6 @@ class StepExecutor:
         #: Scheduling activity (not recovery — see ``ExecutorStats``).
         self.tasks_split = 0
         self.tasks_stolen = 0
-        self.spooled_chunks = 0
         #: Accumulated pickled bytes of every task shipped to the pool —
         #: with shm descriptors this is per-chunk metadata, not graphs.
         self.payload_bytes = 0
@@ -771,10 +692,9 @@ class StepExecutor:
         return False
 
     def _harvest(self, phase, item, handle, pending, collected):
-        """Unwrap one completed handle: envelope, spool, telemetry, split tail."""
+        """Unwrap one completed handle: envelope, telemetry, split tail."""
         try:
             envelope = handle.get()
-            payload = self._open_envelope(envelope)
         except Exception as error:
             self.stats.chunk_errors += 1
             _METRICS().errors.inc()
@@ -785,7 +705,7 @@ class StepExecutor:
             self._fail(phase, item, pending, collected)
             return
         self._record(phase, item.chunk_id, envelope)
-        collected.append(payload)
+        collected.append(envelope["results"])
         remaining = envelope.get("remaining")
         if remaining is not None:
             stolen = (
@@ -813,21 +733,6 @@ class StepExecutor:
             f"{phase}_chunk_completed", chunk_index=chunk_id,
             worker=envelope["worker"], **envelope["event"],
         )
-
-    def _open_envelope(self, envelope):
-        """Extract the result payload, loading (and removing) spool files."""
-        name = envelope.get("spool")
-        if name is None:
-            return envelope["results"]
-        path = Path(self._engine.spool_dir) / name
-        data = path.read_bytes()
-        payload = pickle.loads(data)
-        path.unlink(missing_ok=True)
-        self.spooled_chunks += 1
-        bundle = _METRICS()
-        bundle.spooled.inc()
-        bundle.spooled_bytes.inc(len(data))
-        return payload
 
     def _submit(self, phase, item, ticket):
         """Submit one chunk; returns ``None`` when the pool is unusable.
@@ -864,10 +769,7 @@ class StepExecutor:
                     elif shm_fault.kind == "stale_segment":
                         directive = ("shm_stale",)
         policy = ChunkPolicy(
-            chunk_id=item.chunk_id,
             split_after_seconds=self._engine.split_after_seconds,
-            spool_dir=self._engine.spool_dir,
-            spool_threshold=self._spool_threshold,
             metrics=metrics.enabled(),
         )
         task = (directive, phase, self._payload, payload_chunk, policy)
@@ -946,7 +848,7 @@ class StepExecutor:
 
         The inline context resolves the same descriptor the workers see
         — attaching the shared segment in-driver when one is published —
-        and never splits or spools (``ChunkPolicy`` defaults).  It records
+        and never splits (``ChunkPolicy`` defaults).  It records
         straight into the driver's registry and emits its completion
         event through the same hook as pooled chunks.
         """
@@ -955,13 +857,12 @@ class StepExecutor:
             self._inline_context = WorkerContext()
         previous = _CONTEXT
         _CONTEXT = self._inline_context
-        policy = ChunkPolicy(chunk_id=self._next_chunk_id())
         run = _run_tree_chunk if phase == "tree" else _run_lift_chunk
         try:
-            envelope = run(self._payload, chunk, policy)
+            envelope = run(self._payload, chunk, ChunkPolicy())
         finally:
             _CONTEXT = previous
-        self._record(phase, policy.chunk_id, envelope)
+        self._record(phase, self._next_chunk_id(), envelope)
         return envelope["results"]
 
     def _next_chunk_id(self) -> int:

@@ -210,7 +210,7 @@ def _seal_lift_chunk(
     )
 
 
-def serialize_star(star: StarGraph, kernel: str = "bitset") -> dict:
+def serialize_star(star: StarGraph) -> dict:
     """A picklable snapshot of the parts of a star graph workers need.
 
     This is the *in-band fallback* wire format: the primary path
@@ -223,35 +223,19 @@ def serialize_star(star: StarGraph, kernel: str = "bitset") -> dict:
     anchor tasks inside induced subgraphs of it.  Periphery neighbor
     lists — the bulk of ``G_H*`` — stay in the driver, which keeps the
     per-worker footprint at ``O(|G_H|) = O(h²)`` instead of
-    ``O(|G_H*|)``.
-
-    With ``kernel="bitset"`` the payload is the compact CSR form —
-    three flat arrays that pickle far smaller than a dict of per-vertex
-    neighbor tuples (``benchmarks/test_kernel_speedup.py`` records the
-    ratio) and rehydrate via :meth:`CompactGraph.from_csr` without any
-    re-sorting.  The legacy dict-of-tuples payload remains for
-    ``kernel="set"`` workers.
+    ``O(|G_H*|)``.  The payload is the compact CSR form — three flat
+    arrays, each packed to its narrowest width — which workers rehydrate
+    via :meth:`CompactGraph.from_csr` without any re-sorting.
     """
-    from repro.kernel import validate_kernel
-
-    if validate_kernel(kernel) == "bitset":
-        compact = star.core_compact()
-        labels = compact.labels
-        packed_labels: "tuple | array" = labels
-        if labels and all(isinstance(v, int) and 0 <= v for v in labels):
-            packed_labels = _packed(labels, labels[-1])
-        return {
-            "kernel": "bitset",
-            "labels": packed_labels,
-            "indptr": _packed(compact.indptr, len(compact.indices)),
-            "indices": _packed(compact.indices, max(compact.num_vertices - 1, 0)),
-        }
+    compact = star.core_compact()
+    labels = compact.labels
+    packed_labels: "tuple | array" = labels
+    if labels and all(isinstance(v, int) and 0 <= v for v in labels):
+        packed_labels = _packed(labels, labels[-1])
     return {
-        "kernel": "set",
-        "core": tuple(sorted(star.core)),
-        "core_adjacency": {
-            v: tuple(sorted(star.core_neighbors(v))) for v in sorted(star.core)
-        },
+        "labels": packed_labels,
+        "indptr": _packed(compact.indptr, len(compact.indices)),
+        "indices": _packed(compact.indices, max(compact.num_vertices - 1, 0)),
     }
 
 

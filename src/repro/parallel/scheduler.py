@@ -11,7 +11,7 @@ initialization — fixed costs that swamped the parallelism
 * **one shared-memory segment per step** — the driver publishes the
   step's :class:`~repro.kernel.CompactGraph` CSR once
   (:mod:`repro.parallel.shm`), and tasks carry only a tiny *descriptor*
-  (segment name + generation + kernel) that workers resolve against a
+  (segment name + generation) that workers resolve against a
   per-process attachment cache.
 
 Task granularity is fixed: each step starts from 2 chunks per worker
@@ -31,9 +31,7 @@ change the stream: the merge orders by task index, never by schedule.
 from __future__ import annotations
 
 import multiprocessing
-import shutil
 from dataclasses import dataclass
-from pathlib import Path
 from types import SimpleNamespace
 
 from repro import metrics
@@ -44,10 +42,6 @@ from repro.parallel.partition import serialize_star
 #: Worker-side time slice after which a chunk holding unfinished tasks
 #: may hand its tail back to the driver (see ``ChunkPolicy``).
 SPLIT_AFTER_SECONDS = 0.05
-
-#: Results bigger than this are spooled to disk instead of travelling
-#: through the pool's result pipe (see ``ChunkPolicy.spool_threshold``).
-SPOOL_THRESHOLD_BYTES = 1 << 20
 
 _METRICS = metrics.bound(
     lambda registry: SimpleNamespace(
@@ -75,18 +69,14 @@ _METRICS = metrics.bound(
 class ChunkPolicy:
     """Per-submission execution policy shipped alongside each chunk.
 
-    Everything a worker needs to decide splitting, spooling and metering
-    without holding any engine state: the chunk's queue identity, the
-    split time slice (``None`` = never split), where/when to spool
-    oversized result payloads, and whether to record the chunk into a
-    fresh metrics registry whose snapshot rides back in the envelope
-    (set from :func:`repro.metrics.enabled` at submit time).
+    Everything a worker needs to decide splitting and metering without
+    holding any engine state: the split time slice (``None`` = never
+    split), and whether to record the chunk into a fresh metrics
+    registry whose snapshot rides back in the envelope (set from
+    :func:`repro.metrics.enabled` at submit time).
     """
 
-    chunk_id: int
     split_after_seconds: float | None = None
-    spool_dir: str | None = None
-    spool_threshold: int = SPOOL_THRESHOLD_BYTES
     metrics: bool = False
 
 
@@ -101,18 +91,9 @@ class ParallelEngine:
     sweep covers the paths where even that never executes.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        spool_dir: str | Path | None = None,
-        sweep: bool = True,
-    ) -> None:
+    def __init__(self, workers: int, *, sweep: bool = True) -> None:
         self.workers = max(1, int(workers))
         self.split_after_seconds: float | None = SPLIT_AFTER_SECONDS
-        self.spool_dir = str(spool_dir) if spool_dir is not None else None
-        if self.spool_dir is not None:
-            Path(self.spool_dir).mkdir(parents=True, exist_ok=True)
         self.swept_segments: list[str] = (
             shm_mod.sweep_stale_segments() if sweep else []
         )
@@ -195,14 +176,15 @@ class ParallelEngine:
     # ------------------------------------------------------------------
     # Graph publication
     # ------------------------------------------------------------------
-    def publish_star(self, star, kernel: str) -> dict:
+    def publish_star(self, star) -> dict:
         """Publish a step's core graph; returns the task descriptor.
 
         Zero-copy path: pack ``star.core_compact()`` into a fresh
         segment (retiring the previous step's).  Any failure — no shared
         memory on this host, labels the int64 codec rejects — degrades
-        to the pickled in-band payload, identical to the legacy wire
-        format, so enumeration never depends on shm availability.
+        to the pickled in-band CSR payload of
+        :func:`~repro.parallel.partition.serialize_star`, so enumeration
+        never depends on shm availability.
         """
         self.retire_segment()
         self._generation += 1
@@ -214,8 +196,7 @@ class ParallelEngine:
             _METRICS().inband.inc()
             return {
                 "token": f"inband-{self._descriptor_seq}",
-                "kernel": kernel,
-                "inband": serialize_star(star, kernel=kernel),
+                "inband": serialize_star(star),
             }
         self._segment = segment
         self.shm_bytes_total += segment.nbytes
@@ -224,7 +205,6 @@ class ParallelEngine:
         bundle.segments.inc()
         return {
             "token": segment.name,
-            "kernel": kernel,
             "shm": {
                 "name": segment.name,
                 "generation": segment.generation,
@@ -246,14 +226,12 @@ class ParallelEngine:
     # Shutdown
     # ------------------------------------------------------------------
     def close(self, terminate: bool = False) -> None:
-        """Stop the pool, unlink the segment, drop the spool directory."""
+        """Stop the pool and unlink the segment."""
         if self._closed:
             return
         self._closed = True
         self.stop_pool(terminate=terminate)
         self.retire_segment()
-        if self.spool_dir is not None:
-            shutil.rmtree(self.spool_dir, ignore_errors=True)
 
     def __enter__(self) -> "ParallelEngine":
         return self
@@ -272,5 +250,4 @@ __all__ = [
     "ChunkPolicy",
     "ParallelEngine",
     "SPLIT_AFTER_SECONDS",
-    "SPOOL_THRESHOLD_BYTES",
 ]

@@ -277,13 +277,18 @@ class HnbPartitionStore:
         return graph
 
     def close(self) -> None:
-        """Evict all resident partitions and delete the spill files."""
+        """Evict all resident partitions, delete the spill files, and
+        remove the spill directory once nothing else is left in it."""
         for index in list(self._resident):
             self._evict(index)
         if self._memory is not None:
             self._memory.remove_reclaimer(self._reclaim_one)
         for store in self._stores:
             store.delete()
+        try:
+            self._directory.rmdir()
+        except OSError:  # holds other files, or is already gone
+            pass
 
     # ------------------------------------------------------------------
     # Internals

@@ -1,7 +1,7 @@
 """Shared driver for the differential suite.
 
 One function, :func:`run_enumeration`, runs ExtMCE under any
-kernel/workers/verify_checksums combination with a fresh metrics registry
+workers/verify_checksums/reduction combination with a fresh metrics registry
 and returns everything the differential assertions need: the raw clique
 stream (enumeration order), its canonical byte rendering, and the final
 metrics snapshot.
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import metrics
+from repro.baselines.bron_kerbosch import tomita_maximal_cliques
 from repro.core.extmce import ExtMCE, ExtMCEConfig
 from repro.core.result import render_clique_lines
 from repro.parallel import ParallelExtMCE
@@ -38,7 +39,6 @@ def run_enumeration(
     graph,
     workdir: str | Path,
     *,
-    kernel: str = "bitset",
     workers: int = 1,
     verify_checksums: bool = True,
     trace: bool = False,
@@ -61,7 +61,6 @@ def run_enumeration(
         config = ExtMCEConfig(
             workdir=workdir,
             workers=workers,
-            kernel=kernel,
             reduction=reduction,
             verify_checksums=verify_checksums,
             metrics_path=workdir / "metrics.json",
@@ -77,6 +76,12 @@ def run_enumeration(
         canonical_bytes=render_clique_lines(stream).encode("ascii"),
         snapshot=snapshot,
     )
+
+
+def oracle_cliques(graph) -> set[Clique]:
+    """The clique set of the set-based Tomita enumerator — the in-memory
+    reference every ExtMCE configuration is checked against."""
+    return set(tomita_maximal_cliques(graph))
 
 
 def assert_stream_metrics_consistent(result: RunResult) -> None:

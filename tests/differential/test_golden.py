@@ -88,7 +88,7 @@ def test_fixture_file_unchanged():
 @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers2"])
 def test_golden_stream_digest(workers, tmp_path):
     result = run_enumeration(
-        golden_graph(), tmp_path, kernel="bitset", workers=workers
+        golden_graph(), tmp_path, workers=workers
     )
     assert len(result.stream) == GOLDEN_CLIQUE_COUNT
     digest = hashlib.sha256(result.canonical_bytes).hexdigest()

@@ -1,13 +1,14 @@
 """The reduction axis of the differential matrix.
 
 Reduction changes what the engine *sees* (a peeled/folded graph) but
-must never change what the consumer *gets*: for every kernel × workers
-× reduction combination the delivered clique stream is the same set of
-maximal cliques, and each run's metrics reconcile with its own stream
-through the reduce counters.  Two extra properties pin the semantics:
+must never change what the consumer *gets*: for every workers ×
+reduction combination the delivered clique stream is the same set of
+maximal cliques — the set the set-based Tomita oracle enumerates — and
+each run's metrics reconcile with its own stream through the reduce
+counters.  Two extra properties pin the semantics:
 
-* within one reduction level the stream is deterministic across kernels
-  and worker counts, element by element;
+* within one reduction level the stream is deterministic across worker
+  counts, element by element;
 * with ``reduction="off"`` the stream is *byte-identical* to the
   historical reference, so the new axis is provably a no-op when
   disabled.
@@ -21,13 +22,13 @@ from repro.core.result import render_clique_lines
 from repro.generators import fringed_clique_communities
 from tests.differential.harness import (
     assert_stream_metrics_consistent,
+    oracle_cliques,
     run_enumeration,
 )
 
+# Ids carry the kernel ExtMCE runs on (bitset, its only one).
 MATRIX = [
-    pytest.param(kernel, workers, reduction,
-                 id=f"{kernel}-w{workers}-{reduction}")
-    for kernel in ("set", "bitset")
+    pytest.param(workers, reduction, id=f"bitset-w{workers}-{reduction}")
     for workers in (1, 2, 4)
     for reduction in ("off", "prune", "full")
 ]
@@ -49,13 +50,18 @@ def canonical(stream) -> bytes:
 
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
-    """The baseline stream: set kernel, serial, reduction off."""
+    """The baseline stream: serial, reduction off."""
     result = run_enumeration(
         _graph(), tmp_path_factory.mktemp("reference"),
-        kernel="set", workers=1, reduction="off",
+        workers=1, reduction="off",
     )
     assert result.stream, "reference enumeration produced nothing"
     return result
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return oracle_cliques(_graph())
 
 
 @pytest.fixture(scope="module")
@@ -65,13 +71,12 @@ def per_level_streams():
 
 
 class TestReductionMatrix:
-    @pytest.mark.parametrize("kernel, workers, reduction", MATRIX)
+    @pytest.mark.parametrize("workers, reduction", MATRIX)
     def test_same_cliques_and_consistent_metrics(
-        self, kernel, workers, reduction, reference, per_level_streams, tmp_path
+        self, workers, reduction, reference, oracle, per_level_streams, tmp_path
     ):
         result = run_enumeration(
-            _graph(), tmp_path,
-            kernel=kernel, workers=workers, reduction=reduction,
+            _graph(), tmp_path, workers=workers, reduction=reduction,
         )
         if reduction == "off":
             # The new axis defaults to a provable no-op.
@@ -82,19 +87,19 @@ class TestReductionMatrix:
             # deliver exactly the same set of maximal cliques.
             assert len(result.stream) == len(set(result.stream))
             assert canonical(result.stream) == canonical(reference.stream)
+        assert set(result.stream) == oracle
         # Within one level, the stream order is deterministic across
-        # kernels and worker counts.
+        # worker counts.
         previous = per_level_streams.setdefault(reduction, result.stream)
         assert result.stream == previous
         assert_stream_metrics_consistent(result)
 
-    @pytest.mark.parametrize("kernel, workers, reduction", MATRIX)
+    @pytest.mark.parametrize("workers, reduction", MATRIX)
     def test_reduce_counters_reconcile(
-        self, kernel, workers, reduction, reference, tmp_path
+        self, workers, reduction, reference, tmp_path
     ):
         result = run_enumeration(
-            _graph(), tmp_path,
-            kernel=kernel, workers=workers, reduction=reduction,
+            _graph(), tmp_path, workers=workers, reduction=reduction,
         )
         direct = result.counter("repro_reduce_cliques_direct_total")
         suppressed = result.counter("repro_reduce_cliques_suppressed_total")

@@ -1,12 +1,12 @@
 """The differential matrix: byte-identical streams across configurations.
 
-The headline guarantee of this codebase — serial ExtMCE, every worker
-count and both enumeration kernels produce *exactly* the same clique
-stream — is asserted here as bytes, over the full ``kernel × workers``
-matrix (with and without checksums), together with the metrics
-invariants that tie each run's counters to its own stream.  Parallel
-runs arm work stealing, so split chunks must still merge into the
-canonical order.
+The headline guarantee of this codebase — serial ExtMCE and every
+worker count produce *exactly* the same clique stream — is asserted here
+as bytes, over the ``workers`` matrix (with and without checksums),
+together with the metrics invariants that tie each run's counters to its
+own stream and a set comparison against the set-based Tomita oracle.
+Parallel runs arm work stealing, so split chunks must still merge into
+the canonical order.
 """
 
 from __future__ import annotations
@@ -16,15 +16,16 @@ import pytest
 from repro.generators import defective_clique_communities, powerlaw_cluster_graph
 from tests.differential.harness import (
     assert_stream_metrics_consistent,
+    oracle_cliques,
     run_enumeration,
 )
 from tests.helpers import figure1_graph
 
+# Ids carry the kernel ExtMCE runs on (bitset, its only one).
 MATRIX = [
-    pytest.param(kernel, workers, verify,
-                 id=f"{kernel}-w{workers}-{'crc' if verify else 'nocrc'}")
+    pytest.param(workers, verify,
+                 id=f"bitset-w{workers}-{'crc' if verify else 'nocrc'}")
     for verify in (True, False)
-    for kernel in ("set", "bitset")
     for workers in (1, 2, 4)
 ]
 
@@ -35,33 +36,38 @@ def _graph():
 
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
-    """The baseline stream: set kernel, serial, checksums on."""
+    """The baseline stream: serial, checksums on."""
     result = run_enumeration(
         _graph(), tmp_path_factory.mktemp("reference"),
-        kernel="set", workers=1, verify_checksums=True,
+        workers=1, verify_checksums=True,
     )
     assert result.stream, "reference enumeration produced nothing"
     return result
 
 
+@pytest.fixture(scope="module")
+def oracle():
+    return oracle_cliques(_graph())
+
+
 class TestStreamMatrix:
-    @pytest.mark.parametrize("kernel, workers, verify", MATRIX)
+    @pytest.mark.parametrize("workers, verify", MATRIX)
     def test_byte_identical_stream_and_consistent_metrics(
-        self, kernel, workers, verify, reference, tmp_path
+        self, workers, verify, reference, oracle, tmp_path
     ):
         result = run_enumeration(
-            _graph(), tmp_path,
-            kernel=kernel, workers=workers, verify_checksums=verify,
+            _graph(), tmp_path, workers=workers, verify_checksums=verify,
         )
         # Stronger than canonical-bytes equality: the enumeration *order*
         # itself must match the reference, element by element.
         assert result.stream == reference.stream
         assert result.canonical_bytes == reference.canonical_bytes
+        assert set(result.stream) == oracle
         assert_stream_metrics_consistent(result)
 
-    @pytest.mark.parametrize("kernel, workers, verify", MATRIX)
+    @pytest.mark.parametrize("workers, verify", MATRIX)
     def test_driver_totals_invariant_across_matrix(
-        self, kernel, workers, verify, reference, tmp_path
+        self, workers, verify, reference, tmp_path
     ):
         """Emitted/suppressed/category totals are configuration-independent.
 
@@ -70,8 +76,7 @@ class TestStreamMatrix:
         may not.
         """
         result = run_enumeration(
-            _graph(), tmp_path,
-            kernel=kernel, workers=workers, verify_checksums=verify,
+            _graph(), tmp_path, workers=workers, verify_checksums=verify,
         )
         for name in (
             "repro_mce_cliques_emitted_total",
@@ -102,9 +107,7 @@ class TestOtherTopologies:
         graph.add_vertex(10_000)
         graph.add_vertex(10_001)
         serial = run_enumeration(graph, tmp_path / "serial", workers=1)
-        parallel = run_enumeration(
-            graph, tmp_path / "par", workers=2, kernel="set"
-        )
+        parallel = run_enumeration(graph, tmp_path / "par", workers=2)
         assert serial.stream == parallel.stream
         assert frozenset((10_000,)) in serial.stream
         assert_stream_metrics_consistent(serial)

@@ -142,7 +142,7 @@ class TestShmFaults:
         from repro.parallel.scheduler import ParallelEngine
 
         with ParallelEngine(2) as engine:
-            descriptor = engine.publish_star(star, "set")
+            descriptor = engine.publish_star(star)
             assert "shm" in descriptor, "shm publication should succeed on Linux"
             with StepExecutor(
                 engine, descriptor, fault_plan=plan, on_event=events

@@ -1,7 +1,8 @@
 """Executor tests: pool vs inline equivalence, fallback, worker chunk
-events, work stealing, result spooling and callback-driven harvest."""
+events, work stealing, large results and callback-driven harvest."""
 
 import os
+import pickle
 import sys
 import threading
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.core.clique_tree import enumerate_star_cliques
 from repro.core.hstar import extract_hstar_graph
+from repro.graph.adjacency import AdjacencyGraph
 from repro.parallel.executor import StepExecutor
 from repro.parallel.merge import merge_tree_results
 from repro.parallel.partition import chunk_tree_tasks, serialize_star, tree_tasks
@@ -85,7 +87,7 @@ class TestEngineSharing:
             first_pool = engine.pool
             assert first_pool is not None
             for _ in range(2):  # two "steps" against the same warm pool
-                descriptor = engine.publish_star(star, "set")
+                descriptor = engine.publish_star(star)
                 with StepExecutor(engine, descriptor) as executor:
                     star_cliques, _ = _run_tree(executor, star)
                 assert cliques_of(star_cliques) == expected
@@ -94,7 +96,7 @@ class TestEngineSharing:
 
     def test_shm_descriptor_ships_no_graph_payload(self, star):
         with ParallelEngine(2) as engine:
-            descriptor = engine.publish_star(star, "set")
+            descriptor = engine.publish_star(star)
             assert "shm" in descriptor, "shm publication should succeed on Linux"
             assert "inband" not in descriptor  # the graph stays out of the pipe
             with StepExecutor(engine, descriptor) as executor:
@@ -113,7 +115,7 @@ class TestWorkStealing:
             # A zero-length slice makes every chunk split whenever the
             # queue is dry: maximum steal traffic, same stream.
             engine.split_after_seconds = 0.0
-            descriptor = engine.publish_star(star, "set")
+            descriptor = engine.publish_star(star)
             with StepExecutor(engine, descriptor) as executor:
                 tasks = tree_tasks(star)
                 chunks = chunk_tree_tasks(tasks, workers=1, oversubscription=1)
@@ -127,18 +129,31 @@ class TestWorkStealing:
         assert stolen_core == expected_core
 
 
-class TestSpooling:
-    def test_oversized_results_spool_to_disk(self, star, tmp_path):
-        expected = cliques_of(enumerate_star_cliques(star))
-        spool_dir = tmp_path / "spool"
-        with StepExecutor(
-            2, serialize_star(star), spool_dir=spool_dir, spool_threshold=1
-        ) as executor:
-            star_cliques, _ = _run_tree(executor, star)
-            assert executor.spooled_chunks >= 1
-            # every spool file is consumed and removed after the merge
-            assert list(spool_dir.glob("chunk_*.pkl")) == []
-        assert cliques_of(star_cliques) == expected
+class TestResultChannel:
+    def test_big_result_comes_back_through_the_pipe(self):
+        # The cocktail-party graph on 15 vertex pairs has 2**15 maximal
+        # cliques of 15 vertices; one unsplit chunk returns all of them.
+        pairs = 15
+        graph = AdjacencyGraph.from_edges(
+            (u, v)
+            for u in range(2 * pairs)
+            for v in range(u + 1, 2 * pairs)
+            if u // 2 != v // 2
+        )
+        star = extract_hstar_graph(graph)
+        tasks = tree_tasks(star)
+        chunks = chunk_tree_tasks(tasks, workers=1, oversubscription=1)
+        assert len(chunks) == 1
+        with StepExecutor(2, serialize_star(star)) as executor:
+            executor.engine.split_after_seconds = None  # keep the chunk whole
+            results = executor.map_tree(chunks)
+            assert not executor.fell_back
+            assert not executor.stats.any_recovery
+        assert len(results) == 1
+        assert len(pickle.dumps(results[0])) > 1 << 20
+        star_cliques, _ = merge_tree_results(tasks, results, star)
+        assert cliques_of(star_cliques) == cliques_of(enumerate_star_cliques(star))
+        assert len(star_cliques) == 2**pairs
 
 
 class TestWorkerTraces:

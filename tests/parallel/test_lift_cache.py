@@ -116,7 +116,7 @@ def test_worker_cache_never_exceeds_max_resident(lift, monkeypatch):
     tight = replace(chunk, max_resident=bound)
     assert any(len(task.partition_indices) > bound for task in tight.tasks)
     envelope = executor_mod._run_lift_chunk(
-        {"token": "step-1"}, tight, executor_mod.ChunkPolicy(chunk_id=1)
+        {"token": "step-1"}, tight, executor_mod.ChunkPolicy()
     )
     results, pages = envelope["results"]
     assert max(resident_at_read) < bound  # room is made before each read

@@ -93,14 +93,11 @@ class TestLiftTasks:
 
 
 class TestSerializeStar:
-    def test_set_payload_is_core_only_and_picklable(self, star):
+    def test_payload_carries_only_csr_arrays(self, star):
         import pickle
 
-        payload = serialize_star(star, kernel="set")
-        assert payload["kernel"] == "set"
-        assert set(payload["core_adjacency"]) == set(star.core)
-        for v, neighbors in payload["core_adjacency"].items():
-            assert set(neighbors) == set(star.core_neighbors(v))
+        payload = serialize_star(star)
+        assert set(payload) == {"labels", "indptr", "indices"}
         assert pickle.loads(pickle.dumps(payload)) == payload
 
     def test_bitset_payload_rehydrates_the_core_graph(self, star):
@@ -109,7 +106,6 @@ class TestSerializeStar:
         from repro.kernel import CompactGraph
 
         payload = pickle.loads(pickle.dumps(serialize_star(star)))
-        assert payload["kernel"] == "bitset"
         compact = CompactGraph.from_csr(
             payload["labels"], payload["indptr"], payload["indices"]
         )
@@ -121,10 +117,9 @@ class TestSerializeStar:
         import pickle
 
         star = extract_hstar_graph(seeded_gnp(120, 0.2, seed=5))
-        set_bytes = len(pickle.dumps(serialize_star(star, kernel="set")))
-        bitset_bytes = len(pickle.dumps(serialize_star(star, kernel="bitset")))
-        assert bitset_bytes < set_bytes
-
-    def test_unknown_kernel_rejected(self, star):
-        with pytest.raises(ValueError):
-            serialize_star(star, kernel="simd")
+        neighbor_tuples = {
+            v: tuple(sorted(star.core_neighbors(v))) for v in sorted(star.core)
+        }
+        assert len(pickle.dumps(serialize_star(star))) < len(
+            pickle.dumps(neighbor_tuples)
+        )

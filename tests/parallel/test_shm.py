@@ -107,10 +107,10 @@ class TestEngineLifecycle:
             "repro.core.hstar", fromlist=["extract_hstar_graph"]
         ).extract_hstar_graph(seeded_gnp(30, 0.25, seed=3))
         with ParallelEngine(1) as engine:
-            first = engine.publish_star(star, "set")
+            first = engine.publish_star(star)
             assert "shm" in first
             assert os.path.exists(os.path.join("/dev/shm", first["token"]))
-            second = engine.publish_star(star, "set")
+            second = engine.publish_star(star)
             assert not os.path.exists(os.path.join("/dev/shm", first["token"]))
             assert os.path.exists(os.path.join("/dev/shm", second["token"]))
         assert not os.path.exists(os.path.join("/dev/shm", second["token"]))
@@ -122,11 +122,27 @@ class TestEngineLifecycle:
         edges = [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("b", "d")]
         star = extract_hstar_graph(AdjacencyGraph.from_edges(edges))
         with ParallelEngine(1) as engine:
-            descriptor = engine.publish_star(star, "set")
+            descriptor = engine.publish_star(star)
             assert descriptor["token"].startswith("inband-")
             assert "inband" in descriptor and "shm" not in descriptor
             assert engine.inband_payloads == 1
             assert engine.current_segment is None
+
+
+    def test_descriptors_carry_one_graph_form(self):
+        from repro.core.hstar import extract_hstar_graph
+        from repro.graph.adjacency import AdjacencyGraph
+
+        star = extract_hstar_graph(seeded_gnp(30, 0.25, seed=3))
+        labelled = extract_hstar_graph(
+            AdjacencyGraph.from_edges([("a", "b"), ("b", "c"), ("a", "c")])
+        )
+        with ParallelEngine(1) as engine:
+            shm_descriptor = engine.publish_star(star)
+            inband_descriptor = engine.publish_star(labelled)
+        assert set(shm_descriptor) == {"token", "shm"}
+        assert set(inband_descriptor) == {"token", "inband"}
+        assert set(inband_descriptor["inband"]) == {"labels", "indptr", "indices"}
 
 
 class TestSweep:

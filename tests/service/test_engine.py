@@ -9,6 +9,8 @@ from repro.baselines.bron_kerbosch import tomita_maximal_cliques
 from repro.errors import GraphError, QueryTimeoutError, ServiceError
 from repro.faults import FaultPlan, FaultRule
 from repro.index import CliqueIndex, build_index
+from repro.live import LiveCliqueStore
+from repro.live.deltas import ADD, CliqueDelta
 from repro.service import CliqueQueryEngine
 
 from tests.helpers import seeded_gnp
@@ -112,17 +114,25 @@ class TestPostingsCache:
             assert engine.cached_postings == 0
 
     def test_stale_vertices_bypass_cache(self, tmp_path, fresh_registry):
-        _build(tmp_path)
-        with CliqueIndex(tmp_path / "idx") as index:
-            engine = CliqueQueryEngine(index)
+        store = LiveCliqueStore.initialize(
+            tmp_path / "live", [(0, 1, 2), (2, 3), (4, 5)]
+        )
+        try:
+            engine = CliqueQueryEngine(store)
             engine.cliques_containing(1)
-            index.mark_stale(1)
-            result = engine.cliques_containing(1)
-            assert result.stale
+            store.apply_deltas([CliqueDelta(ADD, (1, 9))])
+            # Vertex 1 is now delta-overlaid: every answer for it is read
+            # from the store, none is served from or put into the cache.
+            assert engine.cliques_containing(1).stale
+            assert engine.cliques_containing(1).stale
+            with engine._io_lock:
+                assert 1 not in engine._postings_cache
+        finally:
+            store.close()
         snapshot = fresh_registry.snapshot()
-        # Second query re-read from the index: two misses, zero hits.
-        assert metrics.counter_value(snapshot, "repro_service_cache_misses_total") == 2
-        assert metrics.counter_value(snapshot, "repro_service_stale_answers_total") == 1
+        assert metrics.counter_value(snapshot, "repro_service_cache_misses_total") == 3
+        assert metrics.counter_value(snapshot, "repro_service_cache_hits_total") == 0
+        assert metrics.counter_value(snapshot, "repro_service_stale_answers_total") == 2
 
 
 class TestDeduplication:

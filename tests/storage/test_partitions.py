@@ -123,3 +123,31 @@ class TestResidencyAndMemory:
         store = build(disk, tmp_path, [2, 3])
         store.close()
         assert not any((tmp_path / "parts").glob("*.bin"))
+
+    def test_close_removes_the_emptied_directory(self, disk, tmp_path):
+        store = build(disk, tmp_path, [2, 3])
+        store.close()
+        assert not (tmp_path / "parts").exists()
+
+    def test_close_keeps_a_directory_holding_other_files(self, disk, tmp_path):
+        store = build(disk, tmp_path, [2, 3])
+        (tmp_path / "parts" / "keep.txt").write_text("not a spill file")
+        store.close()
+        assert [p.name for p in (tmp_path / "parts").iterdir()] == ["keep.txt"]
+
+
+class TestCallerOwnedWorkdir:
+    """A run in a caller-owned workdir leaves no per-step spill directory."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_partition_directories_remain(self, tmp_path, workers):
+        from repro import ExtMCE, ExtMCEConfig, ParallelExtMCE
+
+        disk = DiskGraph.create(tmp_path / "g.bin", seeded_gnp(90, 0.12, seed=31))
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        driver = ParallelExtMCE if workers > 1 else ExtMCE
+        algo = driver(disk, ExtMCEConfig(workdir=workdir, workers=workers))
+        assert list(algo.enumerate_cliques())
+        assert algo.report.num_recursions > 1
+        assert sorted(workdir.glob("partitions_*")) == []
