@@ -8,7 +8,8 @@ records per-operation p50/p95 latency to ``BENCH_index.json`` at the
 repository root, in the ``{bench, schema, host, git_sha, headline,
 runs}`` envelope the other ``BENCH_*.json`` files share.  It also counts
 the ``postings.dir`` pages one postings lookup requests from the buffer
-pool (the page fence makes it one).
+pool (the page fence makes it one), and the ``cliques.sz`` pages one
+top-k requests (``⌈k / 1022⌉``).
 
 It then serves the same index over TCP to concurrent clients while
 transient page-read faults hit the postings file, and records the
@@ -46,7 +47,7 @@ from repro import DiskGraph, ExtMCE, ExtMCEConfig
 from repro.faults import FaultPlan, FaultRule
 from repro.generators.communities import defective_clique_communities
 from repro.index import CliqueIndex, build_index
-from repro.index.format import DIRECTORY_FILENAME
+from repro.index.format import DIRECTORY_FILENAME, SIZE_ORDER_FILENAME
 from repro.service import CliqueQueryClient, CliqueQueryEngine, CliqueQueryServer
 
 try:  # pytest collection from the repository root
@@ -102,6 +103,18 @@ def _directory_pages(index: CliqueIndex, num_vertices: int) -> dict:
         "directory_pages": pages,
         "per_lookup": pages / num_vertices,
     }
+
+
+def _size_order_pages(index: CliqueIndex) -> dict:
+    """``cliques.sz`` page requests (cache hits included) per top-k, over
+    the workload's k = 1..10."""
+    pool = index._pools[SIZE_ORDER_FILENAME]  # the benchmark reads the pool's own counters
+    ks = range(1, 11)
+    before = pool.hits + pool.misses
+    for k in ks:
+        index.top_k_largest(k)
+    pages = pool.hits + pool.misses - before
+    return {"top_k_queries": len(ks), "size_order_pages": pages, "per_top_k": pages / len(ks)}
 
 
 def _service_contract(directory: Path, stats: dict) -> dict:
@@ -232,6 +245,7 @@ def main() -> int:
             latencies = _workload(engine, stats)
         with CliqueIndex(tmp / "idx") as index:
             directory_pages = _directory_pages(index, stats["num_vertices"])
+            size_order_pages = _size_order_pages(index)
         service_contract = _service_contract(tmp / "idx", stats)
 
         payload = {
@@ -242,6 +256,8 @@ def main() -> int:
             "headline": {
                 "cliques_containing_p50_us": latencies["cliques_containing"]["p50_us"],
                 "directory_pages_per_postings_lookup": directory_pages["per_lookup"],
+                "top_k_largest_p50_us": latencies["top_k_largest"]["p50_us"],
+                "size_order_pages_per_top_k": size_order_pages["per_top_k"],
                 "build_seconds": build_seconds,
                 "served_p95_ms": service_contract["p95_ms"],
             },
@@ -263,6 +279,7 @@ def main() -> int:
                 },
                 "latency": {"queries_per_op": QUERIES_PER_OP, **latencies},
                 "postings_lookup": directory_pages,
+                "top_k": size_order_pages,
                 "service_contract": service_contract,
             },
         }
@@ -278,6 +295,8 @@ def main() -> int:
         print(f"  build            : {build_seconds * 1e3:9.1f} ms")
         print(f"  postings.dir     : {directory_pages['per_lookup']:.2f} pages "
               f"per postings lookup")
+        print(f"  cliques.sz       : {size_order_pages['per_top_k']:.2f} pages "
+              f"per top-k")
         for op, summary in latencies.items():
             print(f"  {op:<24s}: p50 {summary['p50_us']:8.1f} us   "
                   f"p95 {summary['p95_us']:8.1f} us")

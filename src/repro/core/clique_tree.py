@@ -270,13 +270,25 @@ def enumerate_star_cliques(
     generic pivoted enumerator runs on the materialised star graph.
     Both yield the same set — a property the test suite asserts.
     """
-    from repro.kernel import maximal_cliques_bitset
-
     if not use_structure:
         yield from tomita_maximal_cliques(star.star_graph(), kernel="bitset")
         return
+    yield from _structured_star_cliques(star, set())
+
+
+def _structured_star_cliques(star: StarGraph, core_maximal: set[Clique]) -> Iterator[Clique]:
+    """The structured enumeration of :func:`enumerate_star_cliques`.
+
+    Its first loop enumerates the core graph's maximal cliques ``M_H``;
+    each is added to ``core_maximal`` as it is found, so a caller that
+    needs ``M_H`` too holds the whole set once the walk reaches the
+    anchor subproblems, without a second enumeration.
+    """
+    from repro.kernel import maximal_cliques_bitset
+
     compact = star.core_compact()
     for core_clique in maximal_cliques_bitset(compact):
+        core_maximal.add(core_clique)
         if not star.common_periphery(core_clique):
             yield core_clique
     for w, anchors in _anchor_items(star):
@@ -355,14 +367,17 @@ def build_clique_tree(
     Returns the populated tree and ``M_H`` (the maximal cliques of the
     core graph), with the tree's ``M_H`` paths marked per Algorithm 2's
     requirement.  Memory for every tree node is charged to ``memory``.
+    With ``use_structure`` the star enumeration's own first loop supplies
+    ``M_H``: :func:`assemble_clique_tree` inserts every clique before it
+    marks ``M_H``, so the set is complete by then.
     """
-    from repro.kernel import maximal_cliques_bitset
+    if use_structure:
+        core_maximal: set[Clique] = set()
+        cliques = _structured_star_cliques(star, core_maximal)
+    else:
+        from repro.kernel import maximal_cliques_bitset
 
-    core_maximal = set(maximal_cliques_bitset(star.core_compact()))
-    tree = assemble_clique_tree(
-        star,
-        enumerate_star_cliques(star, use_structure=use_structure),
-        core_maximal,
-        memory=memory,
-    )
+        core_maximal = set(maximal_cliques_bitset(star.core_compact()))
+        cliques = tomita_maximal_cliques(star.star_graph(), kernel="bitset")
+    tree = assemble_clique_tree(star, cliques, core_maximal, memory=memory)
     return tree, core_maximal

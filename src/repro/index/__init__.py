@@ -4,7 +4,8 @@ The paper motivates maximal clique enumeration as a *reusable* result —
 an index that downstream analyses query, not a one-shot report (Section
 1).  This package is that index: :func:`build_index` streams cliques
 into an on-disk layout (delta-encoded, CRC32-checksummed records plus an
-inverted vertex→clique-id postings file), :func:`merge_index` writes
+inverted vertex→clique-id postings file and a size-ordered id table
+for top-k), :func:`merge_index` writes
 the next generation of an index from its base plus a change set, and
 :class:`CliqueIndex` answers containment, edge, membership and top-k
 queries through bounded page caches.  :mod:`repro.service` builds the concurrent query engine

@@ -2,7 +2,7 @@
 
 :func:`build_index` consumes a maximal-clique stream (any iterable of
 vertex sets — :meth:`repro.core.extmce.ExtMCE.enumerate_cliques`, a
-collector, or a parsed clique file) and materialises the six-file index
+collector, or a parsed clique file) and materialises the seven-file index
 layout of :mod:`repro.index.format`.  Cliques are assigned ids by their
 rank in canonical order (sorted vertex tuples, lexicographic), so the
 output bytes depend only on the clique *set*: the same graph indexed
@@ -29,7 +29,7 @@ import heapq
 import json
 import os
 import zlib
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -56,11 +56,13 @@ from repro.index.format import (
     POSTINGS_MAGIC,
     RECORDS_FILENAME,
     RECORDS_MAGIC,
+    SIZE_ORDER_FILENAME,
     check_magic,
     clique_fingerprint,
     decode_clique_record,
     encode_clique_record,
     encode_postings,
+    encode_size_order,
     encode_table,
 )
 from repro.index.reader import read_manifest
@@ -215,7 +217,8 @@ def _write_generation(
     io_stats: IOStats | None,
     fault_plan: "FaultPlan | None",
 ) -> IndexBuildReport:
-    """Write the six index files from ``(vertices, record bytes)`` pairs.
+    """Write the six binary index files and the manifest from
+    ``(vertices, record bytes)`` pairs.
 
     The pairs must come in strictly ascending vertex-tuple order: a
     record's rank in the stream is its clique id.  Both
@@ -225,7 +228,8 @@ def _write_generation(
     record_file = bytearray(RECORDS_MAGIC)
     offsets = bytearray(OFFSETS_MAGIC)
     postings_map: defaultdict[int, list[int]] = defaultdict(list)
-    sizes: list[int] = []
+    # Ids bucketed by clique size: the counting sort behind cliques.sz.
+    ids_by_size: defaultdict[int, list[int]] = defaultdict(list)
     fingerprints: list[tuple[int, int]] = []
     previous: tuple[int, ...] = ()
     clique_id = -1
@@ -239,10 +243,9 @@ def _write_generation(
         offsets += OFFSET_ENTRY.pack(len(record_file), len(encoded), len(vertices))
         record_file += encoded
         fingerprints.append((clique_fingerprint(encoded), clique_id))
-        sizes.append(len(vertices))
+        ids_by_size[len(vertices)].append(clique_id)
         for v in vertices:
             postings_map[v].append(clique_id)
-    size_histogram = Counter(sizes)
     num_cliques = clique_id + 1
     if not num_cliques:
         raise StorageError("refusing to build an index from an empty clique stream")
@@ -270,6 +273,7 @@ def _write_generation(
         FINGERPRINTS_FILENAME: encode_table(
             FINGERPRINTS_MAGIC, FINGERPRINT_ENTRY, fingerprints
         ),
+        SIZE_ORDER_FILENAME: encode_size_order(ids_by_size),
         POSTINGS_FILENAME: bytes(postings),
         DIRECTORY_FILENAME: encode_table(
             DIRECTORY_MAGIC, DIRECTORY_ENTRY, directory_rows
@@ -283,8 +287,8 @@ def _write_generation(
         "num_cliques": num_cliques,
         "num_vertices": len(postings_map),
         "num_postings": postings_entries,
-        "max_clique_size": max(size_histogram),
-        "size_histogram": {str(size): count for size, count in size_histogram.items()},
+        "max_clique_size": max(ids_by_size),
+        "size_histogram": {str(size): len(ids) for size, ids in ids_by_size.items()},
         "files": {
             name: {"bytes": len(blob), "crc32": zlib.crc32(blob)}
             for name, blob in sorted(blobs.items())
@@ -302,7 +306,7 @@ def _write_generation(
         directory=directory,
         num_cliques=num_cliques,
         num_vertices=len(postings_map),
-        max_clique_size=max(size_histogram),
+        max_clique_size=max(ids_by_size),
         bytes_by_file=bytes_by_file,
     )
 

@@ -1,12 +1,14 @@
 """Binary layouts for the persisted clique index.
 
-An index directory holds five binary files plus a JSON manifest::
+An index directory holds six binary files plus a JSON manifest::
 
     cliques.dat    clique records, one per maximal clique, in canonical
                    (lexicographic) order; clique ids are implicit ranks
     cliques.idx    fixed 16-byte directory entry per clique id
     cliques.fp     fixed 8-byte (fingerprint, clique id) entry per clique,
                    sorted; the fingerprint is the record's own CRC32
+    cliques.sz     fixed 4-byte clique id per clique, ordered by
+                   (descending size, ascending id): the top-k order
     postings.dat   per-vertex postings lists (ascending clique ids)
     postings.dir   fixed 24-byte directory entry per vertex, ascending
     manifest.json  counts, per-file CRC32s, size histogram (commit point)
@@ -15,10 +17,13 @@ All integers are little-endian; variable-width integers use unsigned
 LEB128 ("varint").  Sorted sequences (clique vertices, postings lists)
 are delta-encoded — the first element raw, then successive gaps — so
 records stay small on the locally-dense id ranges community graphs
-produce.  The two sorted fixed-width tables (``postings.dir`` and
-``cliques.fp``) are laid out in pages: every page opens with the file
-magic and holds whole entries only, so a reader that keeps each page's
-first and last key in memory finds any key with one page read.  Every
+produce.  The three fixed-width tables (``postings.dir``, ``cliques.fp``
+and ``cliques.sz``) are laid out in pages: every page opens with the
+file magic and holds whole entries only.  A reader that keeps the first
+and last key of each page of the two sorted tables in memory finds any
+key with one page read; entry ``i`` of ``cliques.sz`` lives on page
+``i // 1022``, and its size follows from the manifest's size
+histogram, so the entries carry none.  Every
 variable-length payload carries a trailing CRC32, the same discipline
 as DiskGraph format v2: a flipped bit surfaces as a typed
 :class:`~repro.errors.CorruptDataError`, never a silently wrong query
@@ -36,7 +41,7 @@ import itertools
 import operator
 import struct
 import zlib
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import CorruptDataError, StorageFormatError
 from repro.storage.pagestore import PAGE_SIZE_BYTES
@@ -47,21 +52,23 @@ OFFSETS_MAGIC = b"RPXIDX1\n"
 POSTINGS_MAGIC = b"RPXPST1\n"
 DIRECTORY_MAGIC = b"RPXDIR2\n"
 FINGERPRINTS_MAGIC = b"RPXFPR1\n"
+SIZE_ORDER_MAGIC = b"RPXSIZ1\n"
 
 #: Manifest schema identifier; bump on incompatible layout changes.
-MANIFEST_SCHEMA = "repro.index/2"
+MANIFEST_SCHEMA = "repro.index/3"
 
 #: Filenames inside an index directory.
 RECORDS_FILENAME = "cliques.dat"
 OFFSETS_FILENAME = "cliques.idx"
 FINGERPRINTS_FILENAME = "cliques.fp"
+SIZE_ORDER_FILENAME = "cliques.sz"
 POSTINGS_FILENAME = "postings.dat"
 DIRECTORY_FILENAME = "postings.dir"
 MANIFEST_FILENAME = "manifest.json"
 
 #: ``cliques.idx`` entry: byte offset (u64), byte length (u32), clique
-#: size in vertices (u32).  The size rides in the directory so top-k
-#: queries never touch the record file.
+#: size in vertices (u32).  The size rides in the directory so
+#: ``clique_size`` never touches the record file.
 OFFSET_ENTRY = struct.Struct("<QII")
 
 #: ``postings.dir`` entry: vertex (u64), byte offset (u64), byte length
@@ -72,7 +79,11 @@ DIRECTORY_ENTRY = struct.Struct("<QQII")
 #: ascending by ``(fingerprint, id)``.
 FINGERPRINT_ENTRY = struct.Struct("<II")
 
-#: Bytes at the start of every page of a sorted table (the file magic).
+#: ``cliques.sz`` entry: clique id (u32), in (descending size, ascending
+#: id) order.
+SIZE_ORDER_ENTRY = struct.Struct("<I")
+
+#: Bytes at the start of every page of a paged table (the file magic).
 TABLE_PAGE_HEADER = 8
 
 _CRC = struct.Struct("<I")
@@ -221,7 +232,7 @@ def clique_fingerprint(record: bytes) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sorted fixed-width tables (postings.dir, cliques.fp)
+# Paged fixed-width tables (postings.dir, cliques.fp, cliques.sz)
 # ---------------------------------------------------------------------------
 def table_entries_per_page(entry: struct.Struct) -> int:
     """Whole entries that fit on one page after its magic header."""
@@ -250,6 +261,18 @@ def encode_table(magic: bytes, entry: struct.Struct, rows: Sequence[tuple]) -> b
         packed = struct.pack("<" + fields * len(chunk), *itertools.chain.from_iterable(chunk))
         pages.append(magic + packed)
     return b"".join(page.ljust(PAGE_SIZE_BYTES, b"\0") for page in pages[:-1]) + pages[-1]
+
+
+def encode_size_order(ids_by_size: Mapping[int, Sequence[int]]) -> bytes:
+    """``cliques.sz`` from each clique size's ascending ids.
+
+    Concatenating the buckets largest size first is the counting sort
+    into (descending size, ascending id) order.
+    """
+    order = itertools.chain.from_iterable(
+        ids_by_size[size] for size in sorted(ids_by_size, reverse=True)
+    )
+    return encode_table(SIZE_ORDER_MAGIC, SIZE_ORDER_ENTRY, list(zip(order)))
 
 
 # ---------------------------------------------------------------------------

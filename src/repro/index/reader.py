@@ -10,15 +10,18 @@ postings list yields clique ids, and the offsets directory turns ids
 into record-file extents.  :meth:`CliqueIndex.find` answers "which id
 does exactly this clique have" the same way: the fingerprint table's
 fence names one page, and each candidate id is confirmed by reading
-its record.
+its record.  :meth:`CliqueIndex.top_k_largest` reads the first
+``⌈k / 1022⌉`` pages of the size-ordered id table and then the ``k``
+records, never the offsets of the other cliques.
 
 Every payload CRC32 is verified on read (disable with
 ``verify_checksums=False``); a flipped bit raises
 :class:`~repro.errors.CorruptDataError`.  The two fenced tables are read
 whole once at open, to build the fence, and checked against the
-manifest CRC32 then.  :meth:`CliqueIndex.verify` performs the full
-offline audit — every record, every postings list, the file CRCs in the
-manifest, the record/postings cross-counts and the fingerprint table.
+manifest CRC32 then; so is the size-ordered id table.
+:meth:`CliqueIndex.verify` performs the full offline audit — every
+record, every postings list, the file CRCs in the manifest, the
+record/postings cross-counts, the fingerprint table and the size order.
 
 Staleness: a frozen index is a snapshot of one enumeration and never
 changes, so :meth:`~CliqueIndex.is_stale` is always ``False``.  A graph
@@ -29,9 +32,10 @@ delta overlay; the query engine reads both the same way.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import json
 import struct
+import sys
 import zlib
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
@@ -57,12 +61,16 @@ from repro.index.format import (
     POSTINGS_MAGIC,
     RECORDS_FILENAME,
     RECORDS_MAGIC,
+    SIZE_ORDER_ENTRY,
+    SIZE_ORDER_FILENAME,
+    SIZE_ORDER_MAGIC,
     TABLE_PAGE_HEADER,
     check_magic,
     clique_fingerprint,
     decode_clique_record,
     decode_postings,
     encode_clique_record,
+    encode_size_order,
     encode_table,
     table_entries_per_page,
     table_size,
@@ -134,6 +142,10 @@ class _FencedTable:
         self._count = count
         self._pool = pool
         self._per_page = table_entries_per_page(entry)
+        # The key (first field) as a typed column of every page: the
+        # entry viewed as words of the key's width, every stride-th word.
+        self._key_code = entry.format[1]
+        self._key_stride = entry.size // struct.calcsize(self._key_code)
         self._firsts: list[int] = []
         self._lasts: list[int] = []
         for start in range(0, count, self._per_page):
@@ -154,15 +166,19 @@ class _FencedTable:
             )
             if raw[:TABLE_PAGE_HEADER] != self._magic:
                 raise CorruptDataError(f"{self._name} page {page} has no page header")
-
-            def row(position: int) -> tuple:
-                return entry.unpack_from(raw, TABLE_PAGE_HEADER + position * entry.size)
-
-            position = bisect_left(range(count), key, key=lambda i: row(i)[0])
-            while position < count and row(position)[0] == key:
-                rows.append(row(position))
+            keys = self._keys(raw, count)
+            position = bisect_left(keys, key)
+            while position < count and keys[position] == key:
+                rows.append(entry.unpack_from(raw, TABLE_PAGE_HEADER + position * entry.size))
                 position += 1
         return rows
+
+    def _keys(self, raw: bytes, count: int):
+        """The first field of a page's ``count`` entries, indexable."""
+        entries = memoryview(raw)[TABLE_PAGE_HEADER:TABLE_PAGE_HEADER + count * self._entry.size]
+        if sys.byteorder == "little":
+            return entries.cast(self._key_code)[::self._key_stride]
+        return [row[0] for row in self._entry.iter_unpack(entries)]
 
 
 class CliqueIndex:
@@ -181,17 +197,26 @@ class CliqueIndex:
         self._io = io_stats if io_stats is not None else IOStats()
         self._manifest = manifest = read_manifest(self._directory)
         self._num_cliques = int(manifest["num_cliques"])
+        # (-size, count) runs of cliques.sz, largest size first.
+        self._size_runs = sorted(
+            (-int(size), count) for size, count in manifest["size_histogram"].items()
+        )
+        if sum(count for _neg_size, count in self._size_runs) != self._num_cliques:
+            raise CorruptDataError(
+                f"manifest size histogram does not count {self._num_cliques} cliques"
+            )
         self._stores: dict[str, PageStore] = {}
         self._pools: dict[str, BufferPool] = {}
         # Open-time checks read straight off the files, not through the
         # pools: they must not pre-warm the page caches (nor draw from the
-        # fault plan's page-read budget).  The two fenced tables are read
-        # whole by _open_table; the other files are only probed for their
+        # fault plan's page-read budget).  The three paged tables are read
+        # whole by _read_table; the other files are only probed for their
         # magic.
         for name, magic in (
             (RECORDS_FILENAME, RECORDS_MAGIC),
             (OFFSETS_FILENAME, OFFSETS_MAGIC),
             (FINGERPRINTS_FILENAME, None),
+            (SIZE_ORDER_FILENAME, None),
             (POSTINGS_FILENAME, POSTINGS_MAGIC),
             (DIRECTORY_FILENAME, None),
         ):
@@ -209,19 +234,29 @@ class CliqueIndex:
                     check_magic(handle.read(len(magic)), magic, name)
             self._stores[name] = store
             self._pools[name] = BufferPool(store, capacity_pages=cache_pages)
-        self._fingerprints = self._open_table(
+        self._fingerprints = self._fenced_table(
             FINGERPRINTS_FILENAME, FINGERPRINTS_MAGIC, FINGERPRINT_ENTRY,
             self._num_cliques,
         )
-        self._vertex_directory = self._open_table(
+        self._vertex_directory = self._fenced_table(
             DIRECTORY_FILENAME, DIRECTORY_MAGIC, DIRECTORY_ENTRY,
             int(manifest["num_vertices"]),
         )
+        self._read_table(
+            SIZE_ORDER_FILENAME, SIZE_ORDER_MAGIC, SIZE_ORDER_ENTRY, self._num_cliques
+        )
 
-    def _open_table(
+    def _fenced_table(
         self, name: str, magic: bytes, entry: struct.Struct, count: int
     ) -> _FencedTable:
-        """Read a sorted table once: magic, size, manifest CRC32, fence."""
+        """A sorted table with its fence, built from the one read at open."""
+        blob = self._read_table(name, magic, entry, count)
+        return _FencedTable(name, blob, magic, entry, count, self._pools[name])
+
+    def _read_table(
+        self, name: str, magic: bytes, entry: struct.Struct, count: int
+    ) -> bytes:
+        """Read a paged table once: magic, size, manifest CRC32."""
         blob = Path(self._stores[name].path).read_bytes()
         check_magic(blob, magic, name)
         if len(blob) != table_size(entry, count):
@@ -236,7 +271,7 @@ class CliqueIndex:
                     f"index file {name} CRC32 {zlib.crc32(blob):#010x} does not "
                     f"match manifest {declared:#010x}"
                 )
-        return _FencedTable(name, blob, magic, entry, count, self._pools[name])
+        return blob
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -288,16 +323,23 @@ class CliqueIndex:
         """The id of the maximal clique with exactly ``vertices``, or ``None``.
 
         One ``cliques.fp`` page read locates the candidates with the
-        clique's fingerprint; each is confirmed by reading its record,
-        CRC-checked, so a fingerprint collision never returns a wrong id.
+        clique's fingerprint; each is confirmed by comparing its stored
+        record with the clique's encoding (the encoding is canonical, so
+        equal bytes mean the same clique, CRC included), so a fingerprint
+        collision never returns a wrong id.  A candidate that differs is
+        decoded with its CRC checked, so a damaged record still raises.
         """
         wanted = tuple(sorted(set(vertices)))
         if not wanted:
             raise GraphError("find needs at least one vertex")
-        fingerprint = clique_fingerprint(encode_clique_record(wanted))
-        for _fingerprint, clique_id in self._fingerprints.lookup(fingerprint):
-            if self.clique(clique_id) == wanted:
+        encoded = encode_clique_record(wanted)
+        for _fingerprint, clique_id in self._fingerprints.lookup(
+            clique_fingerprint(encoded)
+        ):
+            raw = self._record_bytes(clique_id)
+            if raw == encoded:
                 return clique_id
+            decode_clique_record(raw, verify=self._verify)
         return None
 
     def postings(self, vertex: int) -> tuple[int, ...]:
@@ -322,11 +364,17 @@ class CliqueIndex:
             raise GraphError(
                 f"clique id {clique_id} out of range [0, {self._num_cliques})"
             )
+        vertices, _ = decode_clique_record(
+            self._record_bytes(clique_id), verify=self._verify
+        )
+        return vertices
+
+    def _record_bytes(self, clique_id: int) -> bytes:
+        """Clique ``clique_id``'s encoded record, through the page caches."""
         offset, length, _size = self._offset_entry(clique_id)
         raw = self._pools[RECORDS_FILENAME].read(offset, length)
-        vertices, _ = decode_clique_record(raw, verify=self._verify)
         _METRICS().record_reads.inc()
-        return vertices
+        return raw
 
     def _offset_entry(self, clique_id: int) -> tuple[int, int, int]:
         base = len(OFFSETS_MAGIC)
@@ -387,16 +435,38 @@ class CliqueIndex:
     def top_k_largest(self, k: int) -> list[tuple[int, ...]]:
         """The ``k`` largest cliques (ties broken by canonical order).
 
-        Scans only the fixed-width offsets directory for sizes, then
-        fetches the ``k`` winning records.
+        Reads the first ``⌈k / 1022⌉`` pages of ``cliques.sz``, then the
+        ``k`` winning records.
         """
         if k <= 0:
             raise GraphError(f"k must be positive, got {k}")
-        keys = (
-            (-self._offset_entry(cid)[2], cid) for cid in range(self._num_cliques)
+        return [
+            self.clique(cid) for _neg_size, cid in itertools.islice(self.size_ranked(), k)
+        ]
+
+    def size_ranked(self) -> Iterator[tuple[int, int]]:
+        """Yield ``(-size, clique_id)`` for every clique in top-k order.
+
+        That is ascending ``(-size, id)``.  ``cliques.sz`` is read a page
+        at a time through its page cache, as the walk reaches the page;
+        the sizes come from the manifest's size histogram.
+        """
+        pool = self._pools[SIZE_ORDER_FILENAME]
+        per_page = table_entries_per_page(SIZE_ORDER_ENTRY)
+        sizes = itertools.chain.from_iterable(
+            itertools.repeat(neg_size, count) for neg_size, count in self._size_runs
         )
-        winners = heapq.nsmallest(k, keys)
-        return [self.clique(cid) for _neg_size, cid in winners]
+        for page, first in enumerate(range(0, self._num_cliques, per_page)):
+            count = min(per_page, self._num_cliques - first)
+            raw = pool.read(
+                page * PAGE_SIZE_BYTES, TABLE_PAGE_HEADER + count * SIZE_ORDER_ENTRY.size
+            )
+            if raw[:TABLE_PAGE_HEADER] != SIZE_ORDER_MAGIC:
+                raise CorruptDataError(
+                    f"{SIZE_ORDER_FILENAME} page {page} has no page header"
+                )
+            ids = struct.unpack_from(f"<{count}I", raw, TABLE_PAGE_HEADER)
+            yield from zip(itertools.islice(sizes, count), ids)
 
     def stats(self) -> dict:
         """Index-wide statistics (manifest counts; a frozen index is never stale)."""
@@ -467,8 +537,9 @@ class CliqueIndex:
 
         Checks file CRC32s against the manifest, decodes every record and
         postings list (payload CRCs), cross-checks the postings counts
-        against the records, and checks that ``cliques.fp`` lists every
-        clique id once, under its record's fingerprint, in sorted order.
+        against the records, checks that ``cliques.fp`` lists every
+        clique id once, under its record's fingerprint, in sorted order,
+        and that ``cliques.sz`` and the size histogram match the records.
         Returns a summary dict on success.
         """
         for name, declared in sorted(self._manifest["files"].items()):
@@ -481,13 +552,16 @@ class CliqueIndex:
                 )
         counted_postings: dict[int, int] = {}
         fingerprints: list[int] = []
+        ids_by_size: dict[int, list[int]] = {}
         records = 0
-        for _clique_id, vertices in self.scan_cliques():
+        for clique_id, vertices in self.scan_cliques():
             records += 1
             fingerprints.append(clique_fingerprint(encode_clique_record(vertices)))
+            ids_by_size.setdefault(len(vertices), []).append(clique_id)
             for v in vertices:
                 counted_postings[v] = counted_postings.get(v, 0) + 1
         self._verify_fingerprints(fingerprints)
+        self._verify_size_order(ids_by_size)
         directory_total = 0
         for vertex in sorted(counted_postings):
             clique_ids = self.postings(vertex)
@@ -511,6 +585,21 @@ class CliqueIndex:
             raise CorruptDataError(
                 f"{FINGERPRINTS_FILENAME} does not list every clique id once "
                 "under its record's fingerprint"
+            )
+
+    def _verify_size_order(self, ids_by_size: dict[int, list[int]]) -> None:
+        """``cliques.sz`` must list the ids in the (-size, id) order the
+        records imply, and the manifest's histogram must count them."""
+        blob = PageStore(self._directory / SIZE_ORDER_FILENAME, self._io).read_all()
+        if blob != encode_size_order(ids_by_size):
+            raise CorruptDataError(
+                f"{SIZE_ORDER_FILENAME} does not list the clique ids by "
+                "descending size"
+            )
+        histogram = sorted((-size, len(ids)) for size, ids in ids_by_size.items())
+        if histogram != self._size_runs:
+            raise CorruptDataError(
+                "manifest size histogram does not match the records' sizes"
             )
 
     # ------------------------------------------------------------------

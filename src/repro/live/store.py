@@ -57,6 +57,7 @@ through the plan's ``"compaction"`` operation site.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import os
 import shutil
@@ -637,19 +638,24 @@ class LiveCliqueStore:
             return self._base.clique_size(clique_id)
 
     def top_k_largest(self, k: int) -> list[tuple[int, ...]]:
-        """The ``k`` largest live cliques (ties by canonical live order)."""
+        """The ``k`` largest live cliques (ties by canonical live order).
+
+        Merges the base's size-ordered walk, tombstones skipped, with the
+        overlay additions keyed the same way, ``(-size, id)``, and stops
+        after ``k``.  Added ids lie past every base id, so on a size tie
+        a base clique comes first, as in live id order.
+        """
         if k <= 0:
             raise GraphError(f"k must be positive, got {k}")
         with self._lock:
-            keys = []
+            base: Iterable[tuple[int, int]] = ()
             if self._base is not None:
-                keys.extend(
-                    (-self._base.clique_size(cid), cid)
-                    for cid in range(self._base.num_cliques)
-                    if cid not in self._tombstones
+                base = (
+                    key for key in self._base.size_ranked()
+                    if key[1] not in self._tombstones
                 )
-            keys.extend((-len(vs), cid) for cid, vs in self._added.items())
-            winners = heapq.nsmallest(k, keys)
+            added = sorted((-len(vs), cid) for cid, vs in self._added.items())
+            winners = itertools.islice(heapq.merge(base, added), k)
             return [self.clique(cid) for _neg, cid in winners]
 
     def scan_cliques(self) -> Iterator[tuple[int, tuple[int, ...]]]:

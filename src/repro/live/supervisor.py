@@ -150,15 +150,22 @@ class SupervisedIngestor:
         return True
 
     def wait_idle(self, timeout: float = 30.0) -> bool:
-        """Block until every submitted event is applied (or timeout)."""
+        """Block until every submitted event is applied (or timeout).
+
+        A dead worker is never idle: once the supervisor has drained its
+        queue and retry slot into the handoff, both look empty.  The
+        queue is read before the retry slot because a failing event is
+        parked there before its ``task_done``.
+        """
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
+            drained = self._queue.empty() and self._queue.unfinished_tasks == 0
             with self._retry_lock:
                 retrying = self._pending_retry is not None
-            if self._queue.empty() and not retrying and self._queue.unfinished_tasks == 0:
-                return True
             if not self.is_alive():
                 return False
+            if drained and not retrying:
+                return True
             time.sleep(0.005)
         return False
 

@@ -403,7 +403,7 @@ class CliqueQueryEngine:
                 return list(self._index.clique(cid)), False
             if op == "top_k_largest":
                 k = int(args["k"])
-                deadline.check("top-k size scan")
+                deadline.check("top-k size-order walk")
                 value = [list(c) for c in self._index.top_k_largest(k)]
                 return value, bool(self._index.stale_vertices)
             raise ServiceError(f"unhandled operation {op!r}")  # pragma: no cover

@@ -98,8 +98,8 @@ def maintainers_built_once():
 
 #: Every file of an index directory, the manifest included.
 INDEX_DIRECTORY_FILES = (
-    "cliques.dat", "cliques.idx", "cliques.fp", "postings.dat", "postings.dir",
-    "manifest.json",
+    "cliques.dat", "cliques.idx", "cliques.fp", "cliques.sz", "postings.dat",
+    "postings.dir", "manifest.json",
 )
 
 

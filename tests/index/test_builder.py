@@ -14,7 +14,8 @@ from tests.differential.harness import run_enumeration
 from tests.helpers import seeded_gnp
 
 INDEX_FILES = (
-    "cliques.dat", "cliques.idx", "cliques.fp", "postings.dat", "postings.dir"
+    "cliques.dat", "cliques.idx", "cliques.fp", "cliques.sz", "postings.dat",
+    "postings.dir",
 )
 
 

@@ -135,6 +135,16 @@ class TestPageFence:
             assert index.find(index.clique(clique_id)) == clique_id
             assert pool.hits + pool.misses - before == 1
 
+    def test_unpacked_key_column_matches_the_typed_view(self, index, monkeypatch):
+        """A big-endian host cannot view the little-endian keys in place
+        and unpacks them instead; both give the same rows."""
+        vertices = range(-1, 905, 7)
+        cliques = [index.clique(cid) for cid in range(0, index.num_cliques, 53)]
+        expected = [index.postings(v) for v in vertices], [index.find(c) for c in cliques]
+        monkeypatch.setattr(reader.sys, "byteorder", "big")
+        got = [index.postings(v) for v in vertices], [index.find(c) for c in cliques]
+        assert got == expected
+
     @pytest.mark.parametrize("name", [FINGERPRINTS_FILENAME, DIRECTORY_FILENAME])
     def test_every_page_opens_with_the_magic(self, index, name):
         blob = (index.directory / name).read_bytes()

@@ -129,7 +129,8 @@ class TestIntegrity:
 
     @pytest.mark.parametrize(
         "victim",
-        ["cliques.dat", "cliques.idx", "cliques.fp", "postings.dat", "postings.dir"],
+        ["cliques.dat", "cliques.idx", "cliques.fp", "cliques.sz", "postings.dat",
+         "postings.dir"],
     )
     def test_verify_detects_any_flipped_byte(self, tmp_path, victim):
         build_index(
@@ -142,7 +143,7 @@ class TestIntegrity:
         # A flipped bit in a sorted table already fails the open (see
         # test_flipped_bit_in_sorted_table_fails_at_open); open those
         # unchecked so verify() still has to catch it.
-        sorted_table = victim in ("cliques.fp", "postings.dir")
+        sorted_table = victim in ("cliques.fp", "cliques.sz", "postings.dir")
         with CliqueIndex(tmp_path / "idx", verify_checksums=not sorted_table) as index:
             with pytest.raises(CorruptDataError):
                 index.verify()

@@ -92,6 +92,9 @@ class TestSupervisedIngestor:
             # submitted after it is lost.
             assert unacked[0][0] == 3
             assert worker.acked_events + len(unacked) == len(STREAM)
+            # Drained into the handoff, the dead worker must not read idle:
+            # the supervisor's wait_idle would return before the restart.
+            assert not worker.wait_idle(timeout=0.05)
         finally:
             store.close()
 

@@ -231,7 +231,10 @@ class TestIndexOut:
     def test_index_out_worker_count_does_not_change_bytes(
         self, small_disk, tmp_path, capsys
     ):
-        names = ("cliques.dat", "cliques.idx", "cliques.fp", "postings.dat", "postings.dir")
+        names = (
+            "cliques.dat", "cliques.idx", "cliques.fp", "cliques.sz", "postings.dat",
+            "postings.dir",
+        )
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         base = ["enumerate", str(small_disk.path)]
         assert main(base + ["--index-out", str(serial)]) == 0
