@@ -1,7 +1,13 @@
 """Parallel scaling sweep: ParallelExtMCE speedup over worker counts.
 
 Runs the same enumeration at 1, 2 and 4 workers and reports wall-clock
-speedup relative to the serial driver.  Besides the rendered table
+speedup relative to the serial driver.  The parallel rows run as the
+driver's cost model decides (:mod:`repro.parallel.costmodel`), so a step
+whose phases would not finish sooner on the pool runs inline; they run
+first in the process, so they pay the model's one exploratory fan-out.
+A last row at 2 workers patches the model's decision so that every
+phase fans out (``"fanout": true``): it measures the engine itself and
+is not a speedup row.  Besides the rendered table
 (``benchmarks/results/parallel_scaling.txt``) the sweep writes a
 machine-readable ``BENCH_parallel.json`` summary next to it.
 
@@ -29,12 +35,17 @@ import os
 import pickle
 import tempfile
 import time
+from contextlib import contextmanager, nullcontext
+from dataclasses import replace
+from unittest import mock
 
 from repro.analysis.tables import render_table
 from repro.core.extmce import ExtMCE, ExtMCEConfig
 from repro.core.hstar import extract_hstar_graph
 from repro.core.lstar import extract_lstar_graph
 from repro.parallel import ParallelExtMCE, ParallelEngine, serialize_star
+from repro.parallel import driver as parallel_driver
+from repro.parallel.costmodel import FANOUT, best_chunks, plan_phase
 from repro.storage.diskgraph import DiskGraph
 
 try:  # pytest collection from the repository root
@@ -47,17 +58,37 @@ NUM_VERTICES = 4_000
 PAYLOAD_REDUCTION_FLOOR = 10.0
 
 
-def _run_one(graph, workers):
+@contextmanager
+def _every_phase_fans_out():
+    """Patch the model's decision: every phase with work fans out, into
+    the chunk count the model would pick (one per worker until a fan-out
+    has been measured)."""
+
+    def fan_out(rates, units, workers, engine_running):
+        plan = plan_phase(rates, units, workers, engine_running)
+        if units <= 0 or plan.mode == FANOUT:
+            return plan
+        measured = rates.dispatch_s_per_chunk is not None
+        chunks = best_chunks(rates, units, workers) if measured else workers
+        return replace(plan, mode=FANOUT, chunks=chunks)
+
+    with mock.patch.object(parallel_driver, "plan_phase", fan_out):
+        yield
+
+
+def _run_one(graph, workers, fanout=False):
     with tempfile.TemporaryDirectory(prefix="par_scaling_") as tmp:
         disk = DiskGraph.create(f"{tmp}/g.bin", graph)
         config = ExtMCEConfig(workdir=tmp, workers=workers)
         driver = ParallelExtMCE if workers > 1 else ExtMCE
         algo = driver(disk, config)
-        started = time.perf_counter()
-        cliques = sum(1 for _ in algo.enumerate_cliques())
-        elapsed = time.perf_counter() - started
+        with _every_phase_fans_out() if fanout else nullcontext():
+            started = time.perf_counter()
+            cliques = sum(1 for _ in algo.enumerate_cliques())
+            elapsed = time.perf_counter() - started
     return {
         "workers": workers,
+        "fanout": fanout,
         "cliques": cliques,
         "seconds": elapsed,
         "recursions": algo.report.num_recursions,
@@ -68,6 +99,9 @@ def _run_one(graph, workers):
         "shm_bytes": getattr(algo, "shm_bytes_total", 0),
         "tasks_split": getattr(algo, "tasks_split_total", 0),
         "tasks_stolen": getattr(algo, "tasks_stolen_total", 0),
+        "phases_fanned_out": getattr(algo, "fanned_out_phases", 0),
+        "chunks": getattr(algo, "chunks_total", 0),
+        "inband_steps": getattr(algo, "inband_steps", 0),
     }
 
 
@@ -101,13 +135,16 @@ def _payload_reduction(graph):
 
 def test_parallel_scaling_sweep(benchmark, save_result):
     graph = scaling_graph(NUM_VERTICES)
-    results = benchmark.pedantic(
-        lambda: [_run_one(graph, w) for w in WORKER_COUNTS],
+    results, forced = benchmark.pedantic(
+        lambda: (
+            [_run_one(graph, w) for w in WORKER_COUNTS],
+            _run_one(graph, 2, fanout=True),
+        ),
         rounds=1, iterations=1,
     )
     serial_seconds = results[0]["seconds"]
     host_cpus = os.cpu_count() or 1
-    for r in results:
+    for r in results + [forced]:
         r["speedup"] = serial_seconds / r["seconds"] if r["seconds"] else float("inf")
         r["oversubscribed"] = r["workers"] > host_cpus
     honest = [
@@ -121,22 +158,24 @@ def test_parallel_scaling_sweep(benchmark, save_result):
         render_table(
             f"Parallel scaling: ParallelExtMCE on powerlaw-cluster "
             f"(n={NUM_VERTICES}, m=5, p=0.7), host cpus={os.cpu_count()}",
-            ["workers", "cliques", "seconds", "speedup",
-             "fallbacks", "payload B", "shm B", "split", "stolen"],
+            ["workers", "cliques", "seconds", "speedup", "fanned out",
+             "chunks", "fallbacks", "payload B", "shm B", "split", "stolen"],
             [
                 (
-                    r["workers"],
+                    f"{r['workers']}" + (" (forced fan-out)" if r["fanout"] else ""),
                     r["cliques"],
                     f"{r['seconds']:.2f}",
                     f"{r['speedup']:.2f}x"
                     + (" (oversubscribed)" if r["oversubscribed"] else ""),
+                    r["phases_fanned_out"],
+                    r["chunks"],
                     r["fallback_steps"],
                     r["payload_bytes"],
                     r["shm_bytes"],
                     r["tasks_split"],
                     r["tasks_stolen"],
                 )
-                for r in results
+                for r in results + [forced]
             ],
         ),
     )
@@ -149,19 +188,25 @@ def test_parallel_scaling_sweep(benchmark, save_result):
             "headline_speedup": headline_speedup,
             "serial_seconds": serial_seconds,
             "two_workers_seconds": results[1]["seconds"],
+            "two_workers_fanout_seconds": forced["seconds"],
         },
         "graph": {"model": "powerlaw_cluster", "n": NUM_VERTICES, "m": 5, "p": 0.7},
         "payload_reduction": reduction,
-        "runs": results,
+        "runs": results + [forced],
     }
     (ROOT / "BENCH_parallel.json").write_text(json.dumps(summary, indent=2) + "\n")
 
     # Correctness invariants hold at every worker count, speedup or not.
-    for r in results:
+    # Every phase that fans out publishes through shm: no step falls
+    # back to the pickled in-band graph.
+    for r in results + [forced]:
         assert r["cliques"] == results[0]["cliques"]
         assert r["fallback_steps"] == 0
-        if r["workers"] > 1:
-            assert r["shm_bytes"] > 0, "parallel runs must publish via shm"
+        assert r["inband_steps"] == 0, "a fanned-out step fell back to in-band"
+    # The forced row measures the engine itself: it must use the pool and
+    # publish every step's graph through shm.
+    assert forced["chunks"] > 0
+    assert forced["shm_bytes"] > 0, "parallel runs must publish via shm"
 
     # The engine claim that holds on ANY host: task descriptors are at
     # least 10x smaller than the pickled graph payloads they replace on

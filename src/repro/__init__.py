@@ -46,7 +46,6 @@ from repro.baselines import (
     StixDynamicMCE,
     bron_kerbosch_maximal_cliques,
     degeneracy_maximal_cliques,
-    parallel_bron_kerbosch_maximal_cliques,
     tomita_maximal_cliques,
 )
 from repro.core import (
@@ -189,7 +188,6 @@ __all__ = [
     "maximal_cliques_bitset",
     "maximal_independent_sets",
     "maximum_clique",
-    "parallel_bron_kerbosch_maximal_cliques",
     "reduce_graph",
     "subproblem_bitset",
     "summarize_trace",

@@ -9,9 +9,6 @@
   (reference [7]); used as an independent correctness oracle in tests.
 * :func:`degeneracy_maximal_cliques` — Eppstein-Strash degeneracy-ordered
   enumeration, included for the ordering ablation bench.
-* :func:`parallel_bron_kerbosch_maximal_cliques` — Par-TTT-style
-  shared-memory parallel enumeration (Das et al., 2018); the cross-check
-  for :mod:`repro.parallel`.
 """
 
 from repro.baselines.bron_kerbosch import (
@@ -21,14 +18,12 @@ from repro.baselines.bron_kerbosch import (
 )
 from repro.baselines.degeneracy import degeneracy_maximal_cliques
 from repro.baselines.ondisk import tomita_maximal_cliques_on_disk
-from repro.baselines.parallel_bk import parallel_bron_kerbosch_maximal_cliques
 from repro.baselines.stix import StixDynamicMCE
 
 __all__ = [
     "StixDynamicMCE",
     "bron_kerbosch_maximal_cliques",
     "degeneracy_maximal_cliques",
-    "parallel_bron_kerbosch_maximal_cliques",
     "tomita_maximal_cliques",
     "tomita_maximal_cliques_on_disk",
     "tomita_subproblem",

@@ -4,6 +4,9 @@ The subsystem follows the decomposition recipe of *Shared-Memory
 Parallel Maximal Clique Enumeration* (Das, Sanei-Mehri & Tirthapura,
 arXiv:1807.09417), adapted to the paper's step-wise H*-graph recursion:
 
+* :mod:`repro.parallel.costmodel` — decides, per step and phase,
+  whether fanning out would finish sooner than running inline, and into
+  how many chunks, from this process's own measured rates;
 * :mod:`repro.parallel.partition` — splits each step's work into
   per-vertex clique-tree subproblems and partition-aligned lifting
   batches;
@@ -36,6 +39,7 @@ Quick start::
         ...
 """
 
+from repro.parallel.costmodel import COST_MODEL, CostModel, PhaseRates, Plan, plan_phase
 from repro.parallel.driver import ParallelExtMCE
 from repro.parallel.executor import ExecutorStats, StepExecutor
 from repro.parallel.merge import merge_lift_results, merge_tree_results
@@ -53,12 +57,16 @@ from repro.parallel.scheduler import ChunkPolicy, ParallelEngine
 from repro.parallel.shm import sweep_stale_segments
 
 __all__ = [
+    "COST_MODEL",
     "ChunkPolicy",
+    "CostModel",
     "ExecutorStats",
     "LiftChunk",
     "LiftTask",
     "ParallelEngine",
     "ParallelExtMCE",
+    "PhaseRates",
+    "Plan",
     "StepExecutor",
     "TreeTask",
     "chunk_lift_tasks",
@@ -66,6 +74,7 @@ __all__ = [
     "lift_tasks",
     "merge_lift_results",
     "merge_tree_results",
+    "plan_phase",
     "serialize_star",
     "sweep_stale_segments",
     "tree_tasks",

@@ -15,12 +15,16 @@ external-memory skeleton — and its correctness argument — untouched:
   directly; pages they read are folded back into the driver's I/O
   counters.
 
-The heavy machinery is run-scoped, not step-scoped: one
-:class:`~repro.parallel.scheduler.ParallelEngine` owns the persistent
-worker pool and publishes each step's core graph through a shared-memory
-segment (:mod:`repro.parallel.shm`), so steps pay only a segment pack
-and a handful of descriptor-sized ``apply_async`` calls — not a pool
-fork plus a pickled graph per worker.
+Each phase of each step fans out only when it pays: the measured cost
+model of :mod:`repro.parallel.costmodel` predicts its inline and fan-out
+seconds from this process's own runs, and a phase that would not finish
+sooner on the pool runs the inherited serial code instead.  The heavy
+machinery is run-scoped and lazy: the first fan-out of a run starts one
+:class:`~repro.parallel.scheduler.ParallelEngine`, which owns the
+persistent worker pool, and the first tree fan-out of a step publishes
+its core graph through a shared-memory segment
+(:mod:`repro.parallel.shm`).  A run in which no phase fans out forks no
+worker and publishes no segment.
 
 Everything order-sensitive stays serial in the driver: the global
 maximality hashtable (Section 4.3) is consulted and mutated only here,
@@ -41,11 +45,14 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from pathlib import Path
+from types import SimpleNamespace
 
-from repro.core.categories import compute_core_plus_max_cliques
+from repro import metrics
+from repro.core.categories import compute_core_plus_max_cliques, resolve_hnb_cliques
 from repro.core.clique_tree import assemble_clique_tree
 from repro.core.extmce import ExtMCE, ExtMCEConfig
 from repro.core.hstar import StarGraph
+from repro.parallel.costmodel import COST_MODEL, FANOUT, INLINE, PHASES, Plan, plan_phase
 from repro.parallel.executor import ExecutorStats, StepExecutor
 from repro.parallel.merge import merge_lift_results, merge_tree_results
 from repro.parallel.partition import (
@@ -60,15 +67,32 @@ from repro.storage.partitions import HnbPartitionStore
 
 Clique = frozenset
 
+_METRICS = metrics.bound(
+    lambda registry: SimpleNamespace(
+        phases={
+            (phase, mode): registry.counter(
+                "repro_parallel_phases_total",
+                "step phases of parallel runs, by where they ran",
+                labels={"phase": phase, "mode": mode},
+            )
+            for phase in PHASES
+            for mode in (INLINE, FANOUT)
+        },
+    )
+)
+
 
 class ParallelExtMCE(ExtMCE):
-    """ExtMCE with a persistent worker pool and per-step shm fan-out.
+    """ExtMCE that fans a step's phases out to a worker pool when it pays.
 
     Configure the worker count through
     :attr:`~repro.core.extmce.ExtMCEConfig.workers`; ``workers=1`` (the
     default) runs fully in-process and behaves exactly like the serial
-    driver.  All other knobs, the checkpoint/resume protocol,
-    sinks and reports are inherited unchanged.
+    driver.  At ``workers > 1`` every tree build and every ``HNB``
+    resolution asks :func:`~repro.parallel.costmodel.plan_phase` whether
+    to run inline or fan out, and reports what it did.  All other knobs,
+    the checkpoint/resume protocol, sinks and reports are inherited
+    unchanged.
 
     Examples
     --------
@@ -89,26 +113,37 @@ class ParallelExtMCE(ExtMCE):
     #: recomputes work that already finished.
     task_timeout_seconds: float | None = 600.0
 
+    #: The measurements every decision reads and every phase extends;
+    #: process-wide, so later runs decide from earlier runs' phases.
+    cost_model = COST_MODEL
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._engine: ParallelEngine | None = None
         self._executor: StepExecutor | None = None
+        self._executor_started = 0.0
+        self._step = 0
+        self._step_star: StarGraph | None = None
         self.fallback_steps = 0
         #: Run-level accumulation of every step executor's recovery
         #: counters (retries, timeouts, rebuilds, inline fallbacks).
         self.executor_stats = ExecutorStats()
         #: Pickled task-descriptor bytes shipped during the most recent
-        #: parallel step; the scaling bench reads this per row.  With
-        #: the shm path this is metadata, not graphs — the 10×-smaller
-        #: successor of the old per-worker pickled payload.
+        #: step that fanned out; the scaling bench reads this per row.
+        #: With the shm path this is metadata, not graphs — the
+        #: 10×-smaller successor of the old per-worker pickled payload.
         self.last_payload_bytes = 0
-        #: Shared-memory bytes backing the most recent parallel step.
+        #: Shared-memory bytes backing the most recent step that fanned out.
         self.last_shm_bytes = 0
-        #: Run totals across all parallel steps.
+        #: Run totals across all phases that fanned out.
         self.payload_bytes_total = 0
         self.shm_bytes_total = 0
         self.tasks_split_total = 0
         self.tasks_stolen_total = 0
+        #: Steps whose graph travelled pickled in-band, not through shm.
+        self.inband_steps = 0
+        self.fanned_out_phases = 0
+        self.chunks_total = 0
         #: Crash-leftover segments removed by the engine's start sweep.
         self.swept_segments: list[str] = []
 
@@ -118,13 +153,43 @@ class ParallelExtMCE(ExtMCE):
         return max(1, self._config.workers)
 
     # ------------------------------------------------------------------
-    # Engine lifecycle: one pool + one published segment per run
+    # Engine lifecycle: started by the run's first fan-out
     # ------------------------------------------------------------------
-    def _ensure_engine(self) -> ParallelEngine:
-        if self._engine is None:
-            self._engine = ParallelEngine(self.workers)
-            self.swept_segments = self._engine.swept_segments
-        return self._engine
+    def _ensure_engine(self) -> float:
+        """Start the run's engine if it is not running; its start seconds."""
+        if self._engine is not None:
+            return 0.0
+        started = time.perf_counter()
+        self._engine = ParallelEngine(self.workers)
+        self.swept_segments = self._engine.swept_segments
+        elapsed = time.perf_counter() - started
+        self.cost_model.observe_engine_start(self.workers, elapsed)
+        return elapsed
+
+    def _step_executor(self, publish: bool) -> StepExecutor:
+        """This step's executor, created by its first fan-out.
+
+        A tree fan-out publishes the step's core graph; a lift that fans
+        out after an inline tree needs none (lift workers read the spill
+        files), so its descriptor only names the step.
+        """
+        if self._executor is None:
+            assert self._engine is not None and self._step_star is not None
+            self._executor_started = time.perf_counter()
+            descriptor = (
+                self._engine.publish_star(self._step_star)
+                if publish
+                else self._engine.step_token()
+            )
+            self._executor = StepExecutor(
+                self._engine,
+                descriptor,
+                task_timeout=self.task_timeout_seconds,
+                max_retries=self._config.max_retries,
+                fault_plan=self._config.fault_plan,
+                on_event=self._trace.emit if self._trace is not None else None,
+            )
+        return self._executor
 
     def _process_step(self, step, star, current, workdir, hashtable, step_start):
         if self.workers <= 1:
@@ -132,47 +197,44 @@ class ParallelExtMCE(ExtMCE):
                 step, star, current, workdir, hashtable, step_start
             )
             return
-        engine = self._ensure_engine()
-        pool_started = time.perf_counter()
-        descriptor = engine.publish_star(star)
-        with StepExecutor(
-            engine,
-            descriptor,
-            task_timeout=self.task_timeout_seconds,
-            max_retries=self._config.max_retries,
-            fault_plan=self._config.fault_plan,
-            on_event=self._trace.emit if self._trace is not None else None,
-        ) as executor:
-            self._executor = executor
-            try:
-                yield from super()._process_step(
-                    step, star, current, workdir, hashtable, step_start
-                )
-            finally:
-                self._executor = None
-                self.executor_stats.merge(executor.stats)
-                self.last_payload_bytes = executor.payload_bytes
-                self.last_shm_bytes = executor.shm_bytes
-                self.payload_bytes_total += executor.payload_bytes
-                self.shm_bytes_total += executor.shm_bytes
-                self.tasks_split_total += executor.tasks_split
-                self.tasks_stolen_total += executor.tasks_stolen
-                if executor.fell_back:
-                    self.fallback_steps += 1
-                engine.retire_segment()
-                if self._trace is not None:
-                    self._trace.emit(
-                        "parallel_step_completed",
-                        step=step,
-                        workers=self.workers,
-                        payload_bytes=self.last_payload_bytes,
-                        shm_bytes=self.last_shm_bytes,
-                        tasks_split=executor.tasks_split,
-                        tasks_stolen=executor.tasks_stolen,
-                        fell_back=executor.fell_back,
-                        pool_elapsed=round(time.perf_counter() - pool_started, 6),
-                        **executor.stats.to_dict(),
-                    )
+        self._step, self._step_star = step, star
+        try:
+            yield from super()._process_step(
+                step, star, current, workdir, hashtable, step_start
+            )
+        finally:
+            self._step_star = None
+            executor, self._executor = self._executor, None
+            if executor is not None:
+                self._close_step_executor(step, executor)
+
+    def _close_step_executor(self, step: int, executor: StepExecutor) -> None:
+        executor.close()
+        self.executor_stats.merge(executor.stats)
+        self.last_payload_bytes = executor.payload_bytes
+        self.last_shm_bytes = executor.shm_bytes
+        self.payload_bytes_total += executor.payload_bytes
+        self.shm_bytes_total += executor.shm_bytes
+        self.tasks_split_total += executor.tasks_split
+        self.tasks_stolen_total += executor.tasks_stolen
+        self.inband_steps += executor.inband
+        if executor.fell_back:
+            self.fallback_steps += 1
+        assert self._engine is not None
+        self._engine.retire_segment()
+        if self._trace is not None:
+            self._trace.emit(
+                "parallel_step_completed",
+                step=step,
+                workers=self.workers,
+                payload_bytes=self.last_payload_bytes,
+                shm_bytes=self.last_shm_bytes,
+                tasks_split=executor.tasks_split,
+                tasks_stolen=executor.tasks_stolen,
+                fell_back=executor.fell_back,
+                pool_elapsed=round(time.perf_counter() - self._executor_started, 6),
+                **executor.stats.to_dict(),
+            )
 
     def _drive(
         self, workdir: Path, source: DiskGraph | None = None
@@ -190,38 +252,110 @@ class ParallelExtMCE(ExtMCE):
                 self._engine = None
 
     # ------------------------------------------------------------------
-    # Hook overrides
+    # Hook overrides: decide, then run inline or fan out
     # ------------------------------------------------------------------
-    def _build_step_tree(self, step: int, star: StarGraph):
-        if self._executor is None or (step == 1 and self._first_step is not None):
-            return super()._build_step_tree(step, star)
-        tasks = tree_tasks(star)
-        chunks = chunk_tree_tasks(tasks, self.workers)
-        results = self._executor.map_tree(chunks)
-        star_cliques, core_maximal = merge_tree_results(tasks, results, star)
-        tree = assemble_clique_tree(
-            star, star_cliques, core_maximal, memory=self._memory
+    def _plan(self, phase: str, units: int) -> Plan:
+        return plan_phase(
+            self.cost_model.rates(phase, self.workers),
+            units,
+            self.workers,
+            engine_running=self._engine is not None,
         )
-        return tree, core_maximal
+
+    def _run_phase(self, phase: str, units: int, inline, fan_out):
+        """Run one phase the way the model plans, and learn from it.
+
+        ``inline()`` is the serial code; ``fan_out(executor, chunks)``
+        runs the phase on the step's executor, whose ``last_map`` then
+        holds the pool's share of the time.
+        """
+        plan = self._plan(phase, units)
+        started = time.perf_counter()
+        if plan.mode == INLINE:
+            result = inline()
+            actual = time.perf_counter() - started
+            self.cost_model.observe_inline(phase, self.workers, units, actual)
+        else:
+            engine_s = self._ensure_engine()
+            executor = self._step_executor(publish=phase == "tree")
+            recoveries = executor.stats.to_dict()
+            result = fan_out(executor, plan.chunks)
+            actual = time.perf_counter() - started
+            mapped = executor.last_map
+            # A fan-out that retried, rebuilt or degraded measured the
+            # fault, not the engine.
+            if executor.stats.to_dict() == recoveries:
+                self.cost_model.observe_fanout(
+                    phase,
+                    self.workers,
+                    units,
+                    driver_s=actual - engine_s - mapped.seconds,
+                    map_s=mapped.seconds,
+                    busy_s=mapped.busy,
+                    chunks=mapped.chunks,
+                )
+            self.fanned_out_phases += 1
+            self.chunks_total += mapped.chunks
+        _METRICS().phases[phase, plan.mode].inc()
+        if self._trace is not None:
+            self._trace.emit(
+                "parallel_decision",
+                step=self._step,
+                phase=phase,
+                mode=plan.mode,
+                units=units,
+                chunks=plan.chunks,
+                predicted_inline_s=plan.predicted_inline_s,
+                predicted_fanout_s=plan.predicted_fanout_s,
+                actual_s=round(actual, 6),
+            )
+        return result
+
+    def _build_step_tree(self, step: int, star: StarGraph):
+        if self.workers <= 1 or (step == 1 and self._first_step is not None):
+            return super()._build_step_tree(step, star)
+
+        def fan_out(executor: StepExecutor, num_chunks: int):
+            tasks = tree_tasks(star)
+            results = executor.map_tree(chunk_tree_tasks(tasks, num_chunks))
+            star_cliques, core_maximal = merge_tree_results(tasks, results, star)
+            tree = assemble_clique_tree(
+                star, star_cliques, core_maximal, memory=self._memory
+            )
+            return tree, core_maximal
+
+        return self._run_phase(
+            "tree",
+            star.size_edges + len(star.core),
+            lambda: super(ParallelExtMCE, self)._build_step_tree(step, star),
+            fan_out,
+        )
 
     def _compute_categories(self, star: StarGraph, core_maximal, store):
-        if self._executor is None or not isinstance(store, HnbPartitionStore):
+        if self.workers <= 1 or not isinstance(store, HnbPartitionStore):
             return super()._compute_categories(star, core_maximal, store)
         return compute_core_plus_max_cliques(
-            star, core_maximal, store, resolver=self._resolve_parallel
+            star, core_maximal, store, resolver=self._resolve_hnb
         )
 
-    def _resolve_parallel(self, ordered, store):
-        """Phase-2 resolver: fan the spill partitions out to the pool."""
-        assert self._executor is not None
-        tasks = lift_tasks(ordered, store)
-        chunks = chunk_lift_tasks(tasks, store, self.workers)
-        results = self._executor.map_lift(chunks)
-        max_cliques_of, pages_read = merge_lift_results(tasks, results)
-        io = store.io_stats
-        if io is not None and pages_read:
-            io.record_read(pages_read)
-        return max_cliques_of
+    def _resolve_hnb(self, ordered, store):
+        """Phase-2 resolver: serial, or the spill partitions on the pool."""
+
+        def fan_out(executor: StepExecutor, num_chunks: int):
+            tasks = lift_tasks(ordered, store)
+            results = executor.map_lift(chunk_lift_tasks(tasks, store, num_chunks))
+            max_cliques_of, pages_read = merge_lift_results(tasks, results)
+            io = store.io_stats
+            if io is not None and pages_read:
+                io.record_read(pages_read)
+            return max_cliques_of
+
+        return self._run_phase(
+            "lift",
+            sum(1 + len(shared) for shared in ordered),
+            lambda: resolve_hnb_cliques(ordered, store),
+            fan_out,
+        )
 
 
 __all__ = ["ParallelExtMCE"]

@@ -73,7 +73,7 @@ import signal
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
@@ -331,10 +331,12 @@ def _run_tree_chunk(descriptor: dict, chunk, policy: ChunkPolicy) -> dict:
         if _should_split(policy, started, len(chunk) - position - 1):
             remaining = tuple(chunk[position + 1 :])
             break
+    elapsed = time.perf_counter() - started
     bundle = _METRICS()
     bundle.chunks["tree"].inc()
-    bundle.latency["tree"].observe(time.perf_counter() - started)
+    bundle.latency["tree"].observe(elapsed)
     event = {
+        "seconds": round(elapsed, 6),
         "tasks": len(results),
         "cliques": sum(len(found) for _, found in results),
         "split_off": len(remaining),
@@ -379,11 +381,13 @@ def _run_lift_chunk(descriptor: dict, chunk: "LiftChunk", policy: ChunkPolicy) -
                 chunk, tasks=tail, paths={p: chunk.paths[p] for p in needed}
             )
             break
+    elapsed = time.perf_counter() - started
     pages_read = context.pages_read - pages_before
     bundle = _METRICS()
     bundle.chunks["lift"].inc()
-    bundle.latency["lift"].observe(time.perf_counter() - started)
+    bundle.latency["lift"].observe(elapsed)
     event = {
+        "seconds": round(elapsed, 6),
         "tasks": len(results),
         "partitions_loaded": context.partition_loads - loads_before,
         "pages_read": pages_read,
@@ -490,6 +494,18 @@ class ExecutorStats:
         return any(self.to_dict().values())
 
 
+@dataclass
+class MapStats:
+    """One ``map_tree``/``map_lift`` call as the cost model sees it: wall
+    seconds, chunks run (splits and inline reruns included), and each
+    worker's summed chunk seconds (the driver's ``"inline"`` context
+    included)."""
+
+    seconds: float = 0.0
+    chunks: int = 0
+    busy: dict[str, float] = field(default_factory=dict)
+
+
 class _Pending:
     """One schedulable chunk: queue identity, payload, charged attempts."""
 
@@ -563,11 +579,18 @@ class StepExecutor:
         #: Accumulated pickled bytes of every task shipped to the pool —
         #: with shm descriptors this is per-chunk metadata, not graphs.
         self.payload_bytes = 0
+        #: The latest map's timings, for the cost model.
+        self.last_map = MapStats()
         self.fell_back = self._engine.workers > 1 and self._engine.pool is None
 
     @property
     def engine(self) -> ParallelEngine:
         return self._engine
+
+    @property
+    def inband(self) -> bool:
+        """Whether this step's graph travels pickled in-band (no shm)."""
+        return "inband" in self._payload
 
     @property
     def shm_bytes(self) -> int:
@@ -600,6 +623,8 @@ class StepExecutor:
         cap before the executor degrades to inline entirely), and every
         split strictly shrinks its chunk.
         """
+        started = time.perf_counter()
+        self.last_map = MapStats()
         pending: deque[_Pending] = deque(
             _Pending(self._next_chunk_id(), chunk) for chunk in chunks
         )
@@ -640,6 +665,8 @@ class StepExecutor:
                 self._rebuild_pool()
         self._engine.reset_pending()
         bundle.queue_depth.set(0)
+        self.last_map.seconds = time.perf_counter() - started
+        self.last_map.chunks = len(collected)
         return collected
 
     def _notify(self, ticket: int, _outcome) -> None:
@@ -729,9 +756,12 @@ class StepExecutor:
         snapshot = envelope["metrics"]
         if snapshot is not None and metrics.enabled():
             metrics.get_registry().absorb(snapshot)
+        worker = envelope["worker"]
+        busy = self.last_map.busy
+        busy[worker] = busy.get(worker, 0.0) + envelope["event"]["seconds"]
         self._emit(
             f"{phase}_chunk_completed", chunk_index=chunk_id,
-            worker=envelope["worker"], **envelope["event"],
+            worker=worker, **envelope["event"],
         )
 
     def _submit(self, phase, item, ticket):
@@ -896,4 +926,4 @@ class StepExecutor:
             self.close()
 
 
-__all__ = ["ExecutorStats", "StepExecutor", "WorkerContext"]
+__all__ = ["ExecutorStats", "MapStats", "StepExecutor", "WorkerContext"]

@@ -21,13 +21,12 @@ Two fan-out shapes, one per dominant step cost:
   file is read at most once per worker per step while it stays
   resident.
 
-Chunks outnumber workers by :data:`OVERSUBSCRIPTION` (2 per worker):
-the pool schedules them dynamically, which absorbs skewed per-vertex
-subtree costs without giving up the deterministic merge — every task
-carries its global ``index``, and the merger orders by it.  More chunks
-are not free: each one costs a dispatch round trip through the pool, so
-skew is left to the worker-side split protocol instead of cutting finer
-up front.
+The chunk count is the caller's: the driver's cost model
+(:mod:`repro.parallel.costmodel`) weighs each chunk's dispatch round
+trip against the straggler tail of fewer, larger chunks.  The pool
+schedules chunks dynamically, which absorbs skewed per-vertex subtree
+costs without giving up the deterministic merge — every task carries
+its global ``index``, and the merger orders by it.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.partitions import HnbPartitionStore
 
 Clique = frozenset
-
-#: Chunks handed to the pool per worker: one running, one queued behind
-#: it.  Further rebalancing is the split protocol's job.
-OVERSUBSCRIPTION = 2
 
 
 @dataclass(frozen=True)
@@ -112,12 +107,10 @@ def tree_tasks(star: StarGraph) -> list[TreeTask]:
 
 
 def chunk_tree_tasks(
-    tasks: list[TreeTask],
-    workers: int,
-    oversubscription: int = OVERSUBSCRIPTION,
+    tasks: list[TreeTask], num_chunks: int
 ) -> list[tuple[TreeTask, ...]]:
-    """Stripe tree tasks round-robin into ``oversubscription * workers``
-    chunks.
+    """Stripe tree tasks round-robin into ``num_chunks`` chunks (fewer
+    when there are fewer tasks).
 
     Striping (rather than contiguous slicing) spreads the expensive
     low-id core subproblems — whose subtrees are largest because they own
@@ -125,7 +118,7 @@ def chunk_tree_tasks(
     """
     if not tasks:
         return []
-    num_chunks = min(len(tasks), max(1, oversubscription) * max(1, workers))
+    num_chunks = min(len(tasks), max(1, num_chunks))
     chunks: list[list[TreeTask]] = [[] for _ in range(num_chunks)]
     for position, task in enumerate(tasks):
         chunks[position % num_chunks].append(task)
@@ -155,10 +148,10 @@ def lift_tasks(
 def chunk_lift_tasks(
     tasks: list[LiftTask],
     store: "HnbPartitionStore",
-    workers: int,
-    oversubscription: int = OVERSUBSCRIPTION,
+    num_chunks: int,
 ) -> list[LiftChunk]:
-    """Slice lift tasks contiguously into balanced chunks.
+    """Slice lift tasks contiguously into at most ``num_chunks`` balanced
+    chunks.
 
     Contiguous slicing preserves the partition-grouped input order, so a
     chunk's tasks cluster on few spill files; balance is by estimated
@@ -168,7 +161,7 @@ def chunk_lift_tasks(
         return []
     paths = [str(path) for path in store.partition_paths()]
     max_resident = store.max_resident
-    num_chunks = min(len(tasks), max(1, oversubscription) * max(1, workers))
+    num_chunks = min(len(tasks), max(1, num_chunks))
     total_cost = sum(1 + len(task.shared) for task in tasks)
     target = max(1, total_cost // num_chunks)
     chunks: list[LiftChunk] = []
@@ -242,7 +235,6 @@ def serialize_star(star: StarGraph) -> dict:
 __all__ = [
     "LiftChunk",
     "LiftTask",
-    "OVERSUBSCRIPTION",
     "TreeTask",
     "chunk_lift_tasks",
     "chunk_tree_tasks",

@@ -14,22 +14,23 @@ initialization — fixed costs that swamped the parallelism
   (segment name + generation) that workers resolve against a
   per-process attachment cache.
 
-Task granularity is fixed: each step starts from 2 chunks per worker
-(:data:`~repro.parallel.partition.OVERSUBSCRIPTION`) and arms the
-worker-side split protocol — a worker that has already spent its time
-slice (:data:`SPLIT_AFTER_SECONDS`) on a chunk while the shared pending
+The engine is started by a run's first fan-out, not by the run: the
+driver's cost model (:mod:`repro.parallel.costmodel`) decides per phase
+whether to fan out at all, and picks the chunk count from the measured
+per-chunk dispatch round trip (pickling, the pool's task and result
+pipes, one callback) against the straggler tail that fewer, larger
+chunks leave.  Every submission arms the worker-side split protocol — a
+worker that has already spent its time slice
+(:data:`SPLIT_AFTER_SECONDS`) on a chunk while the shared pending
 counter says the queue is dry returns its unfinished tail to the driver,
 which requeues it for whichever worker is idle (work stealing with the
-driver as the queue).  Two chunks per worker is the smallest cut that
-keeps one chunk queued behind each running one, which hides the
-per-chunk dispatch round trip (pickling, the pool's task and result
-pipes, one callback); every further chunk adds another round trip.
-Skew is the split protocol's job, not the initial cut's.  Splits never
-change the stream: the merge orders by task index, never by schedule.
+driver as the queue).  Splits never change the stream: the merge orders
+by task index, never by schedule.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -133,6 +134,10 @@ class ParallelEngine:
             resource_tracker.ensure_running()
         except Exception:
             pass
+        # Move every live object to the permanent generation while the
+        # workers fork, so their collector never writes to (and copies)
+        # the pages they share with the driver.
+        gc.freeze()
         try:
             return multiprocessing.Pool(
                 processes=self.workers,
@@ -141,6 +146,8 @@ class ParallelEngine:
             )
         except Exception:
             return None
+        finally:
+            gc.unfreeze()
 
     def rebuild_pool(self) -> bool:
         """Tear down a broken pool and start fresh; True on success."""
@@ -211,6 +218,17 @@ class ParallelEngine:
                 "nbytes": segment.nbytes,
             },
         }
+
+    def step_token(self) -> dict:
+        """A descriptor that names a new step but carries no graph.
+
+        Lift chunks read only the spill files their chunk names, and key
+        their per-step caches by the token; a step whose tree ran inline
+        needs nothing more.
+        """
+        self.retire_segment()
+        self._descriptor_seq += 1
+        return {"token": f"step-{self._descriptor_seq}"}
 
     def retire_segment(self) -> None:
         """Unlink the currently published segment (idempotent)."""

@@ -108,10 +108,12 @@ class BufferPool:
         if length <= 0:
             return b""
         first = offset // PAGE_SIZE_BYTES
-        last = (offset + length - 1) // PAGE_SIZE_BYTES
-        chunks = [self._page(index) for index in range(first, last + 1)]
-        blob = b"".join(chunks)
         start = offset - first * PAGE_SIZE_BYTES
+        if start + length <= PAGE_SIZE_BYTES:
+            # One page (an index entry, most records): slice it directly.
+            return self._page(first)[start : start + length]
+        last = (offset + length - 1) // PAGE_SIZE_BYTES
+        blob = b"".join(self._page(index) for index in range(first, last + 1))
         return blob[start : start + length]
 
     def drop(self) -> None:

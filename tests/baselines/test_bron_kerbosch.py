@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from repro.baselines.bron_kerbosch import (
     bron_kerbosch_maximal_cliques,
     tomita_maximal_cliques,
+    tomita_subproblem,
 )
 from repro.errors import MemoryBudgetExceeded
 from repro.graph.adjacency import AdjacencyGraph
 from repro.storage.memory import MemoryModel
 
-from tests.helpers import cliques_of, seeded_gnp, small_graphs
+from tests.helpers import cliques_of, figure1_graph, seeded_gnp, small_graphs
 
 
 def complete_graph(n):
@@ -109,3 +110,24 @@ class TestMemoryCharging:
         memory = MemoryModel(budget=g.num_edges)  # < 2m + n
         with pytest.raises(MemoryBudgetExceeded):
             list(tomita_maximal_cliques(g, memory=memory))
+
+
+class TestSubproblemSplit:
+    """The Par-TTT root split the parallel tree tasks are built on."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=small_graphs())
+    def test_subproblems_partition_the_clique_set(self, graph):
+        oracle = cliques_of(tomita_maximal_cliques(graph))
+        pieces = []
+        for v in sorted(graph.vertices()):
+            for clique in tomita_subproblem(graph, v):
+                assert min(clique) == v
+                pieces.append(clique)
+        assert len(pieces) == len(oracle)  # no duplicates across subproblems
+        assert cliques_of(pieces) == oracle
+
+    def test_figure1_subproblem_of_smallest_vertex(self):
+        graph = figure1_graph()
+        found = cliques_of(tomita_subproblem(graph, 0))
+        assert found == {c for c in cliques_of(tomita_maximal_cliques(graph)) if min(c) == 0}

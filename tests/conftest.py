@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.helpers import figure1_graph, seeded_gnp
+from tests.helpers import figure1_graph, forced_fanout, seeded_gnp
 
 
 @pytest.fixture
@@ -25,6 +25,14 @@ def triangle_plus_tail():
 def medium_random():
     """A deterministic 60-vertex random graph with varied clique sizes."""
     return seeded_gnp(60, 0.15, seed=9)
+
+
+@pytest.fixture
+def force_fanout():
+    """Every ``ParallelExtMCE`` phase with work fans out (see
+    :func:`tests.helpers.forced_fanout`)."""
+    with forced_fanout():
+        yield
 
 
 @pytest.fixture

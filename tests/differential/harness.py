@@ -1,7 +1,9 @@
 """Shared driver for the differential suite.
 
 One function, :func:`run_enumeration`, runs ExtMCE under any
-workers/verify_checksums/reduction combination with a fresh metrics registry
+workers/verify_checksums/reduction combination — the parallel driver
+either as its cost model decides or with every phase forced onto the
+pool (``fanout=True``) — with a fresh metrics registry
 and returns everything the differential assertions need: the raw clique
 stream (enumeration order), its canonical byte rendering, and the final
 metrics snapshot.
@@ -9,6 +11,7 @@ metrics snapshot.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from repro.core.extmce import ExtMCE, ExtMCEConfig
 from repro.core.result import render_clique_lines
 from repro.parallel import ParallelExtMCE
 from repro.storage.diskgraph import DiskGraph
+from tests.helpers import forced_fanout
 
 Clique = frozenset
 
@@ -43,8 +47,12 @@ def run_enumeration(
     verify_checksums: bool = True,
     trace: bool = False,
     reduction: str = "off",
+    fanout: bool = False,
 ) -> RunResult:
     """Enumerate ``graph`` once under the given configuration.
+
+    ``fanout`` forces every parallel phase with work onto the pool;
+    otherwise the cost model decides.
 
     A fresh registry is installed for the run (and the previous one
     restored afterwards), so snapshot totals are per-run, not
@@ -67,7 +75,8 @@ def run_enumeration(
             trace_path=workdir / "trace.jsonl" if trace else None,
         )
         driver_cls = ParallelExtMCE if workers > 1 else ExtMCE
-        stream = list(driver_cls(disk, config).enumerate_cliques())
+        with forced_fanout() if fanout else contextlib.nullcontext():
+            stream = list(driver_cls(disk, config).enumerate_cliques())
         snapshot = metrics.load_snapshot(workdir / "metrics.json")
     finally:
         metrics.set_registry(previous)
@@ -82,6 +91,18 @@ def oracle_cliques(graph) -> set[Clique]:
     """The clique set of the set-based Tomita enumerator — the in-memory
     reference every ExtMCE configuration is checked against."""
     return set(tomita_maximal_cliques(graph))
+
+
+def assert_pool_used(result: RunResult) -> None:
+    """A forced fan-out run really ran chunks on the pool, one decision
+    per fanned-out phase."""
+    assert result.counter("repro_parallel_chunks_total") > 0
+    assert sum(
+        entry["value"]
+        for entry in result.snapshot["metrics"]
+        if entry["name"] == "repro_parallel_phases_total"
+        and entry["labels"]["mode"] == "fanout"
+    ) > 0
 
 
 def assert_stream_metrics_consistent(result: RunResult) -> None:

@@ -24,6 +24,7 @@ from repro.metrics import SNAPSHOT_SCHEMA, metric_names
 from repro.storage.edgelist import read_edge_list
 from repro.telemetry import load_trace
 from tests.differential.harness import (
+    assert_pool_used,
     assert_stream_metrics_consistent,
     run_enumeration,
 )
@@ -85,11 +86,17 @@ def test_fixture_file_unchanged():
     assert hashlib.sha256(DATA.read_bytes()).hexdigest() == GOLDEN_GRAPH_SHA256
 
 
-@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers2"])
-def test_golden_stream_digest(workers, tmp_path):
+@pytest.mark.parametrize(
+    "workers, fanout",
+    [(1, False), (2, False), (2, True)],
+    ids=["serial", "workers2", "workers2-fanout"],
+)
+def test_golden_stream_digest(workers, fanout, tmp_path):
     result = run_enumeration(
-        golden_graph(), tmp_path, workers=workers
+        golden_graph(), tmp_path, workers=workers, fanout=fanout
     )
+    if fanout:
+        assert_pool_used(result)
     assert len(result.stream) == GOLDEN_CLIQUE_COUNT
     digest = hashlib.sha256(result.canonical_bytes).hexdigest()
     assert digest == GOLDEN_STREAM_SHA256

@@ -21,15 +21,21 @@ import pytest
 from repro.core.result import render_clique_lines
 from repro.generators import fringed_clique_communities
 from tests.differential.harness import (
+    assert_pool_used,
     assert_stream_metrics_consistent,
     oracle_cliques,
     run_enumeration,
 )
 
-# Ids carry the kernel ExtMCE runs on (bitset, its only one).
+# Ids carry the kernel ExtMCE runs on (bitset, its only one); "-fanout"
+# rows force every parallel phase onto the pool, the others let the cost
+# model decide.
 MATRIX = [
-    pytest.param(workers, reduction, id=f"bitset-w{workers}-{reduction}")
-    for workers in (1, 2, 4)
+    pytest.param(
+        workers, reduction, fanout,
+        id=f"bitset-w{workers}{'-fanout' if fanout else ''}-{reduction}",
+    )
+    for workers, fanout in ((1, False), (2, False), (4, False), (2, True), (4, True))
     for reduction in ("off", "prune", "full")
 ]
 
@@ -71,13 +77,17 @@ def per_level_streams():
 
 
 class TestReductionMatrix:
-    @pytest.mark.parametrize("workers, reduction", MATRIX)
+    @pytest.mark.parametrize("workers, reduction, fanout", MATRIX)
     def test_same_cliques_and_consistent_metrics(
-        self, workers, reduction, reference, oracle, per_level_streams, tmp_path
+        self, workers, reduction, fanout, reference, oracle, per_level_streams,
+        tmp_path,
     ):
         result = run_enumeration(
             _graph(), tmp_path, workers=workers, reduction=reduction,
+            fanout=fanout,
         )
+        if fanout:
+            assert_pool_used(result)
         if reduction == "off":
             # The new axis defaults to a provable no-op.
             assert result.stream == reference.stream
@@ -94,12 +104,13 @@ class TestReductionMatrix:
         assert result.stream == previous
         assert_stream_metrics_consistent(result)
 
-    @pytest.mark.parametrize("workers, reduction", MATRIX)
+    @pytest.mark.parametrize("workers, reduction, fanout", MATRIX)
     def test_reduce_counters_reconcile(
-        self, workers, reduction, reference, tmp_path
+        self, workers, reduction, fanout, reference, tmp_path
     ):
         result = run_enumeration(
             _graph(), tmp_path, workers=workers, reduction=reduction,
+            fanout=fanout,
         )
         direct = result.counter("repro_reduce_cliques_direct_total")
         suppressed = result.counter("repro_reduce_cliques_suppressed_total")

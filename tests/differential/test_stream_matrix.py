@@ -2,7 +2,9 @@
 
 The headline guarantee of this codebase — serial ExtMCE and every
 worker count produce *exactly* the same clique stream — is asserted here
-as bytes, over the ``workers`` matrix (with and without checksums),
+as bytes, over the ``workers`` matrix (with and without checksums; the
+parallel driver both as its cost model decides and with every phase
+forced onto the pool),
 together with the metrics invariants that tie each run's counters to its
 own stream and a set comparison against the set-based Tomita oracle.
 Parallel runs arm work stealing, so split chunks must still merge into
@@ -15,18 +17,23 @@ import pytest
 
 from repro.generators import defective_clique_communities, powerlaw_cluster_graph
 from tests.differential.harness import (
+    assert_pool_used,
     assert_stream_metrics_consistent,
     oracle_cliques,
     run_enumeration,
 )
 from tests.helpers import figure1_graph
 
-# Ids carry the kernel ExtMCE runs on (bitset, its only one).
+# Ids carry the kernel ExtMCE runs on (bitset, its only one); "-fanout"
+# rows force every parallel phase onto the pool.
 MATRIX = [
-    pytest.param(workers, verify,
-                 id=f"bitset-w{workers}-{'crc' if verify else 'nocrc'}")
+    pytest.param(
+        workers, verify, fanout,
+        id=f"bitset-w{workers}{'-fanout' if fanout else ''}"
+        f"-{'crc' if verify else 'nocrc'}",
+    )
     for verify in (True, False)
-    for workers in (1, 2, 4)
+    for workers, fanout in ((1, False), (2, False), (4, False), (2, True), (4, True))
 ]
 
 
@@ -51,13 +58,16 @@ def oracle():
 
 
 class TestStreamMatrix:
-    @pytest.mark.parametrize("workers, verify", MATRIX)
+    @pytest.mark.parametrize("workers, verify, fanout", MATRIX)
     def test_byte_identical_stream_and_consistent_metrics(
-        self, workers, verify, reference, oracle, tmp_path
+        self, workers, verify, fanout, reference, oracle, tmp_path
     ):
         result = run_enumeration(
             _graph(), tmp_path, workers=workers, verify_checksums=verify,
+            fanout=fanout,
         )
+        if fanout:
+            assert_pool_used(result)
         # Stronger than canonical-bytes equality: the enumeration *order*
         # itself must match the reference, element by element.
         assert result.stream == reference.stream
@@ -65,9 +75,9 @@ class TestStreamMatrix:
         assert set(result.stream) == oracle
         assert_stream_metrics_consistent(result)
 
-    @pytest.mark.parametrize("workers, verify", MATRIX)
+    @pytest.mark.parametrize("workers, verify, fanout", MATRIX)
     def test_driver_totals_invariant_across_matrix(
-        self, workers, verify, reference, tmp_path
+        self, workers, verify, fanout, reference, tmp_path
     ):
         """Emitted/suppressed/category totals are configuration-independent.
 
@@ -77,6 +87,7 @@ class TestStreamMatrix:
         """
         result = run_enumeration(
             _graph(), tmp_path, workers=workers, verify_checksums=verify,
+            fanout=fanout,
         )
         for name in (
             "repro_mce_cliques_emitted_total",
@@ -94,8 +105,9 @@ class TestOtherTopologies:
     def test_figure1(self, tmp_path):
         graph = figure1_graph()
         serial = run_enumeration(graph, tmp_path / "serial", workers=1)
-        parallel = run_enumeration(graph, tmp_path / "par", workers=2)
+        parallel = run_enumeration(graph, tmp_path / "par", workers=2, fanout=True)
         assert serial.stream == parallel.stream
+        assert_pool_used(parallel)
         assert_stream_metrics_consistent(serial)
         assert_stream_metrics_consistent(parallel)
 
@@ -107,8 +119,9 @@ class TestOtherTopologies:
         graph.add_vertex(10_000)
         graph.add_vertex(10_001)
         serial = run_enumeration(graph, tmp_path / "serial", workers=1)
-        parallel = run_enumeration(graph, tmp_path / "par", workers=2)
+        parallel = run_enumeration(graph, tmp_path / "par", workers=2, fanout=True)
         assert serial.stream == parallel.stream
+        assert_pool_used(parallel)
         assert frozenset((10_000,)) in serial.stream
         assert_stream_metrics_consistent(serial)
         assert_stream_metrics_consistent(parallel)

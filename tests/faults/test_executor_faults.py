@@ -41,7 +41,7 @@ def recovery_events(log):
 
 def run_tree(executor, star):
     tasks = tree_tasks(star)
-    chunks = chunk_tree_tasks(tasks, workers=2)
+    chunks = chunk_tree_tasks(tasks, 4)
     return merge_tree_results(tasks, executor.map_tree(chunks), star)
 
 
@@ -75,7 +75,7 @@ class TestWorkerError:
             max_retries=1,
         ) as executor:
             star_cliques, _ = run_tree(executor, star)
-            num_chunks = len(chunk_tree_tasks(tree_tasks(star), workers=2))
+            num_chunks = len(chunk_tree_tasks(tree_tasks(star), 4))
             assert executor.stats.inline_chunks == num_chunks
             assert executor.stats.chunk_retries == num_chunks  # one retry each
             assert not executor.fell_back
@@ -193,7 +193,7 @@ class TestTelemetryShape:
         # The only events are one completion report per executed chunk.
         completed = [f for name, f in events.log if name == "tree_chunk_completed"]
         assert len(completed) == len(events.log)
-        assert len(completed) >= len(chunk_tree_tasks(tree_tasks(star), workers=2))
+        assert len(completed) >= len(chunk_tree_tasks(tree_tasks(star), 4))
         assert all(f["worker"].startswith("worker_") for f in completed)
 
     def test_inline_fallback_reports_its_chunk(self, star, events):

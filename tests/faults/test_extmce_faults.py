@@ -6,6 +6,8 @@ with a clique stream identical to the fault-free run, or raises a typed
 resume produces the exact remaining stream — never silent wrong output.
 """
 
+import contextlib
+
 import pytest
 
 from repro.core.checkpoint import CHECKPOINT_FILENAME, read_checkpoint
@@ -15,7 +17,7 @@ from repro.faults import FaultPlan, FaultRule
 from repro.parallel import ParallelExtMCE
 from repro.storage.diskgraph import DiskGraph
 
-from tests.helpers import seeded_gnp
+from tests.helpers import forced_fanout, seeded_gnp
 
 SEED = 3
 
@@ -66,6 +68,7 @@ def resume_and_splice(emitted, work):
     return kept + list(resumed.enumerate_cliques())
 
 
+@pytest.mark.usefixtures("force_fanout")
 class TestExecutorFaultsEndToEnd:
     def test_transient_worker_error_stream_identical(self, graph, tmp_path):
         expected = baseline_stream(graph, tmp_path, workers=2)
@@ -77,6 +80,7 @@ class TestExecutorFaultsEndToEnd:
         assert emitted == expected  # order included
         assert algo.executor_stats.chunk_retries >= 1
         assert algo.fallback_steps == 0
+        assert algo.chunks_total > 0
 
     def test_chunk_timeout_stream_identical(self, graph, tmp_path):
         expected = baseline_stream(graph, tmp_path, workers=2)
@@ -88,6 +92,7 @@ class TestExecutorFaultsEndToEnd:
         assert emitted == expected
         assert algo.executor_stats.chunk_timeouts >= 1
         assert algo.executor_stats.pool_rebuilds >= 1
+        assert algo.chunks_total > 0
 
     def test_poisoned_chunks_stream_identical(self, graph, tmp_path):
         expected = baseline_stream(graph, tmp_path, workers=2)
@@ -98,6 +103,7 @@ class TestExecutorFaultsEndToEnd:
         assert error is None
         assert emitted == expected
         assert algo.executor_stats.inline_chunks >= 1
+        assert algo.chunks_total > 0
 
 
 class TestStorageFaultsEndToEnd:
@@ -139,6 +145,27 @@ class TestStorageFaultsEndToEnd:
         assert (work / CHECKPOINT_FILENAME).exists()
         # The interrupted step re-runs in full (including the torn
         # residual write, which now succeeds: the rule disarmed).
+        assert resume_and_splice(emitted, work) == expected
+
+    @pytest.mark.parametrize("fanout", [False, True], ids=["model", "fanout"])
+    def test_two_worker_crash_resumes_to_identical_stream(
+        self, graph, tmp_path, fanout
+    ):
+        """The crash → checkpoint → resume oracle at ``workers=2``, with
+        the cost model's choice and with every phase on the pool."""
+        expected = baseline_stream(graph, tmp_path)
+        plan = FaultPlan(
+            [FaultRule("write", "torn_write", path_contains="residual_0002")],
+            seed=2,
+        )
+        with forced_fanout() if fanout else contextlib.nullcontext():
+            emitted, error, work, algo = faulted_run(
+                graph, tmp_path, storage_plan=plan, workers=2
+            )
+        assert error is not None
+        assert (work / CHECKPOINT_FILENAME).exists()
+        if fanout:
+            assert algo.chunks_total > 0
         assert resume_and_splice(emitted, work) == expected
 
     def test_latency_only_schedule_is_harmless(self, graph, tmp_path):

@@ -76,6 +76,28 @@ def cliques_of(iterable) -> set[frozenset]:
 
 
 @contextlib.contextmanager
+def forced_fanout():
+    """Make every ``ParallelExtMCE`` phase that has work fan out to the pool.
+
+    Patches the cost model's decision (never an option): each phase with
+    work runs on the pool in two chunks per worker, whatever the model
+    would have chosen, so the engine itself stays under test.
+    """
+    from unittest import mock
+
+    from repro.parallel import driver
+    from repro.parallel.costmodel import FANOUT, INLINE, Plan
+
+    def fan_out(rates, units, workers, engine_running):
+        if units <= 0:
+            return Plan(INLINE, 0, None, None)
+        return Plan(FANOUT, 2 * workers, None, None)
+
+    with mock.patch.object(driver, "plan_phase", fan_out):
+        yield
+
+
+@contextlib.contextmanager
 def maintainers_built_once():
     """Fail any :class:`HStarMaintainer` that re-enumerates its star after
     construction: a core change moves single vertices instead."""

@@ -26,7 +26,7 @@ def star():
 
 def _run_tree(executor, star, workers=2, oversubscription=4):
     tasks = tree_tasks(star)
-    chunks = chunk_tree_tasks(tasks, workers=workers, oversubscription=oversubscription)
+    chunks = chunk_tree_tasks(tasks, oversubscription * workers)
     results = executor.map_tree(chunks)
     return merge_tree_results(tasks, results, star)
 
@@ -118,7 +118,7 @@ class TestWorkStealing:
             descriptor = engine.publish_star(star)
             with StepExecutor(engine, descriptor) as executor:
                 tasks = tree_tasks(star)
-                chunks = chunk_tree_tasks(tasks, workers=1, oversubscription=1)
+                chunks = chunk_tree_tasks(tasks, 1)
                 assert len(chunks) == 1  # single chunk: the queue is dry instantly
                 results = executor.map_tree(chunks)
                 stolen_cliques, stolen_core = merge_tree_results(tasks, results, star)
@@ -142,7 +142,7 @@ class TestResultChannel:
         )
         star = extract_hstar_graph(graph)
         tasks = tree_tasks(star)
-        chunks = chunk_tree_tasks(tasks, workers=1, oversubscription=1)
+        chunks = chunk_tree_tasks(tasks, 1)
         assert len(chunks) == 1
         with StepExecutor(2, serialize_star(star)) as executor:
             executor.engine.split_after_seconds = None  # keep the chunk whole
@@ -176,7 +176,7 @@ class TestWorkerTraces:
             assert indices == sorted(set(indices))
         tasks = tree_tasks(star)
         # >= rather than ==: a split chunk completes as several events
-        assert len(completed) >= len(chunk_tree_tasks(tasks, workers=2, oversubscription=4))
+        assert len(completed) >= len(chunk_tree_tasks(tasks, 8))
         assert sum(f["tasks"] for f in completed) == len(tasks)
 
 

@@ -58,7 +58,7 @@ def lift(tmp_path):
 
 
 def run_lift(executor, store, tasks, workers):
-    chunks = chunk_lift_tasks(tasks, store, workers, oversubscription=8)
+    chunks = chunk_lift_tasks(tasks, store, 8 * workers)
     assert len(chunks) > 1
     return merge_lift_results(tasks, executor.map_lift(chunks))
 
@@ -110,7 +110,7 @@ def test_worker_cache_never_exceeds_max_resident(lift, monkeypatch):
 
     monkeypatch.setattr(executor_mod, "read_partition_file", counting_read)
     monkeypatch.setattr(executor_mod, "_CONTEXT", context)
-    chunks = chunk_lift_tasks(tasks, store, workers=1, oversubscription=1)
+    chunks = chunk_lift_tasks(tasks, store, 1)
     chunk = chunks[0]
     assert chunk.max_resident == store.max_resident
     tight = replace(chunk, max_resident=bound)
@@ -132,6 +132,7 @@ def test_worker_cache_never_exceeds_max_resident(lift, monkeypatch):
     assert len(context._spill) == 0
 
 
+@pytest.mark.usefixtures("force_fanout")
 def test_tight_budget_two_workers_stream_matches_serial(tmp_path, monkeypatch):
     graph = seeded_gnp(90, 0.2, seed=43)
     disk = DiskGraph.create(tmp_path / "g.bin", graph)
@@ -151,15 +152,15 @@ def test_tight_budget_two_workers_stream_matches_serial(tmp_path, monkeypatch):
             ExtMCEConfig(workdir=tmp_path / "serial", memory_budget_units=budget),
         ).enumerate_cliques()
     )
-    parallel = list(
-        ParallelExtMCE(
-            disk,
-            ExtMCEConfig(
-                workdir=tmp_path / "parallel",
-                memory_budget_units=budget,
-                workers=2,
-            ),
-        ).enumerate_cliques()
+    algo = ParallelExtMCE(
+        disk,
+        ExtMCEConfig(
+            workdir=tmp_path / "parallel",
+            memory_budget_units=budget,
+            workers=2,
+        ),
     )
+    parallel = list(algo.enumerate_cliques())
     assert any(partitions > resident for partitions, resident in built)
     assert parallel == serial
+    assert algo.chunks_total > 0

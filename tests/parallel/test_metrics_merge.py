@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro import DiskGraph, ExtMCEConfig, ParallelExtMCE, metrics
 from repro.metrics import counter_value
 from tests.helpers import seeded_gnp
+
+pytestmark = pytest.mark.usefixtures("force_fanout")
 
 
 def _run(tmp_path, live_metrics, workers=2, **config_kwargs):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.hstar import extract_hstar_graph
 from repro.parallel.partition import (
-    OVERSUBSCRIPTION,
     chunk_lift_tasks,
     chunk_tree_tasks,
     lift_tasks,
@@ -43,13 +42,13 @@ class TestTreeTasks:
 
     def test_chunking_partitions_tasks(self, star):
         tasks = tree_tasks(star)
-        chunks = chunk_tree_tasks(tasks, workers=3)
+        chunks = chunk_tree_tasks(tasks, 6)
         flattened = sorted(t.index for chunk in chunks for t in chunk)
         assert flattened == [t.index for t in tasks]
-        assert len(chunks) <= OVERSUBSCRIPTION * 3
+        assert len(chunks) == min(6, len(tasks))
 
     def test_chunking_empty(self):
-        assert chunk_tree_tasks([], workers=4) == []
+        assert chunk_tree_tasks([], 4) == []
 
 
 class TestLiftTasks:
@@ -80,16 +79,17 @@ class TestLiftTasks:
         sets = [star.common_periphery([v]) for v in sorted(star.core)]
         sets = [s for s in sets if s]
         tasks = lift_tasks(sets, store)
-        chunks = chunk_lift_tasks(tasks, store, workers=2)
+        chunks = chunk_lift_tasks(tasks, store, 4)
         seen = sorted(t.index for chunk in chunks for t in chunk.tasks)
         assert seen == [t.index for t in tasks]
+        assert len(chunks) <= 4
         for chunk in chunks:
             needed = {i for t in chunk.tasks for i in t.partition_indices}
             assert needed == set(chunk.paths)
 
     def test_empty_tasks(self, store):
         _, store = store
-        assert chunk_lift_tasks([], store, workers=2) == []
+        assert chunk_lift_tasks([], store, 4) == []
 
 
 class TestSerializeStar:

@@ -177,6 +177,7 @@ class TestSweep:
 
 
 class TestLeakRegression:
+    @pytest.mark.usefixtures("force_fanout")
     def test_killed_worker_run_leaks_no_segments(self, tmp_path):
         """A worker SIGKILLed mid-run must not leave repro-shm-* behind."""
         before = {
@@ -194,6 +195,7 @@ class TestLeakRegression:
         algo.task_timeout_seconds = 3.0
         cliques = list(algo.enumerate_cliques())
         assert cliques, "faulted run should still enumerate"
+        assert algo.chunks_total > 0
         after = {
             entry
             for entry in os.listdir("/dev/shm")

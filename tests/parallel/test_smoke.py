@@ -8,6 +8,8 @@ a deadlock into a fast, attributable failure.
 
 import threading
 
+import pytest
+
 from repro import DiskGraph, ExtMCEConfig, ParallelExtMCE
 
 from tests.helpers import seeded_gnp
@@ -15,6 +17,7 @@ from tests.helpers import seeded_gnp
 SMOKE_TIMEOUT_SECONDS = 120
 
 
+@pytest.mark.usefixtures("force_fanout")
 def test_two_worker_enumeration_completes_within_timeout(tmp_path):
     graph = seeded_gnp(60, 0.15, seed=5)
     disk = DiskGraph.create(tmp_path / "g.bin", graph)
@@ -36,3 +39,4 @@ def test_two_worker_enumeration_completes_within_timeout(tmp_path):
     )
     assert "error" not in outcome, f"enumeration raised: {outcome.get('error')!r}"
     assert len(outcome["cliques"]) > 0
+    assert algo.chunks_total > 0

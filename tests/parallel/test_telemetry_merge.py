@@ -7,6 +7,8 @@ completion event, and the step executor emits it into the driver's trace
 
 import json
 
+import pytest
+
 from repro import DiskGraph, ExtMCEConfig, ParallelExtMCE, load_trace
 from repro.faults import FaultPlan, FaultRule
 from repro.metrics import counter_value
@@ -14,6 +16,8 @@ from repro.metrics import counter_value
 from tests.helpers import seeded_gnp
 
 CHUNK_EVENTS = ("tree_chunk_completed", "lift_chunk_completed")
+
+pytestmark = pytest.mark.usefixtures("force_fanout")
 
 
 def _traced_run(tmp_path, **config_kwargs):
