@@ -97,8 +97,6 @@ def _run_one(graph, workers, fanout=False):
         # totals for the parallel ones — never an absent field.
         "payload_bytes": getattr(algo, "payload_bytes_total", 0),
         "shm_bytes": getattr(algo, "shm_bytes_total", 0),
-        "tasks_split": getattr(algo, "tasks_split_total", 0),
-        "tasks_stolen": getattr(algo, "tasks_stolen_total", 0),
         "phases_fanned_out": getattr(algo, "fanned_out_phases", 0),
         "chunks": getattr(algo, "chunks_total", 0),
         "inband_steps": getattr(algo, "inband_steps", 0),
@@ -159,7 +157,7 @@ def test_parallel_scaling_sweep(benchmark, save_result):
             f"Parallel scaling: ParallelExtMCE on powerlaw-cluster "
             f"(n={NUM_VERTICES}, m=5, p=0.7), host cpus={os.cpu_count()}",
             ["workers", "cliques", "seconds", "speedup", "fanned out",
-             "chunks", "fallbacks", "payload B", "shm B", "split", "stolen"],
+             "chunks", "fallbacks", "payload B", "shm B"],
             [
                 (
                     f"{r['workers']}" + (" (forced fan-out)" if r["fanout"] else ""),
@@ -172,8 +170,6 @@ def test_parallel_scaling_sweep(benchmark, save_result):
                     r["fallback_steps"],
                     r["payload_bytes"],
                     r["shm_bytes"],
-                    r["tasks_split"],
-                    r["tasks_stolen"],
                 )
                 for r in results + [forced]
             ],

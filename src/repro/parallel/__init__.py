@@ -17,11 +17,10 @@ arXiv:1807.09417), adapted to the paper's step-wise H*-graph recursion:
   run-scoped owner of the persistent worker pool and the published
   segment;
 * :mod:`repro.parallel.executor` — runs descriptor-addressed chunks on
-  the engine's pool with driver-mediated work stealing (split tails
-  requeue to idle workers), results and worker telemetry carried in
-  each chunk's result envelope, and
-  chunk-granular fault recovery (bounded retry, pool rebuild after
-  worker death, inline degradation);
+  the engine's pool, each to completion on the worker that took it,
+  with results and worker telemetry carried in each chunk's result
+  envelope, and chunk-granular fault recovery (bounded retry, pool
+  rebuild after worker death, inline degradation);
 * :mod:`repro.parallel.merge` — reassembles worker results into the
   exact stream the serial driver would produce (worker-count- and
   schedule-invariant by construction);
@@ -53,12 +52,11 @@ from repro.parallel.partition import (
     serialize_star,
     tree_tasks,
 )
-from repro.parallel.scheduler import ChunkPolicy, ParallelEngine
+from repro.parallel.scheduler import ParallelEngine
 from repro.parallel.shm import sweep_stale_segments
 
 __all__ = [
     "COST_MODEL",
-    "ChunkPolicy",
     "CostModel",
     "ExecutorStats",
     "LiftChunk",

@@ -128,18 +128,11 @@ class ParallelExtMCE(ExtMCE):
         #: Run-level accumulation of every step executor's recovery
         #: counters (retries, timeouts, rebuilds, inline fallbacks).
         self.executor_stats = ExecutorStats()
-        #: Pickled task-descriptor bytes shipped during the most recent
-        #: step that fanned out; the scaling bench reads this per row.
-        #: With the shm path this is metadata, not graphs — the
-        #: 10×-smaller successor of the old per-worker pickled payload.
-        self.last_payload_bytes = 0
-        #: Shared-memory bytes backing the most recent step that fanned out.
-        self.last_shm_bytes = 0
-        #: Run totals across all phases that fanned out.
+        #: Run totals across all phases that fanned out: pickled
+        #: task-descriptor bytes shipped (with the shm path this is
+        #: metadata, not graphs) and shared-memory bytes published.
         self.payload_bytes_total = 0
         self.shm_bytes_total = 0
-        self.tasks_split_total = 0
-        self.tasks_stolen_total = 0
         #: Steps whose graph travelled pickled in-band, not through shm.
         self.inband_steps = 0
         self.fanned_out_phases = 0
@@ -211,12 +204,8 @@ class ParallelExtMCE(ExtMCE):
     def _close_step_executor(self, step: int, executor: StepExecutor) -> None:
         executor.close()
         self.executor_stats.merge(executor.stats)
-        self.last_payload_bytes = executor.payload_bytes
-        self.last_shm_bytes = executor.shm_bytes
         self.payload_bytes_total += executor.payload_bytes
         self.shm_bytes_total += executor.shm_bytes
-        self.tasks_split_total += executor.tasks_split
-        self.tasks_stolen_total += executor.tasks_stolen
         self.inband_steps += executor.inband
         if executor.fell_back:
             self.fallback_steps += 1
@@ -227,10 +216,8 @@ class ParallelExtMCE(ExtMCE):
                 "parallel_step_completed",
                 step=step,
                 workers=self.workers,
-                payload_bytes=self.last_payload_bytes,
-                shm_bytes=self.last_shm_bytes,
-                tasks_split=executor.tasks_split,
-                tasks_stolen=executor.tasks_stolen,
+                payload_bytes=executor.payload_bytes,
+                shm_bytes=executor.shm_bytes,
                 fell_back=executor.fell_back,
                 pool_elapsed=round(time.perf_counter() - self._executor_started, 6),
                 **executor.stats.to_dict(),

@@ -1,4 +1,4 @@
-"""Step execution on the persistent pool: descriptors, stealing, recovery.
+"""Step execution on the persistent pool: descriptors, harvest, recovery.
 
 One :class:`StepExecutor` lives for one recursion step, but the pool it
 uses belongs to the run-scoped
@@ -8,19 +8,16 @@ shared-memory segment name + generation, or a pickled in-band payload
 when shm is unavailable) that they resolve through a per-process
 attachment cache.
 
-Scheduling is driver-mediated work stealing.  Chunks are submitted
-eagerly and harvested as they complete (not in submission order — the
-merge orders by task index, so completion order is free).  Harvest is
-callback-driven: each ``apply_async`` callback and error callback queues
-its submission's ticket and sets an event, and the driver sleeps on that
-event with a timeout running to the nearest chunk deadline — no idle
-polling, and a finished chunk is harvested as soon as its result
-arrives.  Each chunk carries a split policy: a worker that has spent
-its time slice while the shared pending counter says the queue is dry
-stops, returns the finished prefix plus its unfinished tail, and the
-driver requeues the tail for whichever worker goes idle next.  Results
-travel back through the pool's result pipe, pickled once, whatever
-their size.
+Chunks are submitted eagerly, each runs to completion on the worker
+that took it, and they are harvested as they complete (not in
+submission order — the merge orders by task index, so completion order
+is free).  The chunk count the driver's cost model picks is the only
+load balancing.  Harvest is callback-driven: each ``apply_async``
+callback and error callback queues its submission's ticket and sets an
+event, and the driver sleeps on that event with a timeout running to
+the nearest chunk deadline — no idle polling, and a finished chunk is
+harvested as soon as its result arrives.  Results travel back through
+the pool's result pipe, pickled once, whatever their size.
 
 Recovery semantics are unchanged from the per-step-pool era — the unit
 of loss is one chunk, never the step:
@@ -73,7 +70,7 @@ import signal
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
@@ -81,7 +78,7 @@ from typing import TYPE_CHECKING, Callable
 from repro import metrics
 from repro.errors import InjectedFaultError, SharedMemoryError
 from repro.kernel import CompactGraph, induced_maximal_cliques
-from repro.parallel.scheduler import ChunkPolicy, ParallelEngine
+from repro.parallel.scheduler import ParallelEngine
 from repro.parallel.shm import attach_compact
 from repro.storage.pagestore import PAGE_SIZE_BYTES
 from repro.storage.partitions import read_partition_file
@@ -98,8 +95,8 @@ _SALVAGE_TIMEOUT_SECONDS = 0.05
 
 #: Executor metrics.  Chunk counts, latencies and attach counts are
 #: observed in whatever process runs the chunk (a pooled chunk's snapshot
-#: is absorbed into the driver's registry at harvest); the recovery and
-#: scheduling counters are always driver-side.
+#: is absorbed into the driver's registry at harvest); the recovery
+#: counters are always driver-side.
 _METRICS = metrics.bound(
     lambda registry: SimpleNamespace(
         chunks={
@@ -138,18 +135,6 @@ _METRICS = metrics.bound(
         payload_bytes=registry.counter(
             "repro_parallel_payload_bytes_total",
             "pickled task-descriptor bytes shipped through the pool",
-        ),
-        tasks_split=registry.counter(
-            "repro_parallel_tasks_split_total",
-            "chunks that returned an unfinished tail to the queue",
-        ),
-        tasks_stolen=registry.counter(
-            "repro_parallel_tasks_stolen_total",
-            "tasks requeued from split tails and run by another worker",
-        ),
-        queue_depth=registry.gauge(
-            "repro_parallel_queue_depth",
-            "chunks submitted or pending at the last scheduling decision",
         ),
         shm_attach=registry.counter(
             "repro_parallel_shm_attach_total",
@@ -208,14 +193,13 @@ class WorkerContext:
     context).
     """
 
-    def __init__(self, pending=None, label: str = "inline") -> None:
+    def __init__(self, label: str = "inline") -> None:
         self._token: str | None = None
         self._handle: _GraphHandle | None = None
         self._spill: OrderedDict[str, dict[int, frozenset[int]]] = OrderedDict()
         #: Spill files actually read by this process, and their pages.
         self.partition_loads = 0
         self.pages_read = 0
-        self.pending = pending
         self.label = label
 
     def _enter_step(self, token: str) -> None:
@@ -255,26 +239,16 @@ class WorkerContext:
         self._spill.clear()
         self._token = None
 
-    def queue_is_dry(self) -> bool:
-        """Whether no submitted chunk is waiting for a worker."""
-        return self.pending is None or self.pending.value <= 0
-
-    def note_started(self) -> None:
-        """A chunk left the pool queue and started running here."""
-        if self.pending is not None:
-            with self.pending.get_lock():
-                self.pending.value -= 1
-
 
 _CONTEXT: WorkerContext | None = None
 
 
-def _init_worker(pending=None) -> None:
+def _init_worker() -> None:
     global _CONTEXT
     # A forked child inherits the driver's live registry; recording into
     # that copy would be lost at best.  Metered chunks install their own.
     metrics.disable()
-    _CONTEXT = WorkerContext(pending, label=f"worker_{os.getpid():08d}")
+    _CONTEXT = WorkerContext(label=f"worker_{os.getpid():08d}")
 
 
 def _solve_tree_task(compact: CompactGraph, task: "TreeTask"):
@@ -287,19 +261,10 @@ def _solve_tree_task(compact: CompactGraph, task: "TreeTask"):
     return tuple(tuple(sorted(clique)) for clique in cliques)
 
 
-def _should_split(policy: ChunkPolicy, started: float, remaining: int) -> bool:
-    """Split iff the slice is spent, the queue is dry, and a tail exists."""
-    if policy.split_after_seconds is None or remaining < 1:
-        return False
-    if time.perf_counter() - started < policy.split_after_seconds:
-        return False
-    return _CONTEXT is not None and _CONTEXT.queue_is_dry()
-
-
-def _seal(payload, remaining, event: dict) -> dict:
+def _seal(payload, event: dict) -> dict:
     """Wrap results in the envelope that travels back through the pool pipe.
 
-    ``{"results", "remaining", "event", "worker", "metrics"}`` —
+    ``{"results", "event", "worker", "metrics"}`` —
     ``event`` holds the fields of the chunk's completion event and
     ``metrics`` the chunk's registry snapshot (filled in by
     :func:`_dispatch_chunk` for metered submissions, else ``None``).
@@ -307,30 +272,23 @@ def _seal(payload, remaining, event: dict) -> dict:
     assert _CONTEXT is not None
     return {
         "results": payload,
-        "remaining": remaining,
         "event": event,
         "worker": _CONTEXT.label,
         "metrics": None,
     }
 
 
-def _run_tree_chunk(descriptor: dict, chunk, policy: ChunkPolicy) -> dict:
-    """Solve tree subproblems until done or split; results keyed by index.
+def _run_tree_chunk(descriptor: dict, chunk) -> dict:
+    """Solve every tree subproblem of a chunk; results keyed by index.
 
     Clique vertex tuples are sorted, but the *list* order within a task
     preserves the pivoted enumeration order — the merger relies on task
     indices alone for determinism.
     """
     assert _CONTEXT is not None, "worker used before initialization"
-    results: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
-    remaining: tuple = ()
     started = time.perf_counter()
     compact = _CONTEXT.graph_for(descriptor).compact
-    for position, task in enumerate(chunk):
-        results.append((task.index, _solve_tree_task(compact, task)))
-        if _should_split(policy, started, len(chunk) - position - 1):
-            remaining = tuple(chunk[position + 1 :])
-            break
+    results = [(task.index, _solve_tree_task(compact, task)) for task in chunk]
     elapsed = time.perf_counter() - started
     bundle = _METRICS()
     bundle.chunks["tree"].inc()
@@ -339,13 +297,12 @@ def _run_tree_chunk(descriptor: dict, chunk, policy: ChunkPolicy) -> dict:
         "seconds": round(elapsed, 6),
         "tasks": len(results),
         "cliques": sum(len(found) for _, found in results),
-        "split_off": len(remaining),
     }
-    return _seal(results, remaining or None, event)
+    return _seal(results, event)
 
 
-def _run_lift_chunk(descriptor: dict, chunk: "LiftChunk", policy: ChunkPolicy) -> dict:
-    """Resolve ``HNB`` sets against the spill files until done or split.
+def _run_lift_chunk(descriptor: dict, chunk: "LiftChunk") -> dict:
+    """Resolve a chunk's ``HNB`` sets against the spill files.
 
     Each task looks its members' neighbour sets up in the worker's spill
     cache and hands them to :func:`~repro.kernel.induced_maximal_cliques`,
@@ -359,9 +316,8 @@ def _run_lift_chunk(descriptor: dict, chunk: "LiftChunk", policy: ChunkPolicy) -
     token = descriptor["token"]
     loads_before, pages_before = context.partition_loads, context.pages_read
     results: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
-    remaining = None
     started = time.perf_counter()
-    for position, task in enumerate(chunk.tasks):
+    for task in chunk.tasks:
         adjacency: dict[int, frozenset[int]] = {}
         for pindex in task.partition_indices:
             partition = context.spill_partition(
@@ -374,13 +330,6 @@ def _run_lift_chunk(descriptor: dict, chunk: "LiftChunk", policy: ChunkPolicy) -
         results.append(
             (task.index, tuple(tuple(sorted(clique)) for clique in cliques))
         )
-        if _should_split(policy, started, len(chunk.tasks) - position - 1):
-            tail = chunk.tasks[position + 1 :]
-            needed = sorted({p for task in tail for p in task.partition_indices})
-            remaining = replace(
-                chunk, tasks=tail, paths={p: chunk.paths[p] for p in needed}
-            )
-            break
     elapsed = time.perf_counter() - started
     pages_read = context.pages_read - pages_before
     bundle = _METRICS()
@@ -391,9 +340,8 @@ def _run_lift_chunk(descriptor: dict, chunk: "LiftChunk", policy: ChunkPolicy) -
         "tasks": len(results),
         "partitions_loaded": context.partition_loads - loads_before,
         "pages_read": pages_read,
-        "split_off": 0 if remaining is None else len(remaining.tasks),
     }
-    return _seal((results, pages_read), remaining, event)
+    return _seal((results, pages_read), event)
 
 
 class _Poison:
@@ -409,15 +357,14 @@ class _Poison:
 def _dispatch_chunk(task):
     """Worker-side entry point: obey the fault directive, then run.
 
-    ``task`` is ``(directive, phase, descriptor, chunk, policy)``.  The
+    ``task`` is ``(directive, phase, descriptor, chunk, metered)``.  The
     directive is attached driver-side by :meth:`StepExecutor._submit` so
     workers never hold a :class:`~repro.faults.FaultPlan`; ``None`` means
-    run normally.  A metered submission (``policy.metrics``) runs against
-    a fresh registry whose snapshot is returned in the envelope.
+    run normally.  A metered submission (set from
+    :func:`repro.metrics.enabled` at submit time) runs against a fresh
+    registry whose snapshot is returned in the envelope.
     """
-    directive, phase, descriptor, chunk, policy = task
-    if _CONTEXT is not None:
-        _CONTEXT.note_started()
+    directive, phase, descriptor, chunk, metered = task
     if directive is not None:
         kind = directive[0]
         if kind == "worker_kill":
@@ -441,11 +388,11 @@ def _dispatch_chunk(task):
             assert _CONTEXT is not None
             _CONTEXT.graph_for(doctored)
     run = _run_tree_chunk if phase == "tree" else _run_lift_chunk
-    if not policy.metrics:
-        return run(descriptor, chunk, policy)
+    if not metered:
+        return run(descriptor, chunk)
     registry = metrics.enable(metrics.MetricsRegistry())
     try:
-        envelope = run(descriptor, chunk, policy)
+        envelope = run(descriptor, chunk)
     finally:
         metrics.disable()
     envelope["metrics"] = registry.snapshot()
@@ -460,8 +407,7 @@ class ExecutorStats:
     ``chunk_timeouts`` / ``chunk_errors`` classify the failures;
     ``pool_rebuilds`` counts pool teardown-and-recreate cycles;
     ``inline_chunks`` counts chunks that exhausted their retries and were
-    recomputed in-process.  Scheduling activity (splits, steals) is
-    *not* recovery and lives on the executor itself.
+    recomputed in-process.
     """
 
     chunk_retries: int = 0
@@ -497,9 +443,9 @@ class ExecutorStats:
 @dataclass
 class MapStats:
     """One ``map_tree``/``map_lift`` call as the cost model sees it: wall
-    seconds, chunks run (splits and inline reruns included), and each
-    worker's summed chunk seconds (the driver's ``"inline"`` context
-    included)."""
+    seconds, the chunks mapped (one result each, wherever it ran), and
+    each worker's summed chunk seconds (the driver's ``"inline"``
+    context included)."""
 
     seconds: float = 0.0
     chunks: int = 0
@@ -509,24 +455,22 @@ class MapStats:
 class _Pending:
     """One schedulable chunk: queue identity, payload, charged attempts."""
 
-    __slots__ = ("chunk_id", "chunk", "attempts", "stolen")
+    __slots__ = ("chunk_id", "chunk", "attempts")
 
-    def __init__(self, chunk_id, chunk, attempts=0, stolen=False):
+    def __init__(self, chunk_id, chunk):
         self.chunk_id = chunk_id
         self.chunk = chunk
-        self.attempts = attempts
-        self.stolen = stolen
+        self.attempts = 0
 
 
 class StepExecutor:
     """Run task chunks for one recursion step, in parallel if possible.
 
-    ``map_tree`` / ``map_lift`` return one result payload per *executed*
-    chunk (splits included), unordered — callers merge by the global task
-    indices every result row carries, so the stream downstream is
-    worker-count- and schedule-independent: retries, splits, steals, pool
-    rebuilds and inline fallbacks never reorder or change results, only
-    delay them.
+    ``map_tree`` / ``map_lift`` return one result payload per chunk,
+    unordered — callers merge by the global task indices every result row
+    carries, so the stream downstream is worker-count- and
+    schedule-independent: retries, pool rebuilds and inline fallbacks
+    never reorder or change results, only delay them.
 
     The first argument is either a live
     :class:`~repro.parallel.scheduler.ParallelEngine` (the driver's,
@@ -573,9 +517,6 @@ class StepExecutor:
         self._finished: deque[int] = deque()
         self._wake = threading.Event()
         self.stats = ExecutorStats()
-        #: Scheduling activity (not recovery — see ``ExecutorStats``).
-        self.tasks_split = 0
-        self.tasks_stolen = 0
         #: Accumulated pickled bytes of every task shipped to the pool —
         #: with shm descriptors this is per-chunk metadata, not graphs.
         self.payload_bytes = 0
@@ -614,14 +555,13 @@ class StepExecutor:
 
         Event-driven loop: submit everything pending, sleep on the
         completion event until a pool callback fires or the nearest
-        chunk deadline passes, harvest whatever finished (split tails are
-        requeued and picked up by idle workers immediately), classify
+        chunk deadline passes, harvest whatever finished, classify
         failures (retry, timeout → pool rebuild, retries exhausted →
-        inline).  The loop terminates because every failure either charges an attempt
-        against a chunk (bounded by ``max_retries`` before the chunk
-        goes inline) or consumes a pool rebuild (bounded by the lifetime
-        cap before the executor degrades to inline entirely), and every
-        split strictly shrinks its chunk.
+        inline).  The loop terminates because every failure either
+        charges an attempt against a chunk (bounded by ``max_retries``
+        before the chunk goes inline) or consumes a pool rebuild
+        (bounded by the lifetime cap before the executor degrades to
+        inline entirely).
         """
         started = time.perf_counter()
         self.last_map = MapStats()
@@ -632,7 +572,6 @@ class StepExecutor:
             return []
         collected: list = []
         outstanding: dict[int, tuple] = {}  # ticket -> (handle, item, deadline)
-        bundle = _METRICS()
         while pending or outstanding:
             if self._engine.pool is None or self.fell_back:
                 self.fell_back = self.fell_back or self._engine.workers > 1
@@ -649,22 +588,18 @@ class StepExecutor:
                     pending.appendleft(item)
                     submit_failed = True
                     break
-                self._engine.add_pending(1)
                 deadline = (
                     None
                     if self._task_timeout is None
                     else time.monotonic() + self._task_timeout
                 )
                 outstanding[ticket] = (handle, item, deadline)
-            bundle.queue_depth.set(len(outstanding) + len(pending))
             broken = submit_failed or self._await_finished(
                 phase, outstanding, pending, collected
             )
             if broken:
                 self._salvage(phase, outstanding, pending, collected)
                 self._rebuild_pool()
-        self._engine.reset_pending()
-        bundle.queue_depth.set(0)
         self.last_map.seconds = time.perf_counter() - started
         self.last_map.chunks = len(collected)
         return collected
@@ -719,7 +654,7 @@ class StepExecutor:
         return False
 
     def _harvest(self, phase, item, handle, pending, collected):
-        """Unwrap one completed handle: envelope, telemetry, split tail."""
+        """Unwrap one completed handle: envelope and telemetry."""
         try:
             envelope = handle.get()
         except Exception as error:
@@ -733,21 +668,6 @@ class StepExecutor:
             return
         self._record(phase, item.chunk_id, envelope)
         collected.append(envelope["results"])
-        remaining = envelope.get("remaining")
-        if remaining is not None:
-            stolen = (
-                len(remaining) if phase == "tree" else len(remaining.tasks)
-            )
-            self.tasks_split += 1
-            self.tasks_stolen += stolen
-            bundle = _METRICS()
-            bundle.tasks_split.inc()
-            bundle.tasks_stolen.inc(stolen)
-            self._emit(
-                "chunk_split", phase=phase, chunk_index=item.chunk_id,
-                tasks_stolen=stolen,
-            )
-            pending.append(_Pending(self._next_chunk_id(), remaining, stolen=True))
 
     def _record(self, phase, chunk_id, envelope) -> None:
         """Fold one finished chunk's telemetry into the driver: absorb its
@@ -798,11 +718,7 @@ class StepExecutor:
                         directive = ("shm_attach_fail",)
                     elif shm_fault.kind == "stale_segment":
                         directive = ("shm_stale",)
-        policy = ChunkPolicy(
-            split_after_seconds=self._engine.split_after_seconds,
-            metrics=metrics.enabled(),
-        )
-        task = (directive, phase, self._payload, payload_chunk, policy)
+        task = (directive, phase, self._payload, payload_chunk, metrics.enabled())
         try:
             shipped = len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
         except Exception:  # injected poison payloads refuse to pickle
@@ -877,9 +793,8 @@ class StepExecutor:
         """Recompute one raw chunk in-process (no fault directives).
 
         The inline context resolves the same descriptor the workers see
-        — attaching the shared segment in-driver when one is published —
-        and never splits (``ChunkPolicy`` defaults).  It records
-        straight into the driver's registry and emits its completion
+        — attaching the shared segment in-driver when one is published.
+        It records straight into the driver's registry and emits its completion
         event through the same hook as pooled chunks.
         """
         global _CONTEXT
@@ -889,7 +804,7 @@ class StepExecutor:
         _CONTEXT = self._inline_context
         run = _run_tree_chunk if phase == "tree" else _run_lift_chunk
         try:
-            envelope = run(self._payload, chunk, ChunkPolicy())
+            envelope = run(self._payload, chunk)
         finally:
             _CONTEXT = previous
         self._record(phase, self._next_chunk_id(), envelope)

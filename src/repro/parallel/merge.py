@@ -8,9 +8,9 @@ code would have produced.  Combined with the driver-side hashtable
 filter (which consumes that stream in order), ``workers=1`` and
 ``workers=4`` runs are byte-identical.
 
-Work stealing composes for free: a split chunk yields two (or more)
-result lists whose task indices are disjoint by construction, and the
-mergers never look at chunk boundaries — only at indices.
+Any chunk count composes for free: chunks hold disjoint task indices by
+construction, and the mergers never look at chunk boundaries — only at
+indices.
 """
 
 from __future__ import annotations

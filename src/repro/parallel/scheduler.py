@@ -19,30 +19,20 @@ driver's cost model (:mod:`repro.parallel.costmodel`) decides per phase
 whether to fan out at all, and picks the chunk count from the measured
 per-chunk dispatch round trip (pickling, the pool's task and result
 pipes, one callback) against the straggler tail that fewer, larger
-chunks leave.  Every submission arms the worker-side split protocol — a
-worker that has already spent its time slice
-(:data:`SPLIT_AFTER_SECONDS`) on a chunk while the shared pending
-counter says the queue is dry returns its unfinished tail to the driver,
-which requeues it for whichever worker is idle (work stealing with the
-driver as the queue).  Splits never change the stream: the merge orders
-by task index, never by schedule.
+chunks leave.  That chunk count is the only load balancing: each chunk
+runs to completion on the worker that took it.
 """
 
 from __future__ import annotations
 
 import gc
 import multiprocessing
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 from repro import metrics
 from repro.errors import GraphError, ReproError
 from repro.parallel import shm as shm_mod
 from repro.parallel.partition import serialize_star
-
-#: Worker-side time slice after which a chunk holding unfinished tasks
-#: may hand its tail back to the driver (see ``ChunkPolicy``).
-SPLIT_AFTER_SECONDS = 0.05
 
 _METRICS = metrics.bound(
     lambda registry: SimpleNamespace(
@@ -66,27 +56,11 @@ _METRICS = metrics.bound(
 )
 
 
-@dataclass(frozen=True)
-class ChunkPolicy:
-    """Per-submission execution policy shipped alongside each chunk.
-
-    Everything a worker needs to decide splitting and metering without
-    holding any engine state: the split time slice (``None`` = never
-    split), and whether to record the chunk into a fresh metrics
-    registry whose snapshot rides back in the envelope (set from
-    :func:`repro.metrics.enabled` at submit time).
-    """
-
-    split_after_seconds: float | None = None
-    metrics: bool = False
-
-
 class ParallelEngine:
     """Run-scoped pool + segment owner shared by every step's executor.
 
-    Construction sweeps crash-leftover segments, creates the worker pool
-    eagerly (``workers > 1``), and allocates the shared pending counter
-    the split protocol reads.  :meth:`close` is idempotent and always
+    Construction sweeps crash-leftover segments and creates the worker
+    pool eagerly (``workers > 1``).  :meth:`close` is idempotent and always
     unlinks whatever segment is still published — the driver calls it
     from the ``finally`` of the run generator, and the start-of-run
     sweep covers the paths where even that never executes.
@@ -94,7 +68,6 @@ class ParallelEngine:
 
     def __init__(self, workers: int, *, sweep: bool = True) -> None:
         self.workers = max(1, int(workers))
-        self.split_after_seconds: float | None = SPLIT_AFTER_SECONDS
         self.swept_segments: list[str] = (
             shm_mod.sweep_stale_segments() if sweep else []
         )
@@ -106,10 +79,8 @@ class ParallelEngine:
         self.shm_bytes_total = 0
         self.inband_payloads = 0
         self._pool = None
-        self._pending = None
         self._closed = False
         if self.workers > 1:
-            self._pending = multiprocessing.Value("l", 0)
             self._pool = self._create_pool()
 
     # ------------------------------------------------------------------
@@ -142,7 +113,6 @@ class ParallelEngine:
             return multiprocessing.Pool(
                 processes=self.workers,
                 initializer=_init_worker,
-                initargs=(self._pending,),
             )
         except Exception:
             return None
@@ -152,7 +122,6 @@ class ParallelEngine:
     def rebuild_pool(self) -> bool:
         """Tear down a broken pool and start fresh; True on success."""
         self.stop_pool(terminate=True)
-        self.reset_pending()
         self._pool = self._create_pool()
         return self._pool is not None
 
@@ -165,20 +134,6 @@ class ParallelEngine:
             else:
                 pool.close()
             pool.join()
-
-    # ------------------------------------------------------------------
-    # Pending-task counter (the split protocol's "is the queue dry" signal)
-    # ------------------------------------------------------------------
-    def add_pending(self, count: int) -> None:
-        """Record ``count`` chunks newly sitting in the pool queue."""
-        if self._pending is not None:
-            with self._pending.get_lock():
-                self._pending.value += count
-
-    def reset_pending(self, value: int = 0) -> None:
-        if self._pending is not None:
-            with self._pending.get_lock():
-                self._pending.value = value
 
     # ------------------------------------------------------------------
     # Graph publication
@@ -264,8 +219,4 @@ class ParallelEngine:
             pass
 
 
-__all__ = [
-    "ChunkPolicy",
-    "ParallelEngine",
-    "SPLIT_AFTER_SECONDS",
-]
+__all__ = ["ParallelEngine"]

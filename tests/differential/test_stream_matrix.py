@@ -7,8 +7,8 @@ parallel driver both as its cost model decides and with every phase
 forced onto the pool),
 together with the metrics invariants that tie each run's counters to its
 own stream and a set comparison against the set-based Tomita oracle.
-Parallel runs arm work stealing, so split chunks must still merge into
-the canonical order.
+Forced fan-out cuts each phase into several chunks, whose results must
+still merge into the canonical order.
 """
 
 from __future__ import annotations

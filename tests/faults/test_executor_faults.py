@@ -193,7 +193,7 @@ class TestTelemetryShape:
         # The only events are one completion report per executed chunk.
         completed = [f for name, f in events.log if name == "tree_chunk_completed"]
         assert len(completed) == len(events.log)
-        assert len(completed) >= len(chunk_tree_tasks(tree_tasks(star), 4))
+        assert len(completed) == len(chunk_tree_tasks(tree_tasks(star), 4))
         assert all(f["worker"].startswith("worker_") for f in completed)
 
     def test_inline_fallback_reports_its_chunk(self, star, events):

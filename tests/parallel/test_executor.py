@@ -1,5 +1,6 @@
-"""Executor tests: pool vs inline equivalence, fallback, worker chunk
-events, work stealing, large results and callback-driven harvest."""
+"""Executor tests: pool vs inline equivalence, chunk-count invariance,
+fallback, worker chunk events, large results and callback-driven
+harvest."""
 
 import os
 import pickle
@@ -106,27 +107,24 @@ class TestEngineSharing:
         assert cliques_of(star_cliques) == cliques_of(enumerate_star_cliques(star))
 
 
-class TestWorkStealing:
-    def test_forced_splits_preserve_merged_stream(self, star):
-        expected_cliques, expected_core = None, None
+class TestChunkCount:
+    @pytest.mark.parametrize("count", [1, 2, None], ids=["one", "two", "per_task"])
+    def test_every_chunk_count_merges_to_inline(self, star, count):
         with StepExecutor(1, serialize_star(star)) as inline:
             expected_cliques, expected_core = _run_tree(inline, star)
+        count = count or len(tree_tasks(star))
         with ParallelEngine(2) as engine:
-            # A zero-length slice makes every chunk split whenever the
-            # queue is dry: maximum steal traffic, same stream.
-            engine.split_after_seconds = 0.0
             descriptor = engine.publish_star(star)
             with StepExecutor(engine, descriptor) as executor:
-                tasks = tree_tasks(star)
-                chunks = chunk_tree_tasks(tasks, 1)
-                assert len(chunks) == 1  # single chunk: the queue is dry instantly
-                results = executor.map_tree(chunks)
-                stolen_cliques, stolen_core = merge_tree_results(tasks, results, star)
-                assert executor.tasks_split >= 1
-                assert executor.tasks_stolen >= 1
-                assert not executor.stats.any_recovery  # stealing is not recovery
-        assert stolen_cliques == expected_cliques
-        assert stolen_core == expected_core
+                # Chunks = workers × oversubscription; workers=1 here
+                # only makes the 2-worker pool run exactly ``count``.
+                cliques, core = _run_tree(
+                    executor, star, workers=1, oversubscription=count
+                )
+                assert executor.last_map.chunks == count
+                assert not executor.stats.any_recovery
+        assert cliques == expected_cliques
+        assert core == expected_core
 
 
 class TestResultChannel:
@@ -145,7 +143,6 @@ class TestResultChannel:
         chunks = chunk_tree_tasks(tasks, 1)
         assert len(chunks) == 1
         with StepExecutor(2, serialize_star(star)) as executor:
-            executor.engine.split_after_seconds = None  # keep the chunk whole
             results = executor.map_tree(chunks)
             assert not executor.fell_back
             assert not executor.stats.any_recovery
@@ -175,8 +172,7 @@ class TestWorkerTraces:
             # emits them in the order that worker returned them.
             assert indices == sorted(set(indices))
         tasks = tree_tasks(star)
-        # >= rather than ==: a split chunk completes as several events
-        assert len(completed) >= len(chunk_tree_tasks(tasks, 8))
+        assert len(completed) == len(chunk_tree_tasks(tasks, 8))
         assert sum(f["tasks"] for f in completed) == len(tasks)
 
 

@@ -100,7 +100,7 @@ def test_pool_workers_read_each_file_once_per_step(lift):
 def test_worker_cache_never_exceeds_max_resident(lift, monkeypatch):
     store, ordered, tasks, _ = lift
     bound = 2
-    context = WorkerContext(None)
+    context = WorkerContext()
     original = executor_mod.read_partition_file
     resident_at_read = []
 
@@ -115,9 +115,7 @@ def test_worker_cache_never_exceeds_max_resident(lift, monkeypatch):
     assert chunk.max_resident == store.max_resident
     tight = replace(chunk, max_resident=bound)
     assert any(len(task.partition_indices) > bound for task in tight.tasks)
-    envelope = executor_mod._run_lift_chunk(
-        {"token": "step-1"}, tight, executor_mod.ChunkPolicy()
-    )
+    envelope = executor_mod._run_lift_chunk({"token": "step-1"}, tight)
     results, pages = envelope["results"]
     assert max(resident_at_read) < bound  # room is made before each read
     assert len(context._spill) <= bound

@@ -64,13 +64,8 @@ class TestWorkerMetricsMerge:
         metrics.enable(metrics.MetricsRegistry())
         _stream, clean = _run(clean_dir, live_metrics)
 
-        def initial_chunks(snapshot):
-            # A split adds one executed chunk; its count is timing-dependent.
-            return counter_value(
-                snapshot, "repro_parallel_chunks_total"
-            ) - counter_value(snapshot, "repro_parallel_tasks_split_total")
-
-        assert initial_chunks(planted) == initial_chunks(clean) > 0
+        chunks = counter_value(clean, "repro_parallel_chunks_total")
+        assert counter_value(planted, "repro_parallel_chunks_total") == chunks > 0
         assert counter_value(planted, "repro_parallel_chunks_total") < 1000
 
     def test_worker_metrics_dir_cleaned_up(self, tmp_path, live_metrics):
