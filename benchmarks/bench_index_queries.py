@@ -167,7 +167,7 @@ def _service_contract(directory: Path, stats: dict) -> dict:
     outcomes: list[tuple[bool, bool, float]] = []
     outcomes_lock = threading.Lock()
     index = CliqueIndex(directory, fault_plan=plan)
-    server = CliqueQueryServer(CliqueQueryEngine(index, cache_entries=0)).start()
+    server = CliqueQueryServer(CliqueQueryEngine(index)).start()
 
     def run_client(client_id: int) -> None:
         host, port = server.address

@@ -4,7 +4,9 @@ Serves a frozen index through a server whose engine sleeps a fixed
 4 ms per query (a known service time), caps admission at
 ``MAX_IN_FLIGHT``, then drives a closed-loop client population twice
 that size — offered concurrency 2x the saturation point.  Records to
-``BENCH_service.json`` at the repository root:
+``BENCH_service.json`` at the repository root, in the ``{bench, schema,
+host, git_sha, headline, runs}`` envelope the other ``BENCH_*.json``
+files share:
 
 1. the shed rate (requests answered ``overloaded`` with a
    ``retry_after_ms`` hint instead of queueing unboundedly); and
@@ -36,9 +38,9 @@ from repro.index import CliqueIndex, build_index
 from repro.service import CliqueQueryEngine, CliqueQueryServer
 
 try:  # pytest collection from the repository root
-    from benchmarks.common import quantiles, scaling_graph
+    from benchmarks.common import git_sha, host_shape, quantiles, scaling_graph
 except ImportError:  # executed directly: benchmarks/ itself is sys.path[0]
-    from common import quantiles, scaling_graph
+    from common import git_sha, host_shape, quantiles, scaling_graph
 
 NUM_VERTICES = 200
 SERVICE_TIME_SECONDS = 0.004
@@ -94,7 +96,7 @@ def main() -> int:
         )
         build_index(cliques, tmp / "idx")
         with CliqueIndex(tmp / "idx") as index:
-            engine = _MeteredEngine(index, cache_entries=0)
+            engine = _MeteredEngine(index)
             server = CliqueQueryServer(
                 engine,
                 max_in_flight=MAX_IN_FLIGHT,
@@ -123,18 +125,27 @@ def main() -> int:
         shed_rate = shed[0] / total
         latency = quantiles(accepted, include_count=True)
         result = {
-            "service_overload": {
-                "service_time_ms": SERVICE_TIME_SECONDS * 1e3,
-                "max_in_flight": MAX_IN_FLIGHT,
-                "offered_concurrency": OFFERED_CONCURRENCY,
-                "requests": total,
-                "accepted": len(accepted),
-                "shed": shed[0],
+            "bench": "service_overload",
+            "schema": 1,
+            "host": host_shape(),
+            "git_sha": git_sha(),
+            "headline": {
                 "shed_rate": shed_rate,
-                "retry_after_ms": RETRY_AFTER_MS,
+                "accepted_p95_ms": latency["p95_us"] / 1e3,
                 "throughput_rps": total / elapsed,
-                "accepted_latency": latency,
-            }
+            },
+            "runs": {
+                "saturation_2x": {
+                    "service_time_ms": SERVICE_TIME_SECONDS * 1e3,
+                    "max_in_flight": MAX_IN_FLIGHT,
+                    "offered_concurrency": OFFERED_CONCURRENCY,
+                    "requests": total,
+                    "accepted": len(accepted),
+                    "shed": shed[0],
+                    "retry_after_ms": RETRY_AFTER_MS,
+                    "accepted_latency": latency,
+                },
+            },
         }
         RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
         print(json.dumps(result, indent=2))

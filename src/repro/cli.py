@@ -127,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (default: any free port, printed at start)")
-    serve.add_argument("--cache-entries", type=int, default=1024,
-                       help="postings LRU cache capacity (entries)")
     serve.add_argument("--cache-pages", type=int, default=64,
                        help="buffer-pool page cache capacity per index file")
     serve.add_argument("--timeout", type=float, default=None,
@@ -166,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     live.add_argument("--host", default="127.0.0.1")
     live.add_argument("--port", type=int, default=0,
                       help="TCP port (default: any free port, printed at start)")
-    live.add_argument("--cache-entries", type=int, default=1024,
-                      help="postings LRU cache capacity (entries)")
     live.add_argument("--cache-pages", type=int, default=64,
                       help="buffer-pool page cache capacity per index file")
     live.add_argument("--timeout", type=float, default=None,
@@ -505,11 +501,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         metrics.enable()
     with CliqueIndex(args.index, cache_pages=args.cache_pages) as index:
         stats = index.stats()
-        engine = CliqueQueryEngine(
-            index,
-            cache_entries=args.cache_entries,
-            timeout_seconds=args.timeout,
-        )
+        engine = CliqueQueryEngine(index, timeout_seconds=args.timeout)
         server = CliqueQueryServer(
             engine,
             host=args.host,
@@ -617,11 +609,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
         if args.serve:
             from repro.live import LiveSupervisor
 
-            engine = CliqueQueryEngine(
-                store,
-                cache_entries=args.cache_entries,
-                timeout_seconds=args.timeout,
-            )
+            engine = CliqueQueryEngine(store, timeout_seconds=args.timeout)
             if args.supervise:
                 supervisor = LiveSupervisor(
                     store,

@@ -94,9 +94,14 @@ class ExtMCEConfig:
     Attributes
     ----------
     memory_budget_units:
-        Optional hard memory cap (accounting units).  When set, the
+        Optional memory budget (accounting units) that sizes the
+        per-step subgraphs; it is not enforced as a cap.  When set, the
         Section 4.1.3 shrinking loop trims the h-vertex core until the
-        estimated ``|G_H*| + |T_H*|`` fits.
+        estimated ``|G_H*| + |T_H*|`` fits half of it, and each L*-graph
+        target is cut to a quarter of the memory model's headroom when
+        that model has a budget.  ``ExtMCE`` builds an unbudgeted
+        :class:`MemoryModel` unless one is passed, so the peak (notably
+        the maximality hashtable) can exceed this value.
     workdir:
         Directory for residual graphs and partition spill files; a
         temporary directory is created (and removed) when omitted.

@@ -189,7 +189,6 @@ class LiveCliqueStore:
         self._generation_number = 0
         self._wal_number = 0
         self._wal: DeltaLogWriter | None = None
-        self._apply_hooks: list[Callable] = []
         self._subscribers: dict[int, dict[int, Callable]] = {}
         self._next_subscription = 1
         self._closed = False
@@ -367,9 +366,9 @@ class LiveCliqueStore:
     def generation_number(self) -> int:
         """Monotonic counter bumped at every compaction swap.
 
-        Read without the lock (a plain int read is atomic): cache layers
-        tag entries with it so an entry minted against one generation's
-        clique-id space can never answer for the next.
+        Read without the lock (a plain int read is atomic); the query
+        engine's ``health`` probe reports it.  Clique ids are scoped to
+        one generation: a swap renumbers them.
         """
         return self._generation_number
 
@@ -460,16 +459,12 @@ class LiveCliqueStore:
             for event in events:
                 for callback in self._subscribers.get(event.vertex, {}).values():
                     callbacks.append((callback, event))
-            hooks = [(hook, ("delta", delta)) for hook in self._apply_hooks
-                     for delta in stamped]
             compactor = self._compactor
         if compactor is not None and len(self._tail) >= compactor.tail_threshold:
             compactor.poke()
-        # Hooks and subscriber callbacks run outside the store lock: a
-        # callback that re-enters the engine (cache invalidation) or the
-        # store must never deadlock against a concurrent reader.
-        for hook, payload in hooks:
-            hook(*payload)
+        # Subscriber callbacks run outside the store lock: a callback
+        # that re-enters the engine or the store must never deadlock
+        # against a concurrent reader.
         delivered = 0
         for callback, event in callbacks:
             callback(event)
@@ -543,20 +538,8 @@ class LiveCliqueStore:
         ]
 
     # ------------------------------------------------------------------
-    # Hooks and subscriptions
+    # Subscriptions
     # ------------------------------------------------------------------
-    def register_apply_hook(self, hook: Callable) -> None:
-        """Observe every applied change as ``hook(event, payload)``.
-
-        ``("delta", CliqueDelta)`` after each applied delta and
-        ``("compact", generation_name)`` after each base swap.  Hooks run
-        outside the store lock.  The canonical consumer is
-        :class:`~repro.service.engine.CliqueQueryEngine`, which drops
-        affected postings-cache entries (and, on compaction, the whole
-        cache — live ids are generation-scoped).
-        """
-        self._apply_hooks.append(hook)
-
     def subscribe(self, vertex: int, callback: Callable) -> int:
         """Notify ``callback(event)`` when a clique containing ``vertex``
         appears or dies; returns a subscription id for :meth:`unsubscribe`.
@@ -741,8 +724,8 @@ class LiveCliqueStore:
         mid-call, the in-memory overlay may be mid-batch, but the disk is
         authoritative — WAL-first writes mean exactly the acknowledged
         batches are logged.  Dropping the overlay and replaying the
-        manifest + WALs restores exactly that state.  Subscriptions,
-        apply hooks, and the background compactor survive the resync.
+        manifest + WALs restores exactly that state.  Subscriptions and
+        the background compactor survive the resync.
         """
         with self._lock:
             self._check_writable()
@@ -763,13 +746,7 @@ class LiveCliqueStore:
             self._next_seq = 1
             self._next_id = 0
             self._load()
-            tail = len(self._tail)
-        hooks = [(hook, ("compact", self.generation)) for hook in self._apply_hooks]
-        # The resync renumbered nothing but the overlay ids may differ;
-        # treat it like a compaction swap so caches drop wholesale.
-        for hook, payload in hooks:
-            hook(*payload)
-        return tail
+            return len(self._tail)
 
     def health(self) -> dict:
         """Cheap liveness facts (feeds the server's ``health`` probe)."""
@@ -923,9 +900,6 @@ class LiveCliqueStore:
             self._tombstones = set()
             remaining = [d for d in self._tail if d.seq > folded_seq]
             self._rebuild_overlay(new_base, remaining)
-            hooks = [(hook, ("compact", generation_name)) for hook in self._apply_hooks]
-        for hook, payload in hooks:
-            hook(*payload)
 
         # Step 4: cleanup — pure garbage collection; a crash here only
         # leaves strays for the next open() to sweep.

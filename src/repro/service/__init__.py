@@ -2,9 +2,9 @@
 
 Three layers, each usable alone:
 
-* :class:`CliqueQueryEngine` — thread-safe query execution with an LRU
-  postings cache, single-flight deduplication, per-query timeouts and
-  cold-path degradation (see :mod:`repro.service.engine`).
+* :class:`CliqueQueryEngine` — thread-safe query execution straight
+  from the index's page pools, with per-query timeouts and cold-path
+  degradation (see :mod:`repro.service.engine`).
 * :class:`CliqueQueryServer` — a stdlib TCP/JSON-lines server exposing
   the engine to the network (``repro-mce serve``).
 * :class:`CliqueQueryClient` — the matching blocking client, with

@@ -1,4 +1,4 @@
-"""Thread-safe, cache-fronted query engine over a :class:`CliqueIndex`.
+"""Thread-safe query engine over a :class:`CliqueIndex`.
 
 The ROADMAP's north star is *serving* clique results, not just producing
 them.  :class:`CliqueQueryEngine` is the layer that makes the persisted
@@ -7,32 +7,24 @@ index servable:
 * **Thread safety** — the underlying :class:`~repro.storage.bufferpool.BufferPool`
   caches are single-threaded, so all index access funnels through one
   reentrant lock; the engine, not each caller, owns that discipline.
-* **LRU postings cache** — hot vertices answer without touching the
-  pools at all; entries for vertices the index marks stale are bypassed
-  so staleness is never hidden by the cache.
-* **Single-flight deduplication** — identical queries arriving while one
-  is already executing wait for and share the in-flight result instead
-  of re-reading the same pages (the classic thundering-herd guard).
+  Those page pools are the only cache: every query is a direct read of
+  the index, so an answer can never be older than the index it reads.
 * **Per-query timeout** — a deadline is checked at every I/O step; a
   stalled read surfaces as :class:`~repro.errors.QueryTimeoutError`
   rather than a hung service thread.
-* **Graceful degradation** — when a cached/paged read fails
+* **Graceful degradation** — when a paged read fails
   (:class:`~repro.errors.StorageError`, including injected faults and
   CRC mismatches), the engine retries the query as a sequential
   cold-path scan of the record file and flags the answer ``degraded``.
 * **Live overlay** — the engine also serves a
   :class:`~repro.live.store.LiveCliqueStore` (detected by its
-  ``register_apply_hook`` attribute): answers then reflect every applied
-  update, ``stale`` becomes the precise "delta-overlaid" signal, applied
-  deltas invalidate the affected cache entries, and change
-  subscriptions (:meth:`subscribe`) become available.  Cache entries are
-  tagged with the store's generation number, so a compaction swap —
-  which renumbers clique ids — can never be answered from the previous
-  generation's cache.
+  ``subscribe`` attribute): answers then reflect every applied update,
+  ``stale`` becomes the precise "delta-overlaid" signal, and change
+  subscriptions (:meth:`subscribe`) become available.
 
 Every decision emits :mod:`repro.metrics` series under
-``repro_service_*`` — queries by type, cache hits/misses, dedup shares,
-degradations, timeouts, and a per-query latency histogram.
+``repro_service_*`` — queries by type, degradations, timeouts, errors,
+stale answers, and a per-query latency histogram.
 """
 
 from __future__ import annotations
@@ -40,7 +32,6 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -68,16 +59,6 @@ _METRICS = metrics.bound(
             )
             for op in OPERATIONS
         },
-        cache_hits=registry.counter(
-            "repro_service_cache_hits_total", "postings served from the engine LRU"
-        ),
-        cache_misses=registry.counter(
-            "repro_service_cache_misses_total", "postings fetched from the index"
-        ),
-        deduplicated=registry.counter(
-            "repro_service_deduplicated_total",
-            "queries that shared an identical in-flight computation",
-        ),
         degraded=registry.counter(
             "repro_service_degraded_total",
             "queries answered via the cold-path record scan",
@@ -109,34 +90,7 @@ class QueryResult:
     value: object
     degraded: bool = False
     stale: bool = False
-    deduplicated: bool = False
     elapsed_seconds: float = 0.0
-
-
-def _canonical_args(args: dict) -> tuple:
-    """A hashable dedup key for query arguments.
-
-    Sequence-valued arguments (``membership``'s vertex list, which
-    arrives as a JSON array from the wire) are canonicalised to sorted
-    tuples so ``[2, 1]`` and ``(1, 2)`` share one in-flight slot.
-    """
-    items = []
-    for name, value in sorted(args.items()):
-        if isinstance(value, (list, tuple, set, frozenset)):
-            value = tuple(sorted(value))
-        items.append((name, value))
-    return tuple(items)
-
-
-class _InFlight:
-    """Rendezvous for callers deduplicated onto one computation."""
-
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: QueryResult | None = None
-        self.error: BaseException | None = None
 
 
 class _Deadline:
@@ -153,37 +107,17 @@ class _Deadline:
         if self._expires is not None and time.monotonic() > self._expires:
             raise QueryTimeoutError(f"query deadline exceeded during {what}")
 
-    def remaining(self) -> float | None:
-        if self._expires is None:
-            return None
-        return max(0.0, self._expires - time.monotonic())
-
 
 class CliqueQueryEngine:
     """Concurrent query front-end over one :class:`CliqueIndex`."""
 
     def __init__(
-        self,
-        index: CliqueIndex,
-        cache_entries: int = 1024,
-        timeout_seconds: float | None = None,
+        self, index: CliqueIndex, timeout_seconds: float | None = None
     ) -> None:
-        if cache_entries < 0:
-            raise ServiceError(f"cache_entries must be non-negative, got {cache_entries}")
         self._index = index
         self._timeout = timeout_seconds
-        self._cache_capacity = cache_entries
-        # vertex -> (generation_token, postings); the token guards against
-        # a live store's compaction renumbering clique ids under the cache.
-        self._postings_cache: OrderedDict[int, tuple[int, tuple[int, ...]]] = (
-            OrderedDict()
-        )
         self._io_lock = threading.RLock()
-        self._flight_lock = threading.Lock()
-        self._in_flight: dict[tuple, _InFlight] = {}
-        self._live = hasattr(index, "register_apply_hook")
-        if self._live:
-            index.register_apply_hook(self._on_live_event)
+        self._live = hasattr(index, "subscribe")
 
     @property
     def index(self) -> CliqueIndex:
@@ -195,23 +129,6 @@ class CliqueQueryEngine:
         """Whether the served index is a continuously maintained live store."""
         return self._live
 
-    def _generation_token(self) -> int:
-        """The served index's current generation (0 for a frozen index)."""
-        return getattr(self._index, "generation_number", 0)
-
-    def _on_live_event(self, event: str, payload) -> None:
-        """Live-store apply hook: keep the postings cache truthful.
-
-        Per-delta invalidation handles overlay updates; a compaction swap
-        renumbers every clique id, so the whole cache goes (the
-        generation token already fences late readers — this just frees
-        the memory eagerly).
-        """
-        if event == "delta":
-            self.invalidate(*payload.vertices)
-        else:
-            self.invalidate()
-
     # ------------------------------------------------------------------
     # Public query API
     # ------------------------------------------------------------------
@@ -220,52 +137,49 @@ class CliqueQueryEngine:
     ) -> QueryResult:
         """Answer one query; see :data:`OPERATIONS` for the vocabulary.
 
-        Identical in-flight queries are answered once and shared.  Raises
-        :class:`~repro.errors.ServiceError` for unknown operations or bad
-        arguments, :class:`~repro.errors.QueryTimeoutError` past the
-        deadline.
+        Raises :class:`~repro.errors.ServiceError` for unknown operations
+        or bad arguments, :class:`~repro.errors.QueryTimeoutError` past
+        the deadline.
         """
         if op not in OPERATIONS:
             raise ServiceError(f"unknown operation {op!r}; choose from {OPERATIONS}")
-        key = (op, _canonical_args(args))
-        with self._flight_lock:
-            flight = self._in_flight.get(key)
-            if flight is None:
-                flight = _InFlight()
-                self._in_flight[key] = flight
-                leader = True
-            else:
-                leader = False
-        if not leader:
-            effective = timeout_seconds if timeout_seconds is not None else self._timeout
-            if not flight.event.wait(effective):
-                _METRICS().timeouts.inc()
-                raise QueryTimeoutError(
-                    f"deduplicated {op} query timed out waiting for the leader"
-                )
-            _METRICS().deduplicated.inc()
-            if flight.error is not None:
-                raise flight.error
-            assert flight.result is not None
-            return QueryResult(
-                op=flight.result.op,
-                value=flight.result.value,
-                degraded=flight.result.degraded,
-                stale=flight.result.stale,
-                deduplicated=True,
-                elapsed_seconds=flight.result.elapsed_seconds,
-            )
+        bundle = _METRICS()
+        deadline = _Deadline(
+            timeout_seconds if timeout_seconds is not None else self._timeout
+        )
+        started = time.perf_counter()
+        degraded = False
         try:
-            result = self._execute(op, timeout_seconds, args)
-            flight.result = result
-            return result
-        except BaseException as exc:
-            flight.error = exc
+            try:
+                value, stale = self._fast_path(op, args, deadline)
+            except QueryTimeoutError:
+                raise
+            except (GraphError, ServiceError):
+                raise  # caller errors: no fallback will fix a bad argument
+            except Exception:
+                # Paged read failed (I/O error, CRC mismatch, injected
+                # fault): answer from the sequential cold path instead.
+                degraded = True
+                bundle.degraded.inc()
+                value, stale = self._cold_path(op, args, deadline)
+        except QueryTimeoutError:
+            bundle.timeouts.inc()
             raise
-        finally:
-            with self._flight_lock:
-                self._in_flight.pop(key, None)
-            flight.event.set()
+        except (GraphError, ServiceError):
+            bundle.errors.inc()
+            raise
+        except Exception as exc:
+            bundle.errors.inc()
+            raise ServiceError(f"{op} query failed on both paths: {exc}") from exc
+        elapsed = time.perf_counter() - started
+        bundle.queries[op].inc()
+        bundle.latency.observe(elapsed)
+        if stale:
+            bundle.stale_answers.inc()
+        return QueryResult(
+            op=op, value=value, degraded=degraded, stale=stale,
+            elapsed_seconds=elapsed,
+        )
 
     # Convenience wrappers mirroring the index API ----------------------
     def cliques_containing(self, v: int) -> QueryResult:
@@ -295,74 +209,9 @@ class CliqueQueryEngine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _execute(
-        self, op: str, timeout_seconds: float | None, args: dict
-    ) -> QueryResult:
-        bundle = _METRICS()
-        deadline = _Deadline(
-            timeout_seconds if timeout_seconds is not None else self._timeout
-        )
-        started = time.perf_counter()
-        degraded = False
-        try:
-            try:
-                value, stale = self._fast_path(op, args, deadline)
-            except QueryTimeoutError:
-                raise
-            except (GraphError, ServiceError):
-                raise  # caller errors: no fallback will fix a bad argument
-            except Exception:
-                # Cached/paged read failed (I/O error, CRC mismatch, injected
-                # fault): answer from the sequential cold path instead.
-                degraded = True
-                bundle.degraded.inc()
-                value, stale = self._cold_path(op, args, deadline)
-        except QueryTimeoutError:
-            bundle.timeouts.inc()
-            raise
-        except (GraphError, ServiceError):
-            bundle.errors.inc()
-            raise
-        except Exception as exc:
-            bundle.errors.inc()
-            raise ServiceError(f"{op} query failed on both paths: {exc}") from exc
-        elapsed = time.perf_counter() - started
-        bundle.queries[op].inc()
-        bundle.latency.observe(elapsed)
-        if stale:
-            bundle.stale_answers.inc()
-        return QueryResult(
-            op=op, value=value, degraded=degraded, stale=stale,
-            elapsed_seconds=elapsed,
-        )
-
     def _get_postings(self, vertex: int, deadline: _Deadline) -> tuple[int, ...]:
-        """Postings through the LRU (stale vertices bypass the cache)."""
-        bundle = _METRICS()
         deadline.check(f"postings lookup for vertex {vertex}")
-        token = self._generation_token()
-        if self._index.is_stale(vertex):
-            self._postings_cache.pop(vertex, None)
-        else:
-            cached = self._postings_cache.get(vertex)
-            if cached is not None:
-                minted, postings = cached
-                if minted == token:
-                    self._postings_cache.move_to_end(vertex)
-                    bundle.cache_hits.inc()
-                    return postings
-                self._postings_cache.pop(vertex, None)
-        bundle.cache_misses.inc()
-        # Token read precedes the index read: if a compaction swaps the
-        # generation in between, the fresh postings get stamped with the
-        # older token and simply miss once more — never the reverse.
-        postings = tuple(self._index.postings(vertex))
-        if self._cache_capacity and not self._index.is_stale(vertex):
-            self._postings_cache[vertex] = (token, postings)
-            self._postings_cache.move_to_end(vertex)
-            while len(self._postings_cache) > self._cache_capacity:
-                self._postings_cache.popitem(last=False)
-        return postings
+        return self._index.postings(vertex)
 
     def _fast_path(self, op: str, args: dict, deadline: _Deadline):
         with self._io_lock:
@@ -480,8 +329,7 @@ class CliqueQueryEngine:
         """
         payload = {
             "live": self._live,
-            "cached_postings": len(self._postings_cache),
-            "generation": self._generation_token(),
+            "generation": getattr(self._index, "generation_number", 0),
         }
         store_health = getattr(self._index, "health", None)
         if callable(store_health):
@@ -515,19 +363,3 @@ class CliqueQueryEngine:
                 "a frozen index"
             )
         return self._index.unsubscribe(token)
-
-    # ------------------------------------------------------------------
-    # Cache management
-    # ------------------------------------------------------------------
-    @property
-    def cached_postings(self) -> int:
-        """Entries currently held by the LRU postings cache."""
-        return len(self._postings_cache)
-
-    def invalidate(self, *vertices: int) -> None:
-        """Drop cached postings (all of them when called with no args)."""
-        with self._io_lock:
-            if not vertices:
-                self._postings_cache.clear()
-            for v in vertices:
-                self._postings_cache.pop(v, None)

@@ -46,7 +46,7 @@ writes, accept stalls (see :mod:`repro.faults`).
 
 The server is a :class:`socketserver.ThreadingTCPServer` (one daemon
 thread per connection); the engine underneath provides the thread
-safety, caching and deduplication.
+safety, deadlines and degradation.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ for snapshots produced by the query service that table buries the
 numbers an operator actually wants.  :func:`summarize_query_metrics`
 sniffs a snapshot for the ``repro_index_*`` / ``repro_service_*`` /
 ``repro_server_*`` families and, when present, renders the operational
-summary — queries by type, cache hit rate, degradations/timeouts, and
+summary — queries by type, degradations/timeouts, page reads, and
 latency percentiles estimated from the histogram buckets.
 """
 
@@ -84,12 +84,7 @@ def summarize_query_metrics(snapshot: dict) -> str | None:
     }
     for op in sorted(by_op):
         rows.append((f"queries[{op}]", str(by_op[op])))
-    hits = counter_value(snapshot, "repro_service_cache_hits_total")
-    misses = counter_value(snapshot, "repro_service_cache_misses_total")
-    if hits or misses:
-        rows.append(("postings cache hit rate", f"{hits / (hits + misses):.1%}"))
     for label, name in (
-        ("deduplicated queries", "repro_service_deduplicated_total"),
         ("degraded (cold-path) answers", "repro_service_degraded_total"),
         ("query timeouts", "repro_service_timeouts_total"),
         ("query errors", "repro_service_errors_total"),

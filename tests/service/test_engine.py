@@ -1,6 +1,4 @@
-"""CliqueQueryEngine: caching, dedup, timeouts, degradation."""
-
-import threading
+"""CliqueQueryEngine: direct reads, staleness, timeouts, degradation."""
 
 import pytest
 
@@ -65,126 +63,56 @@ class TestBasicQueries:
             with pytest.raises(GraphError):
                 engine.top_k_largest(0)
 
-    def test_negative_cache_capacity_rejected(self, tmp_path):
-        _build(tmp_path)
-        with CliqueIndex(tmp_path / "idx") as index:
-            with pytest.raises(ServiceError):
-                CliqueQueryEngine(index, cache_entries=-1)
 
-
-class TestPostingsCache:
-    def test_hits_and_misses_counted(self, tmp_path, fresh_registry):
-        _build(tmp_path)
-        with CliqueIndex(tmp_path / "idx") as index:
-            engine = CliqueQueryEngine(index)
-            engine.cliques_containing(1)
-            engine.cliques_containing(1)
-            engine.cliques_containing(1)
-        snapshot = fresh_registry.snapshot()
-        assert metrics.counter_value(snapshot, "repro_service_cache_misses_total") == 1
-        assert metrics.counter_value(snapshot, "repro_service_cache_hits_total") == 2
-
-    def test_lru_eviction_bounds_entries(self, tmp_path):
-        _build(tmp_path)
-        with CliqueIndex(tmp_path / "idx") as index:
-            engine = CliqueQueryEngine(index, cache_entries=4)
-            for v in range(20):
-                engine.cliques_containing(v)
-            assert engine.cached_postings <= 4
-
-    def test_zero_capacity_disables_caching(self, tmp_path, fresh_registry):
-        _build(tmp_path)
-        with CliqueIndex(tmp_path / "idx") as index:
-            engine = CliqueQueryEngine(index, cache_entries=0)
-            engine.cliques_containing(1)
-            engine.cliques_containing(1)
-            assert engine.cached_postings == 0
-        snapshot = fresh_registry.snapshot()
-        assert metrics.counter_value(snapshot, "repro_service_cache_hits_total") == 0
-
-    def test_invalidate_drops_entries(self, tmp_path):
-        _build(tmp_path)
-        with CliqueIndex(tmp_path / "idx") as index:
-            engine = CliqueQueryEngine(index)
-            engine.cliques_containing(1)
-            engine.cliques_containing(2)
-            engine.invalidate(1)
-            assert engine.cached_postings == 1
-            engine.invalidate()
-            assert engine.cached_postings == 0
-
-    def test_stale_vertices_bypass_cache(self, tmp_path, fresh_registry):
+class TestDirectReads:
+    def test_every_lookup_reads_the_store_and_tracks_its_generation(
+        self, tmp_path
+    ):
         store = LiveCliqueStore.initialize(
             tmp_path / "live", [(0, 1, 2), (2, 3), (4, 5)]
         )
         try:
             engine = CliqueQueryEngine(store)
-            engine.cliques_containing(1)
+            calls = []
+            original = store.postings
+
+            def counting_postings(vertex):
+                calls.append(vertex)
+                return original(vertex)
+
+            store.postings = counting_postings
+            for _ in range(5):
+                engine.cliques_containing(2)
+            # No second cache: each answer is one read of the index.
+            assert calls == [2] * 5
+
+            store.apply_deltas([CliqueDelta(ADD, (2, 9))])
+            store.compact()
+            assert engine.cliques_containing(2).value == list(original(2))
+            store.apply_deltas([CliqueDelta(ADD, (2, 10))])
+            store.resync()
+            assert engine.cliques_containing(2).value == list(original(2))
+            assert sorted(store.clique(cid) for cid in original(2)) == [
+                (0, 1, 2), (2, 3), (2, 9), (2, 10)
+            ]
+        finally:
+            store.close()
+
+    def test_overlaid_vertices_answer_stale(self, tmp_path, fresh_registry):
+        store = LiveCliqueStore.initialize(
+            tmp_path / "live", [(0, 1, 2), (2, 3), (4, 5)]
+        )
+        try:
+            engine = CliqueQueryEngine(store)
+            assert not engine.cliques_containing(1).stale
             store.apply_deltas([CliqueDelta(ADD, (1, 9))])
-            # Vertex 1 is now delta-overlaid: every answer for it is read
-            # from the store, none is served from or put into the cache.
+            # Vertex 1 is now delta-overlaid: every answer for it says so.
             assert engine.cliques_containing(1).stale
             assert engine.cliques_containing(1).stale
-            with engine._io_lock:
-                assert 1 not in engine._postings_cache
         finally:
             store.close()
         snapshot = fresh_registry.snapshot()
-        assert metrics.counter_value(snapshot, "repro_service_cache_misses_total") == 3
-        assert metrics.counter_value(snapshot, "repro_service_cache_hits_total") == 0
         assert metrics.counter_value(snapshot, "repro_service_stale_answers_total") == 2
-
-
-class TestDeduplication:
-    def test_identical_concurrent_queries_share_one_execution(
-        self, tmp_path, fresh_registry
-    ):
-        _build(tmp_path)
-        with CliqueIndex(tmp_path / "idx") as index:
-            engine = CliqueQueryEngine(index)
-            release = threading.Event()
-            original = index.postings
-
-            def slow_postings(vertex):
-                release.wait(5.0)
-                return original(vertex)
-
-            index.postings = slow_postings
-            barrier = threading.Barrier(4)
-            results = []
-
-            def worker():
-                barrier.wait()
-                results.append(engine.cliques_containing(7))
-
-            threads = [threading.Thread(target=worker) for _ in range(4)]
-            for t in threads:
-                t.start()
-            # Let every thread either claim leadership or park as follower,
-            # then open the gate.
-            import time
-            time.sleep(0.2)
-            release.set()
-            for t in threads:
-                t.join(timeout=10)
-            index.postings = original
-
-        assert len(results) == 4
-        values = {tuple(r.value) for r in results}
-        assert len(values) == 1
-        dedup_flags = sorted(r.deduplicated for r in results)
-        assert dedup_flags.count(True) >= 1
-        snapshot = fresh_registry.snapshot()
-        assert metrics.counter_value(
-            snapshot, "repro_service_deduplicated_total"
-        ) == dedup_flags.count(True)
-
-    def test_list_and_tuple_membership_share_a_flight_key(self, tmp_path):
-        from repro.service.engine import _canonical_args
-
-        assert _canonical_args({"vertices": [2, 1]}) == _canonical_args(
-            {"vertices": (1, 2)}
-        )
 
 
 class TestTimeouts:

@@ -1,6 +1,6 @@
 """CliqueQueryEngine over a LiveCliqueStore: overlay serving, precise
-staleness, generation-fenced caching, change subscriptions end to end,
-and the stale-flag → cache-bypass contract under concurrent updates."""
+staleness, answers across compaction, change subscriptions end to end,
+and monotone answers under concurrent updates."""
 
 import threading
 
@@ -51,43 +51,17 @@ class TestLiveEngine:
         assert after.stale  # precise: this answer is delta-overlaid
         assert [live.clique(cid) for cid in after.value] == [(2, 3, 9)]
 
-    def test_delta_hook_invalidates_only_touched_vertices(self, live):
+    def test_compaction_answers_from_new_id_space(self, live):
         engine = CliqueQueryEngine(live)
-        engine.cliques_containing(0)
-        engine.cliques_containing(4)
-        assert engine.cached_postings == 2
-        live.apply_deltas([add(4, 6)])
-        # Vertex 0 stays cached; 4 and 6 were dropped by the apply hook.
-        with engine._io_lock:
-            assert 0 in engine._postings_cache
-            assert 4 not in engine._postings_cache
-
-    def test_compaction_flushes_cache_and_refreshes_token(self, live):
-        engine = CliqueQueryEngine(live)
-        live.apply_deltas([add(6, 7)])
-        engine.cliques_containing(0)
-        assert engine.cached_postings >= 1
+        engine.cliques_containing(2)
+        live.apply_deltas([add(6, 7), add(2, 40)])
         live.compact()
-        assert engine.cached_postings == 0
-        # Fresh queries answer from the new generation's id space.
+        # Compaction renumbers clique ids; answers use the new generation's.
         ids = engine.cliques_containing(6).value
         assert [live.clique(cid) for cid in ids] == [(6, 7)]
         assert not engine.cliques_containing(6).stale
-
-    def test_stale_cache_entry_from_old_generation_never_served(self, live):
-        engine = CliqueQueryEngine(live)
-        engine.cliques_containing(2)
-        # Simulate the hook being late: put the old entry back by hand,
-        # then compact.  The generation token must fence it out.
-        with engine._io_lock:
-            stale_entry = engine._postings_cache[2]
-        live.apply_deltas([add(2, 40)])
-        live.compact()
-        with engine._io_lock:
-            engine._postings_cache[2] = stale_entry
-        ids = engine.cliques_containing(2).value
-        answers = sorted(live.clique(cid) for cid in ids)
-        assert (2, 40) in answers
+        answers = sorted(live.clique(cid) for cid in engine.cliques_containing(2).value)
+        assert answers == [(0, 1, 2), (2, 3), (2, 40)]
 
     def test_cold_path_uses_live_id_space(self, live):
         # Overlay ids live past the base's num_cliques; the degraded
@@ -215,7 +189,7 @@ class TestStaleCacheBypassUnderConcurrentUpdates:
 
     def test_no_stale_cached_answer_served(self, tmp_path):
         store = LiveCliqueStore.initialize(tmp_path / "live", [(0, 1, 2)])
-        engine = CliqueQueryEngine(store, cache_entries=64)
+        engine = CliqueQueryEngine(store)
         triangle = AdjacencyGraph.from_edges([(0, 1), (1, 2), (0, 2)])
         maintainer = HStarMaintainer(triangle)
         ingestor = LiveIngestor(maintainer, store)

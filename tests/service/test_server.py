@@ -48,9 +48,9 @@ def corpus(tmp_path_factory):
     return graph, cliques, directory
 
 
-def _serving(directory, fault_plan=None, cache_entries=1024):
+def _serving(directory, fault_plan=None):
     index = CliqueIndex(directory, fault_plan=fault_plan)
-    engine = CliqueQueryEngine(index, cache_entries=cache_entries)
+    engine = CliqueQueryEngine(index)
     server = CliqueQueryServer(engine).start()
     return index, server
 
@@ -153,7 +153,7 @@ class TestServiceContract:
             ],
             seed=9,
         )
-        index, server = _serving(directory, fault_plan=plan, cache_entries=0)
+        index, server = _serving(directory, fault_plan=plan)
         outcomes = []
         outcomes_lock = threading.Lock()
 
@@ -269,13 +269,8 @@ class TestServiceContract:
         )
         assert count("repro_server_responses_error_total") == invalid
         assert count("repro_server_connections_total") == NUM_CLIENTS
-        # Each successful response was computed once (queries_total) or
-        # shared from an identical in-flight computation (deduplicated).
-        assert (
-            count("repro_service_queries_total")
-            + count("repro_service_deduplicated_total")
-            == total - invalid
-        )
+        # Each successful response was computed exactly once.
+        assert count("repro_service_queries_total") == total - invalid
         assert count("repro_service_errors_total") == invalid
         assert count("repro_service_degraded_total") == degraded
 

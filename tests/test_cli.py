@@ -274,12 +274,12 @@ class TestServe:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["serve", "idx", "--port", "7777", "--cache-entries", "9",
+            ["serve", "idx", "--port", "7777", "--cache-pages", "9",
              "--timeout", "2.5"]
         )
         assert args.command == "serve"
         assert args.port == 7777
-        assert args.cache_entries == 9
+        assert args.cache_pages == 9
         assert args.timeout == 2.5
 
 
