@@ -1,10 +1,12 @@
 """Storage micro-benchmark: records decoded per second on every adjacency scan.
 
 ExtMCE's cost model is sequential passes over the on-disk graph ``G``:
-each recursion step scans it for the L*-graph, twice more to build the
-h-neighbor spill partitions (Section 4.2.3), and once to rewrite the
-residual.  This script times the record decoder behind all of them on
-the standard power-law workload (``common.scaling_graph(4000)``):
+each recursion step scans it twice.  The first scan learns the
+h-neighbors' within-``Hnb`` degrees, which place the spill-partition
+boundaries (Section 4.2.3).  The second, the step pass, writes the spill
+partitions and the residual graph and feeds the next step's L*-sampler.
+This script times the record decoder behind all of them on the standard
+power-law workload (``common.scaling_graph(4000)``):
 
 * ``scan`` — one full ``DiskGraph.scan``;
 * ``rewrite_without`` — one residual rewrite dropping every tenth vertex
@@ -12,6 +14,10 @@ the standard power-law workload (``common.scaling_graph(4000)``):
 * ``partition_build`` — ``HnbPartitionStore.build`` over the neighbors of
   the 100 highest-degree vertices (two scans of ``G`` plus the spill
   writes);
+* ``step_pass`` — the step's pass as ExtMCE runs it: the same build,
+  whose spill scan also writes the ``rewrite_without`` residual and offers
+  every surviving record to an L*-sampler (two scans of ``G`` plus the
+  spill and residual writes);
 * ``partition_read`` — reading every spill file of that store back.
 
 Each run reports records decoded per second (median and best of
@@ -37,6 +43,7 @@ import time
 from pathlib import Path
 
 from repro import metrics
+from repro.core.lstar import LStarSampler
 from repro.storage.diskgraph import DiskGraph
 from repro.storage.partitions import HnbPartitionStore, read_partition_file
 
@@ -86,6 +93,9 @@ def main() -> int:
     hubs = sorted(adjacency, key=lambda v: (-len(adjacency[v]), v))[:HUBS]
     members = sorted({u for hub in hubs for u in adjacency[hub]})
     member_set = set(members)
+    residual_edges = sum(map(len, residual.values())) // 2
+    # The step's L*-target: the hubs' star size, as ExtMCE's step 1 sets it.
+    sample_target = sum(len(adjacency[hub]) for hub in hubs)
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_storage_"))
     failures = []
@@ -104,6 +114,14 @@ def main() -> int:
                 disk, members, tmp / "spill", PARTITION_BUDGET_UNITS
             )
 
+        def step_pass():
+            sampler = LStarSampler(residual_edges, sample_target, seed=1)
+            return HnbPartitionStore.build(
+                disk, members, tmp / "step_spill", PARTITION_BUDGET_UNITS,
+                removed=removed, residual_path=tmp / "step_residual.bin",
+                on_survivor=sampler.offer,
+            )
+
         store = build()
 
         def read_back():
@@ -117,6 +135,7 @@ def main() -> int:
             "scan": {"operation": scan, "records": n},
             "rewrite_without": {"operation": rewrite, "records": n},
             "partition_build": {"operation": build, "records": 2 * n},
+            "step_pass": {"operation": step_pass, "records": 2 * n},
             "partition_read": {"operation": read_back, "records": len(members)},
         }
 
@@ -131,6 +150,13 @@ def main() -> int:
             metrics.set_registry(previous)
         rewritten = checked["rewrite_without"][0]
         rescanned = {record.vertex: record.neighbors for record in rewritten.scan()}
+        stepped = checked["step_pass"][0]
+        step_rescanned = {
+            record.vertex: record.neighbors for record in stepped.residual.scan()
+        }
+        step_spilled = {}
+        for path in stepped.partition_paths():
+            step_spilled.update(read_partition_file(path))
         # Every build writes the same spill files, so the read-back
         # checks what the checked build wrote.
         spilled = checked["partition_read"][0]
@@ -141,6 +167,8 @@ def main() -> int:
             ("scan", checked["scan"][0] == adjacency),
             ("rewrite_without", rescanned == residual),
             ("partition_build", spilled == expected_spill),
+            ("step_pass",
+             step_rescanned == residual and step_spilled == expected_spill),
             ("partition_read", spilled == expected_spill),
         ):
             if not ok:

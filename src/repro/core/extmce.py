@@ -3,9 +3,9 @@
 The driver owns the full per-step pipeline::
 
     extract star graph  ->  estimate / shrink  ->  build T_H*  ->
-    spill h-neighbor partitions  ->  Algorithm 2 (M1 ∪ M2 ∪ M3)  ->
-    global-maximality filter via the hashtable  ->  emit  ->
-    rewrite residual graph on disk  ->  recurse
+    spill h-neighbor partitions + rewrite residual graph + draw the
+    next L*-sample (one scan)  ->  Algorithm 2 (M1 ∪ M2 ∪ M3)  ->
+    global-maximality filter via the hashtable  ->  emit  ->  recurse
 
 Step 1 uses the H*-graph (Algorithm 1); every later step uses a random
 L*-graph of at most the same size (Definition 10).  The hashtable keeps
@@ -26,7 +26,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -41,10 +41,10 @@ from repro.core.checkpoint import (
 )
 from repro.core.clique_tree import build_clique_tree, build_clique_tree_from_cliques
 from repro.core.estimator import estimate_tree_size, shrink_core_to_budget
-from repro.errors import GraphError
+from repro.errors import GraphError, StorageError
 from repro.faults import FaultPlan
 from repro.core.hstar import StarGraph, extract_hstar_graph
-from repro.core.lstar import extract_lstar_graph
+from repro.core.lstar import LStarSampler, extract_lstar_graph
 from repro.storage.diskgraph import DiskGraph
 from repro.storage.memory import MemoryModel
 from repro.storage.partitions import HnbPartitionStore
@@ -98,8 +98,8 @@ class ExtMCEConfig:
         per-step subgraphs; it is not enforced as a cap.  When set, the
         Section 4.1.3 shrinking loop trims the h-vertex core until the
         estimated ``|G_H*| + |T_H*|`` fits half of it, and each L*-graph
-        target is cut to a quarter of the memory model's headroom when
-        that model has a budget.  ``ExtMCE`` builds an unbudgeted
+        target is cut to a quarter of the headroom its step starts with
+        when the memory model has a budget.  ``ExtMCE`` builds an unbudgeted
         :class:`MemoryModel` unless one is passed, so the peak (notably
         the maximality hashtable) can exceed this value.
     workdir:
@@ -502,6 +502,8 @@ class ExtMCE:
         hashtable: set[Clique] = set()
         target_size = 0
         step = 0
+        # Step k+1's L*-sample, drawn while step k's pass writes G_{k+1}.
+        sampler: LStarSampler | None = None
         if self._resume_state is not None:
             state = self._resume_state
             step = state.completed_step
@@ -549,26 +551,21 @@ class ExtMCE:
                     self.report.estimated_recursions = (
                         current.num_edges / max(star.size_edges, 1)
                     )
-            else:
-                step_target = target_size
-                if self._config.memory_budget_units is not None:
-                    # The hashtable grows across steps; size this step's
-                    # L*-graph to the headroom it actually leaves (the
-                    # tree and resident partitions scale with the star).
-                    headroom = self._memory.available_units
-                    if headroom is not None:
-                        step_target = max(16, min(target_size, headroom // 4))
-                star = extract_lstar_graph(
-                    current, step_target, seed=self._config.seed + step
-                )
-            yield from self._process_step(step, star, current, workdir, hashtable, step_start)
-            with metrics.get_registry().timer(
-                "repro_mce_phase_seconds", "per-step phase wall time",
-                labels={"phase": "residual_rewrite"},
+            elif sampler is not None and sampler.target == self._lstar_target(
+                target_size
             ):
-                residual = current.rewrite_without(
-                    star.core, workdir / f"residual_{step:04d}.bin"
+                star = sampler.star()
+            else:
+                # A resumed run has no sample.  Under a budget, the lift's
+                # hashtable growth can also move the target away from the
+                # one the step pass assumed; draw again from the residual.
+                star = extract_lstar_graph(
+                    current, self._lstar_target(target_size),
+                    seed=self._config.seed + step,
                 )
+            residual, sampler = yield from self._process_step(
+                step, star, current, workdir, hashtable, step_start, target_size
+            )
             if self._config.checkpoint:
                 write_checkpoint(
                     workdir,
@@ -604,7 +601,14 @@ class ExtMCE:
         workdir: Path,
         hashtable: set[Clique],
         step_start: float,
-    ) -> Iterator[Clique]:
+        target_size: int,
+    ) -> Generator[Clique, None, tuple[DiskGraph, LStarSampler]]:
+        """Run one recursion step; return ``G_{k+1}`` and step k+1's sample.
+
+        The step's second scan of ``G_k`` (the spill pass) also writes
+        ``G_{k+1} = G_k − core`` and feeds each surviving record to the
+        next step's L*-sampler, so the residual exists before the lift.
+        """
         registry = metrics.get_registry()
         tree_estimate = estimate_tree_size(
             star, num_probes=self._config.estimator_probes, seed=self._config.seed
@@ -627,6 +631,17 @@ class ExtMCE:
                 partition_budget = min(
                     partition_budget, max(headroom // (max_resident + 1), 16)
                 )
+            # G_{k+1}'s edge count, known before the pass that writes it;
+            # the target assumes the headroom this step's star and tree
+            # leave when released.
+            residual_edges = current.num_edges - star.size_edges
+            sampler = LStarSampler(
+                residual_edges,
+                self._lstar_target(
+                    target_size, released=star.memory_units + tree.num_nodes
+                ),
+                seed=self._config.seed + step + 1,
+            )
             periphery_order = self._periphery_leaf_order(tree, star)
             with registry.timer(
                 "repro_mce_phase_seconds", "per-step phase wall time",
@@ -639,8 +654,19 @@ class ExtMCE:
                     partition_budget,
                     memory=self._memory,
                     max_resident=max_resident,
+                    removed=star.core,
+                    residual_path=workdir / f"residual_{step:04d}.bin",
+                    on_survivor=sampler.offer,
                 )
+            residual = store.residual
             try:
+                if residual.num_edges != residual_edges:
+                    residual.delete()
+                    raise StorageError(
+                        f"step {step}: the star predicts {residual_edges} residual "
+                        f"edges but {residual.num_edges} were written; its "
+                        f"neighbor lists disagree with {current.path}"
+                    )
                 with registry.timer(
                     "repro_mce_phase_seconds", "per-step phase wall time",
                     labels={"phase": "lift"},
@@ -671,6 +697,18 @@ class ExtMCE:
             step, star, tree_nodes, tree_estimate, emitted, suppressed,
             hashtable, step_start, current.num_vertices, current.num_edges,
         )
+        return residual, sampler
+
+    def _lstar_target(self, target_size: int, released: int = 0) -> int:
+        """The L*-graph target of the next step: the size bound ``b``, cut
+        under a memory budget to a quarter of the headroom the step starts
+        with (the tree and resident partitions scale with the star; the
+        hashtable grows across steps).  ``released`` counts units still
+        held that will be freed before the step starts."""
+        headroom = self._memory.available_units
+        if self._config.memory_budget_units is None or headroom is None:
+            return target_size
+        return max(16, min(target_size, (headroom + released) // 4))
 
     # ------------------------------------------------------------------
     # Step hooks (overridden by repro.parallel.driver.ParallelExtMCE)

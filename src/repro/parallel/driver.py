@@ -184,17 +184,12 @@ class ParallelExtMCE(ExtMCE):
             )
         return self._executor
 
-    def _process_step(self, step, star, current, workdir, hashtable, step_start):
+    def _process_step(self, step, star, *args):
         if self.workers <= 1:
-            yield from super()._process_step(
-                step, star, current, workdir, hashtable, step_start
-            )
-            return
+            return (yield from super()._process_step(step, star, *args))
         self._step, self._step_star = step, star
         try:
-            yield from super()._process_step(
-                step, star, current, workdir, hashtable, step_start
-            )
+            return (yield from super()._process_step(step, star, *args))
         finally:
             self._step_star = None
             executor, self._executor = self._executor, None

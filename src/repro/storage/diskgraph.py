@@ -7,7 +7,8 @@ three ways, all provided here:
 * a full sequential scan (Algorithm 1's single pass, Section 4.2.3's
   partition-building pass);
 * a rewrite dropping a vertex set and its incident edges (Algorithm 3,
-  Line 15: "Remove ``G_H*`` (or ``G_L*``) from ``G``");
+  Line 15: "Remove ``G_H*`` (or ``G_L*``) from ``G``"), whose read can
+  also feed a per-record visitor;
 * targeted adjacency loads for a known vertex subset, implemented as one
   sequential pass rather than per-vertex seeks, which is the
   external-memory discipline the paper insists on.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -291,21 +292,36 @@ class DiskGraph:
             for record in self._records_of(vertices)
         }
 
-    def rewrite_without(self, removed: Iterable[int], new_path: str | Path) -> "DiskGraph":
+    def rewrite_without(
+        self,
+        removed: Iterable[int],
+        new_path: str | Path,
+        visit: Callable[[VertexRecord, list[int] | None], None] | None = None,
+    ) -> "DiskGraph":
         """Write the residual graph after deleting a vertex set.
 
         Removes every vertex in ``removed`` and all incident edges — the
         per-recursion shrink step of Algorithm 3 — in one sequential read
         of this file and one sequential write of the new one.  Original
         degrees, the verify setting and any fault plan carry over.
+
+        ``visit(record, survivors)``, when given, sees every record of
+        this graph during the same read, in vertex order: ``survivors`` is
+        the record's neighbor list in the residual, or ``None`` when the
+        vertex is removed.  ExtMCE's step pass hangs the h-neighbor spill
+        and the next L*-sample on it, so one scan does all three.
         """
         removed_set = set(removed)
 
         def residual_records() -> Iterator[tuple[int, list[int], int]]:
             for record in self.scan():
                 if record.vertex in removed_set:
+                    if visit is not None:
+                        visit(record, None)
                     continue
                 survivors = [u for u in record.neighbors if u not in removed_set]
+                if visit is not None:
+                    visit(record, survivors)
                 yield record.vertex, survivors, record.original_degree
 
         return DiskGraph.from_records(

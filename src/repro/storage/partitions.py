@@ -12,7 +12,11 @@ This module reproduces that machinery over :class:`DiskGraph`:
 * :meth:`HnbPartitionStore.build` performs two sequential scans of ``G`` —
   one to learn each h-neighbor's within-``Hnb`` degree (needed to place
   partition boundaries; the paper assumes this is known), one to write the
-  partition files.
+  partition files.  ExtMCE makes the second scan its whole step pass: the
+  same read also writes the residual graph ``G_{k+1} = G_k − core_k``
+  through :meth:`DiskGraph.rewrite_without` and offers every surviving
+  record to step ``k+1``'s L*-sampler, so a recursion step costs two
+  scans of ``G_k``.
 * :meth:`HnbPartitionStore.neighbor_sets` serves an ``HNB`` set by
   loading the partitions that contain its members, charging resident
   partitions to the memory model and evicting least-recently-used ones.
@@ -30,13 +34,13 @@ input, i.e. a silently wrong clique stream.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 
 from repro.errors import StorageError, StorageFormatError
 from repro.graph.adjacency import AdjacencyGraph
 from repro.storage.diskgraph import DiskGraph
-from repro.storage.format import decode_records, encode_record
+from repro.storage.format import VertexRecord, decode_records, encode_record
 from repro.storage.memory import MemoryModel
 from repro.storage.pagestore import PageStore
 
@@ -103,6 +107,9 @@ class HnbPartitionStore:
         self._resident_units: dict[int, int] = {}
         self._lru: list[int] = []
         self.partition_loads = 0
+        #: The residual graph the spill pass wrote (``None`` unless
+        #: :meth:`build` was given a ``residual_path``).
+        self.residual: DiskGraph | None = None
         if memory is not None:
             memory.add_reclaimer(self._reclaim_one)
 
@@ -118,12 +125,23 @@ class HnbPartitionStore:
         memory_budget_units: int,
         memory: MemoryModel | None = None,
         max_resident: int = 4,
+        *,
+        removed: Iterable[int] = (),
+        residual_path: str | Path | None = None,
+        on_survivor: Callable[[int, list[int], int], None] | None = None,
     ) -> "HnbPartitionStore":
         """Spill the within-``members`` adjacency of ``disk_graph``.
 
         ``members`` is the h-neighbor list in DFS-leaf order (duplicates
         allowed; first occurrence wins).  ``memory_budget_units`` bounds
         the size of each partition, measured in stored vertex ids.
+
+        With ``residual_path``, the spill pass is also the residual
+        rewrite: one read of ``disk_graph`` writes the partition files and
+        ``disk_graph.rewrite_without(removed, residual_path)``, and hands
+        every surviving record ``(vertex, residual neighbors, original
+        degree)`` to ``on_survivor``.  The residual is then
+        :attr:`residual`.
         """
         if memory_budget_units <= 0:
             raise StorageError(
@@ -136,8 +154,8 @@ class HnbPartitionStore:
         inner_degree = {v: 0 for v in ordered}
         for record in disk_graph.scan():
             if record.vertex in member_set:
-                inner_degree[record.vertex] = sum(
-                    1 for u in record.neighbors if u in member_set
+                inner_degree[record.vertex] = len(
+                    member_set.intersection(record.neighbors)
                 )
 
         # Place partition boundaries along the DFS order.
@@ -172,10 +190,11 @@ class HnbPartitionStore:
         for store in stores:
             store.write_all(b"")
         buffers: list[bytearray] = [bytearray() for _ in partitions]
-        for record in disk_graph.scan():
+
+        def spill(record: VertexRecord) -> None:
             index = partition_of.get(record.vertex)
             if index is None:
-                continue
+                return
             inner = [u for u in record.neighbors if u in member_set]
             buffers[index] += encode_record(
                 record.vertex, inner, record.original_degree, checksum=True
@@ -183,10 +202,25 @@ class HnbPartitionStore:
             if len(buffers[index]) >= 1 << 20:
                 stores[index].append(bytes(buffers[index]))
                 buffers[index].clear()
+
+        residual = None
+        if residual_path is None:
+            for record in disk_graph.scan():
+                spill(record)
+        else:
+
+            def visit(record: VertexRecord, survivors: list[int] | None) -> None:
+                spill(record)
+                if survivors is not None and on_survivor is not None:
+                    on_survivor(record.vertex, survivors, record.original_degree)
+
+            residual = disk_graph.rewrite_without(removed, residual_path, visit=visit)
         for store, buffer in zip(stores, buffers):
             if buffer:
                 store.append(bytes(buffer))
-        return cls(directory, partitions, stores, memory, max_resident)
+        built = cls(directory, partitions, stores, memory, max_resident)
+        built.residual = residual
+        return built
 
     # ------------------------------------------------------------------
     # Queries
