@@ -11,10 +11,12 @@ is not a speedup row.  Besides the rendered table
 (``benchmarks/results/parallel_scaling.txt``) the sweep writes a
 machine-readable ``BENCH_parallel.json`` summary next to it.
 
-Every run reports the same payload fields — ``payload_bytes`` (pickled
-task descriptors shipped through the pool) and ``shm_bytes`` (CSR bytes
-published through shared-memory segments) — with explicit zeros for the
-serial run, so the JSON history is comparable row-to-row.  The sweep
+Every run is metered into its own registry, and its row fields are read
+from that snapshot's ``repro_parallel_*`` series — the numbers an
+operator sees.  Every run reports the same payload fields —
+``payload_bytes`` (pickled task descriptors shipped through the pool) and
+``shm_bytes`` (CSR bytes published through shared-memory segments) — with
+zeros for the serial run, so the JSON history is comparable row-to-row.  The sweep
 also measures the headline engine claim directly: a shared-memory task
 descriptor must be at least 10x smaller than the pickled in-band graph
 payload it replaces.
@@ -39,6 +41,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from unittest import mock
 
+from repro import metrics
 from repro.analysis.tables import render_table
 from repro.core.extmce import ExtMCE, ExtMCEConfig
 from repro.core.hstar import extract_hstar_graph
@@ -77,29 +80,37 @@ def _every_phase_fans_out():
 
 
 def _run_one(graph, workers, fanout=False):
-    with tempfile.TemporaryDirectory(prefix="par_scaling_") as tmp:
-        disk = DiskGraph.create(f"{tmp}/g.bin", graph)
-        config = ExtMCEConfig(workdir=tmp, workers=workers)
-        driver = ParallelExtMCE if workers > 1 else ExtMCE
-        algo = driver(disk, config)
-        with _every_phase_fans_out() if fanout else nullcontext():
-            started = time.perf_counter()
-            cliques = sum(1 for _ in algo.enumerate_cliques())
-            elapsed = time.perf_counter() - started
+    previous = metrics.get_registry()
+    registry = metrics.enable(metrics.MetricsRegistry())
+    try:
+        with tempfile.TemporaryDirectory(prefix="par_scaling_") as tmp:
+            disk = DiskGraph.create(f"{tmp}/g.bin", graph)
+            config = ExtMCEConfig(workdir=tmp, workers=workers)
+            driver = ParallelExtMCE if workers > 1 else ExtMCE
+            algo = driver(disk, config)
+            with _every_phase_fans_out() if fanout else nullcontext():
+                started = time.perf_counter()
+                cliques = sum(1 for _ in algo.enumerate_cliques())
+                elapsed = time.perf_counter() - started
+    finally:
+        metrics.set_registry(previous)
+    snapshot = registry.snapshot()
+
+    def series(name, **labels):
+        return int(metrics.counter_value(snapshot, f"repro_parallel_{name}", labels))
+
     return {
         "workers": workers,
         "fanout": fanout,
         "cliques": cliques,
         "seconds": elapsed,
         "recursions": algo.report.num_recursions,
-        "fallback_steps": getattr(algo, "fallback_steps", 0),
-        # Uniform payload accounting: zeros for the serial driver, real
-        # totals for the parallel ones — never an absent field.
-        "payload_bytes": getattr(algo, "payload_bytes_total", 0),
-        "shm_bytes": getattr(algo, "shm_bytes_total", 0),
-        "phases_fanned_out": getattr(algo, "fanned_out_phases", 0),
-        "chunks": getattr(algo, "chunks_total", 0),
-        "inband_steps": getattr(algo, "inband_steps", 0),
+        "fallback_steps": series("fallback_steps_total"),
+        "payload_bytes": series("payload_bytes_total"),
+        "shm_bytes": series("shm_bytes_total"),
+        "phases_fanned_out": series("phases_total", mode=FANOUT),
+        "chunks": series("chunks_total"),
+        "inband_steps": series("inband_payloads_total"),
     }
 
 

@@ -29,6 +29,7 @@ from repro import (
     ParallelExtMCE,
     edge_list_file_to_disk_graph,
     load_trace,
+    metrics,
     summarize_trace,
     verify_clique_set,
 )
@@ -84,7 +85,14 @@ def main() -> None:
             ),
             memory=MemoryModel(budget=budget),
         )
-        parallel_cliques = list(parallel.enumerate_cliques())
+        registry = metrics.enable(metrics.MetricsRegistry())
+        try:
+            parallel_cliques = list(parallel.enumerate_cliques())
+        finally:
+            metrics.disable()
+        fallbacks = metrics.counter_value(
+            registry.snapshot(), "repro_parallel_fallback_steps_total"
+        )
         assert parallel_cliques == [
             frozenset(int(x) for x in line.split())
             for line in out.read_text().splitlines()
@@ -92,7 +100,7 @@ def main() -> None:
         print(
             f"parallel        : 2 workers re-enumerated the same "
             f"{len(parallel_cliques)} cliques, in the same order "
-            f"({parallel.fallback_steps} pool fallbacks)"
+            f"({fallbacks} pool fallbacks)"
         )
 
         # --- 4. Trace summary.

@@ -21,6 +21,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import tempfile
 import time
@@ -142,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SIGTERM grace: seconds to wait for in-flight "
                             "requests before closing")
     serve.add_argument("--metrics-out", type=Path,
-                       help="write a metrics snapshot here on shutdown")
+                       help="write a metrics snapshot here (JSON, plus "
+                            "PATH.prom) on shutdown")
 
     live = sub.add_parser(
         "live",
@@ -191,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "compaction workers through WAL replay (serving "
                            "mode only)")
     live.add_argument("--metrics-out", type=Path,
-                      help="write a metrics snapshot here on shutdown")
+                      help="write a metrics snapshot here (JSON, plus "
+                           "PATH.prom) on shutdown")
 
     verify_index = sub.add_parser(
         "verify-index",
@@ -238,10 +241,32 @@ def main(argv: list[str] | None = None) -> int:
         "experiments": _cmd_experiments,
     }[args.command]
     try:
-        return handler(args)
+        with _metrics_out(getattr(args, "metrics_out", None)):
+            return handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+
+
+@contextlib.contextmanager
+def _metrics_out(path: Path | None):
+    """``--metrics-out``: meter the command into a fresh registry and
+    write its snapshot once, when the command ends, even if it raised
+    (JSON at ``path``, the Prometheus exposition at ``path.prom``).  The
+    previous registry is reinstated afterwards."""
+    if path is None:
+        yield
+        return
+    from repro import metrics
+
+    previous = metrics.get_registry()
+    registry = metrics.enable(metrics.MetricsRegistry())
+    try:
+        yield
+    finally:
+        metrics.set_registry(previous)
+        metrics.write_exposition_files(registry.snapshot(), path)
+        print(f"metrics written : {path} (+ {path.name}.prom)")
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +364,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             print(f"error: cannot read fault plan {args.fault_plan}: {exc}",
                   file=sys.stderr)
             return 2
-    if args.metrics_out is not None:
-        # Enable before the graph is opened so conversion/open I/O counts.
-        from repro import metrics
-
-        metrics.enable()
     memory = MemoryModel(budget=args.budget)
     counter = CliqueCounter()
     sink = CliqueFileSink(args.output, canonical=args.canonical) if args.output else None
@@ -364,7 +384,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                     workers=args.workers, reduction=args.reduction,
                     verify_checksums=args.verify_checksums,
                     max_retries=args.max_retries, fault_plan=fault_plan,
-                    metrics_path=args.metrics_out,
                 ),
                 memory=memory,
             )
@@ -386,7 +405,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 verify_checksums=args.verify_checksums,
                 max_retries=args.max_retries,
                 fault_plan=fault_plan,
-                metrics_path=args.metrics_out,
             )
             algo = driver_cls(disk, config, memory=memory)
         try:
@@ -409,14 +427,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             sink.close()
         if index_sink is not None:
             index_sink.close()
-            if args.metrics_out is not None:
-                # The engine wrote its snapshot before the index build ran;
-                # rewrite it so the repro_index_* build counters are included.
-                from repro import metrics
-
-                metrics.write_exposition_files(
-                    metrics.get_registry().snapshot(), args.metrics_out
-                )
     elapsed = time.perf_counter() - started
     print(f"maximal cliques : {counter.total}"
           + (f" (size >= {args.min_size})" if args.min_size > 1 else ""))
@@ -433,9 +443,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         report = index_sink.report
         print(f"index written   : {args.index_out} "
               f"({report.num_cliques} cliques, {report.total_bytes} bytes)")
-    if args.metrics_out:
-        print(f"metrics written : {args.metrics_out} "
-              f"(+ {args.metrics_out.name}.prom)")
     if args.trace:
         from repro.telemetry import load_trace, summarize_trace
 
@@ -495,10 +502,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.index import CliqueIndex
     from repro.service import CliqueQueryEngine, CliqueQueryServer
 
-    if args.metrics_out is not None:
-        from repro import metrics
-
-        metrics.enable()
     with CliqueIndex(args.index, cache_pages=args.cache_pages) as index:
         stats = index.stats()
         engine = CliqueQueryEngine(index, timeout_seconds=args.timeout)
@@ -530,11 +533,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("draining        : stopped accepting, finishing in-flight")
         completed = server.drain(args.drain_timeout)
         print(f"drained         : {'clean' if completed else 'timed out'}")
-    if args.metrics_out is not None:
-        from repro import metrics
-
-        metrics.dump_snapshot(metrics.get_registry().snapshot(), args.metrics_out)
-        print(f"metrics written : {args.metrics_out}")
     return 0
 
 
@@ -578,10 +576,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
     from repro.live.ingest import bootstrap_live_store, maintainer_from_store
     from repro.service import CliqueQueryEngine, CliqueQueryServer
 
-    if args.metrics_out is not None:
-        from repro import metrics
-
-        metrics.enable()
     graph = None
     if args.graph is not None:
         graph = _open_graph(args.graph).to_adjacency_graph()
@@ -697,11 +691,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
         print(f"final state     : generation {store.generation_number}, "
               f"{store.num_cliques} live cliques")
         store.close()
-    if args.metrics_out is not None:
-        from repro import metrics
-
-        metrics.dump_snapshot(metrics.get_registry().snapshot(), args.metrics_out)
-        print(f"metrics written : {args.metrics_out}")
     return 0
 
 

@@ -165,12 +165,6 @@ class ExtMCEConfig:
         reduction map's ``"reduce"`` site; storage faults are configured
         on the :class:`DiskGraph` itself.  ``None`` (production) injects
         nothing.
-    metrics_path:
-        Write a :mod:`repro.metrics` snapshot (JSON at this path, plus
-        the Prometheus text exposition at ``<path>.prom``) when the run
-        ends.  Setting this enables the process-wide metrics registry if
-        it is not already enabled; worker-process metrics arrive with
-        each chunk's result and are absorbed as the chunk is harvested.
     """
 
     memory_budget_units: int | None = None
@@ -188,7 +182,6 @@ class ExtMCEConfig:
     verify_checksums: bool = True
     max_retries: int = 2
     fault_plan: "FaultPlan | None" = None
-    metrics_path: str | Path | None = None
 
     def __post_init__(self) -> None:
         if self.kernel != "bitset":
@@ -343,8 +336,6 @@ class ExtMCE:
             else self._config.workdir
         )
         workdir.mkdir(parents=True, exist_ok=True)
-        if self._config.metrics_path is not None:
-            metrics.enable()
         if self._config.trace_path is not None:
             from repro.telemetry import TraceWriter
 
@@ -387,10 +378,6 @@ class ExtMCE:
                 self.report.sequential_scans += reduced_io.sequential_scans
             if self._trace is not None:
                 self._trace.close()
-            if self._config.metrics_path is not None and metrics.enabled():
-                metrics.write_exposition_files(
-                    metrics.get_registry().snapshot(), self._config.metrics_path
-                )
             if owns_workdir:
                 shutil.rmtree(workdir, ignore_errors=True)
 

@@ -468,12 +468,18 @@ def metric_names(snapshot: dict) -> set[str]:
     return {entry["name"] for entry in _validated(snapshot)["metrics"]}
 
 
-def counter_value(snapshot: dict, name: str) -> int | float:
-    """Sum of a counter's series across all label sets (0 when absent)."""
+def counter_value(
+    snapshot: dict, name: str, labels: dict[str, str] | None = None
+) -> int | float:
+    """Sum of a counter's series across all label sets that include
+    ``labels`` (every series when ``None``; 0 when absent)."""
+    wanted = (labels or {}).items()
     return sum(
         entry["value"]
         for entry in _validated(snapshot)["metrics"]
-        if entry["name"] == name and entry["type"] == "counter"
+        if entry["name"] == name
+        and entry["type"] == "counter"
+        and wanted <= entry["labels"].items()
     )
 
 

@@ -40,7 +40,7 @@ Quick start::
 
 from repro.parallel.costmodel import COST_MODEL, CostModel, PhaseRates, Plan, plan_phase
 from repro.parallel.driver import ParallelExtMCE
-from repro.parallel.executor import ExecutorStats, StepExecutor
+from repro.parallel.executor import StepExecutor
 from repro.parallel.merge import merge_lift_results, merge_tree_results
 from repro.parallel.partition import (
     LiftChunk,
@@ -58,7 +58,6 @@ from repro.parallel.shm import sweep_stale_segments
 __all__ = [
     "COST_MODEL",
     "CostModel",
-    "ExecutorStats",
     "LiftChunk",
     "LiftTask",
     "ParallelEngine",

@@ -53,7 +53,7 @@ from repro.core.clique_tree import assemble_clique_tree
 from repro.core.extmce import ExtMCE, ExtMCEConfig
 from repro.core.hstar import StarGraph
 from repro.parallel.costmodel import COST_MODEL, FANOUT, INLINE, PHASES, Plan, plan_phase
-from repro.parallel.executor import ExecutorStats, StepExecutor
+from repro.parallel.executor import StepExecutor
 from repro.parallel.merge import merge_lift_results, merge_tree_results
 from repro.parallel.partition import (
     chunk_lift_tasks,
@@ -124,21 +124,6 @@ class ParallelExtMCE(ExtMCE):
         self._executor_started = 0.0
         self._step = 0
         self._step_star: StarGraph | None = None
-        self.fallback_steps = 0
-        #: Run-level accumulation of every step executor's recovery
-        #: counters (retries, timeouts, rebuilds, inline fallbacks).
-        self.executor_stats = ExecutorStats()
-        #: Run totals across all phases that fanned out: pickled
-        #: task-descriptor bytes shipped (with the shm path this is
-        #: metadata, not graphs) and shared-memory bytes published.
-        self.payload_bytes_total = 0
-        self.shm_bytes_total = 0
-        #: Steps whose graph travelled pickled in-band, not through shm.
-        self.inband_steps = 0
-        self.fanned_out_phases = 0
-        self.chunks_total = 0
-        #: Crash-leftover segments removed by the engine's start sweep.
-        self.swept_segments: list[str] = []
 
     @property
     def workers(self) -> int:
@@ -154,9 +139,9 @@ class ParallelExtMCE(ExtMCE):
             return 0.0
         started = time.perf_counter()
         self._engine = ParallelEngine(self.workers)
-        self.swept_segments = self._engine.swept_segments
         elapsed = time.perf_counter() - started
-        self.cost_model.observe_engine_start(self.workers, elapsed)
+        if self._engine.pool is not None:  # a failed start measures nothing
+            self.cost_model.observe_engine_start(self.workers, elapsed)
         return elapsed
 
     def _step_executor(self, publish: bool) -> StepExecutor:
@@ -198,12 +183,6 @@ class ParallelExtMCE(ExtMCE):
 
     def _close_step_executor(self, step: int, executor: StepExecutor) -> None:
         executor.close()
-        self.executor_stats.merge(executor.stats)
-        self.payload_bytes_total += executor.payload_bytes
-        self.shm_bytes_total += executor.shm_bytes
-        self.inband_steps += executor.inband
-        if executor.fell_back:
-            self.fallback_steps += 1
         assert self._engine is not None
         self._engine.retire_segment()
         if self._trace is not None:
@@ -211,11 +190,8 @@ class ParallelExtMCE(ExtMCE):
                 "parallel_step_completed",
                 step=step,
                 workers=self.workers,
-                payload_bytes=executor.payload_bytes,
-                shm_bytes=executor.shm_bytes,
-                fell_back=executor.fell_back,
+                **executor.step_fields(),
                 pool_elapsed=round(time.perf_counter() - self._executor_started, 6),
-                **executor.stats.to_dict(),
             )
 
     def _drive(
@@ -249,7 +225,8 @@ class ParallelExtMCE(ExtMCE):
 
         ``inline()`` is the serial code; ``fan_out(executor, chunks)``
         runs the phase on the step's executor, whose ``last_map`` then
-        holds the pool's share of the time.
+        holds the pool's share of the time and whether any recovery
+        engaged.
         """
         plan = self._plan(phase, units)
         started = time.perf_counter()
@@ -260,13 +237,12 @@ class ParallelExtMCE(ExtMCE):
         else:
             engine_s = self._ensure_engine()
             executor = self._step_executor(publish=phase == "tree")
-            recoveries = executor.stats.to_dict()
             result = fan_out(executor, plan.chunks)
             actual = time.perf_counter() - started
             mapped = executor.last_map
-            # A fan-out that retried, rebuilt or degraded measured the
-            # fault, not the engine.
-            if executor.stats.to_dict() == recoveries:
+            # A fan-out that retried, rebuilt, degraded or ran without a
+            # pool measured the fault, not the engine.
+            if not mapped.recovered:
                 self.cost_model.observe_fanout(
                     phase,
                     self.workers,
@@ -276,8 +252,6 @@ class ParallelExtMCE(ExtMCE):
                     busy_s=mapped.busy,
                     chunks=mapped.chunks,
                 )
-            self.fanned_out_phases += 1
-            self.chunks_total += mapped.chunks
         _METRICS().phases[phase, plan.mode].inc()
         if self._trace is not None:
             self._trace.emit(

@@ -28,13 +28,16 @@ of loss is one chunk, never the step:
   never reports an abruptly dead worker, so the per-chunk deadline *is*
   the death detector — the engine's pool is rebuilt (bounded) and only
   unfinished chunks are resubmitted;
-* when the pool cannot be (re)created, the executor degrades to
-  in-process execution for everything still pending (``fell_back``).
+* when the pool cannot be (re)created, or never was, the executor
+  degrades to in-process execution for everything still pending
+  (``fell_back``).
 
 Tasks are pure functions of (graph, task), so recomputation is safe and
-every recovery path yields results identical by construction; retries,
-rebuilds and inline fallbacks are counted in :class:`ExecutorStats` and
-surfaced through the ``on_event`` hook into the run's trace.
+every recovery path yields results identical by construction.  Each
+retry, timeout, error, rebuild, inline fallback and degradation is
+recorded once, by :meth:`StepExecutor._emit`: it increments the event's
+``repro_parallel_*`` series and forwards the event through the
+``on_event`` hook into the run's trace.
 
 An optional :class:`~repro.faults.FaultPlan` injects faults at
 submission time (operations ``"chunk"`` and ``"shm"``): the driver wraps
@@ -96,7 +99,7 @@ _SALVAGE_TIMEOUT_SECONDS = 0.05
 #: Executor metrics.  Chunk counts, latencies and attach counts are
 #: observed in whatever process runs the chunk (a pooled chunk's snapshot
 #: is absorbed into the driver's registry at harvest); the recovery
-#: counters are always driver-side.
+#: series, keyed by the event each one counts, are always driver-side.
 _METRICS = metrics.bound(
     lambda registry: SimpleNamespace(
         chunks={
@@ -116,22 +119,29 @@ _METRICS = metrics.bound(
             )
             for phase in ("tree", "lift")
         },
-        retries=registry.counter(
-            "repro_parallel_chunk_retries_total", "chunk resubmissions"
-        ),
-        timeouts=registry.counter(
-            "repro_parallel_chunk_timeouts_total", "chunk deadline expiries"
-        ),
-        errors=registry.counter(
-            "repro_parallel_chunk_errors_total", "chunk attempts that raised"
-        ),
-        rebuilds=registry.counter(
-            "repro_parallel_pool_rebuilds_total", "worker-pool teardown/recreate cycles"
-        ),
-        inline=registry.counter(
-            "repro_parallel_inline_chunks_total",
-            "chunks recomputed in-process after exhausting retries",
-        ),
+        recovery={
+            "chunk_retry": registry.counter(
+                "repro_parallel_chunk_retries_total", "chunk resubmissions"
+            ),
+            "chunk_timeout": registry.counter(
+                "repro_parallel_chunk_timeouts_total", "chunk deadline expiries"
+            ),
+            "chunk_error": registry.counter(
+                "repro_parallel_chunk_errors_total", "chunk attempts that raised"
+            ),
+            "pool_rebuild": registry.counter(
+                "repro_parallel_pool_rebuilds_total",
+                "worker-pool teardown/recreate cycles",
+            ),
+            "chunk_inline_fallback": registry.counter(
+                "repro_parallel_inline_chunks_total",
+                "chunks recomputed in-process after exhausting retries",
+            ),
+            "executor_degraded": registry.counter(
+                "repro_parallel_fallback_steps_total",
+                "steps whose executor fell back to in-process execution",
+            ),
+        },
         payload_bytes=registry.counter(
             "repro_parallel_payload_bytes_total",
             "pickled task-descriptor bytes shipped through the pool",
@@ -400,56 +410,18 @@ def _dispatch_chunk(task):
 
 
 @dataclass
-class ExecutorStats:
-    """Recovery counters for one executor (or, merged, one run).
-
-    ``chunk_retries`` counts resubmissions after a failed attempt;
-    ``chunk_timeouts`` / ``chunk_errors`` classify the failures;
-    ``pool_rebuilds`` counts pool teardown-and-recreate cycles;
-    ``inline_chunks`` counts chunks that exhausted their retries and were
-    recomputed in-process.
-    """
-
-    chunk_retries: int = 0
-    chunk_timeouts: int = 0
-    chunk_errors: int = 0
-    pool_rebuilds: int = 0
-    inline_chunks: int = 0
-
-    def merge(self, other: "ExecutorStats") -> None:
-        """Accumulate another executor's counters into this one."""
-        self.chunk_retries += other.chunk_retries
-        self.chunk_timeouts += other.chunk_timeouts
-        self.chunk_errors += other.chunk_errors
-        self.pool_rebuilds += other.pool_rebuilds
-        self.inline_chunks += other.inline_chunks
-
-    def to_dict(self) -> dict[str, int]:
-        """Plain-dict view for telemetry events."""
-        return {
-            "chunk_retries": self.chunk_retries,
-            "chunk_timeouts": self.chunk_timeouts,
-            "chunk_errors": self.chunk_errors,
-            "pool_rebuilds": self.pool_rebuilds,
-            "inline_chunks": self.inline_chunks,
-        }
-
-    @property
-    def any_recovery(self) -> bool:
-        """Whether any fault-recovery machinery engaged."""
-        return any(self.to_dict().values())
-
-
-@dataclass
 class MapStats:
     """One ``map_tree``/``map_lift`` call as the cost model sees it: wall
-    seconds, the chunks mapped (one result each, wherever it ran), and
-    each worker's summed chunk seconds (the driver's ``"inline"``
-    context included)."""
+    seconds, the chunks mapped (one result each, wherever it ran), each
+    worker's summed chunk seconds (the driver's ``"inline"`` context
+    included), and whether any recovery engaged — a retry, timeout,
+    error, rebuild or degradation, or a map that ran without a pool — so
+    that its timings measured the fault, not the engine."""
 
     seconds: float = 0.0
     chunks: int = 0
     busy: dict[str, float] = field(default_factory=dict)
+    recovered: bool = False
 
 
 class _Pending:
@@ -472,34 +444,23 @@ class StepExecutor:
     schedule-independent: retries, pool rebuilds and inline fallbacks
     never reorder or change results, only delay them.
 
-    The first argument is either a live
-    :class:`~repro.parallel.scheduler.ParallelEngine` (the driver's,
-    shared across steps) or a worker count, in which case the executor
-    creates and owns a private engine — the construction path the unit
-    tests and ad-hoc callers use.  ``payload`` is likewise either a task
-    descriptor from :meth:`ParallelEngine.publish_star` or a raw
-    :func:`~repro.parallel.partition.serialize_star` dict, which is
-    wrapped as an in-band descriptor.
+    ``engine`` is the run's :class:`~repro.parallel.scheduler.ParallelEngine`
+    (shared across steps, never closed here) and ``descriptor`` the
+    step's task descriptor from :meth:`ParallelEngine.publish_star` or
+    :meth:`ParallelEngine.step_token`.
     """
 
     def __init__(
         self,
-        engine: "ParallelEngine | int",
-        payload: dict,
+        engine: ParallelEngine,
+        descriptor: dict,
         task_timeout: float | None = None,
         max_retries: int = 2,
         fault_plan: "FaultPlan | None" = None,
         on_event: Callable[..., None] | None = None,
     ) -> None:
-        if isinstance(engine, ParallelEngine):
-            self._engine = engine
-            self._owns_engine = False
-        else:
-            self._engine = ParallelEngine(int(engine))
-            self._owns_engine = True
-        if "token" not in payload:
-            payload = {"token": f"inband-step-{id(payload):x}", "inband": payload}
-        self._payload = payload
+        self._engine = engine
+        self._payload = descriptor
         self._task_timeout = task_timeout
         self._max_retries = max(0, int(max_retries))
         self._faults = fault_plan
@@ -516,28 +477,29 @@ class StepExecutor:
         self._tickets = itertools.count()
         self._finished: deque[int] = deque()
         self._wake = threading.Event()
-        self.stats = ExecutorStats()
-        #: Accumulated pickled bytes of every task shipped to the pool —
-        #: with shm descriptors this is per-chunk metadata, not graphs.
-        self.payload_bytes = 0
+        # This step's pickled task bytes, for its step event; the run
+        # total is the repro_parallel_payload_bytes_total series.
+        self._step_payload_bytes = 0
         #: The latest map's timings, for the cost model.
         self.last_map = MapStats()
-        self.fell_back = self._engine.workers > 1 and self._engine.pool is None
+        self.fell_back = False
+        if self._engine.workers > 1 and self._engine.pool is None:
+            self._degrade("no worker pool")
 
     @property
     def engine(self) -> ParallelEngine:
         return self._engine
 
-    @property
-    def inband(self) -> bool:
-        """Whether this step's graph travels pickled in-band (no shm)."""
-        return "inband" in self._payload
-
-    @property
-    def shm_bytes(self) -> int:
-        """Bytes of the shared segment backing this step's descriptor."""
+    def step_fields(self) -> dict:
+        """This step's share of the driver's ``parallel_step_completed``
+        event: pickled task bytes shipped, shared-memory bytes behind the
+        descriptor, and whether the step fell back in-process."""
         spec = self._payload.get("shm")
-        return 0 if spec is None else int(spec["nbytes"])
+        return {
+            "payload_bytes": self._step_payload_bytes,
+            "shm_bytes": 0 if spec is None else int(spec["nbytes"]),
+            "fell_back": self.fell_back,
+        }
 
     # ------------------------------------------------------------------
     # Mapping
@@ -574,7 +536,7 @@ class StepExecutor:
         outstanding: dict[int, tuple] = {}  # ticket -> (handle, item, deadline)
         while pending or outstanding:
             if self._engine.pool is None or self.fell_back:
-                self.fell_back = self.fell_back or self._engine.workers > 1
+                self.last_map.recovered = True
                 while pending:
                     item = pending.popleft()
                     collected.append(self._run_chunk_inline(phase, item.chunk))
@@ -646,8 +608,6 @@ class StepExecutor:
                 # never surfaces abrupt worker death, so the deadline is
                 # the death detector and it breaks the pool.
                 del outstanding[ticket]
-                self.stats.chunk_timeouts += 1
-                _METRICS().timeouts.inc()
                 self._emit("chunk_timeout", phase=phase, chunk_index=item.chunk_id)
                 self._fail(phase, item, pending, collected)
                 return True
@@ -658,8 +618,6 @@ class StepExecutor:
         try:
             envelope = handle.get()
         except Exception as error:
-            self.stats.chunk_errors += 1
-            _METRICS().errors.inc()
             self._emit(
                 "chunk_error", phase=phase, chunk_index=item.chunk_id,
                 error=repr(error),
@@ -730,7 +688,7 @@ class StepExecutor:
             )
         except Exception:
             return None
-        self.payload_bytes += shipped
+        self._step_payload_bytes += shipped
         _METRICS().payload_bytes.inc(shipped)
         return handle
 
@@ -755,8 +713,6 @@ class StepExecutor:
         """Charge a failed attempt; retry on the pool or degrade inline."""
         item.attempts += 1
         if item.attempts > self._max_retries:
-            self.stats.inline_chunks += 1
-            _METRICS().inline.inc()
             self._emit(
                 "chunk_inline_fallback",
                 phase=phase,
@@ -765,8 +721,6 @@ class StepExecutor:
             )
             collected.append(self._run_chunk_inline(phase, item.chunk))
         else:
-            self.stats.chunk_retries += 1
-            _METRICS().retries.inc()
             self._emit(
                 "chunk_retry", phase=phase, chunk_index=item.chunk_id,
                 attempt=item.attempts,
@@ -777,17 +731,19 @@ class StepExecutor:
         """Have the engine replace its broken pool (bounded per step)."""
         if self._rebuilds_used >= self._max_rebuilds:
             self._engine.stop_pool(terminate=True)
-            self.fell_back = True
-            self._emit("executor_degraded", reason="pool rebuild limit reached")
+            self._degrade("pool rebuild limit reached")
             return
         self._rebuilds_used += 1
         if self._engine.rebuild_pool():
-            self.stats.pool_rebuilds += 1
-            _METRICS().rebuilds.inc()
             self._emit("pool_rebuild", rebuilds=self._rebuilds_used)
         else:
+            self._degrade("pool recreation failed")
+
+    def _degrade(self, reason: str) -> None:
+        """Run everything still pending in-process (recorded once a step)."""
+        if not self.fell_back:
             self.fell_back = True
-            self._emit("executor_degraded", reason="pool recreation failed")
+            self._emit("executor_degraded", reason=reason)
 
     def _run_chunk_inline(self, phase, chunk):
         """Recompute one raw chunk in-process (no fault directives).
@@ -815,6 +771,13 @@ class StepExecutor:
         return self._chunk_seq
 
     def _emit(self, event: str, **fields: object) -> None:
+        """Record one executor event: a recovery or degradation event
+        increments its series and marks the current map as recovered;
+        every event then goes to ``on_event``."""
+        series = _METRICS().recovery.get(event)
+        if series is not None:
+            series.inc()
+            self.last_map.recovered = True
         if self._on_event is not None:
             self._on_event(event, **fields)
 
@@ -822,23 +785,16 @@ class StepExecutor:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release step-scoped state; shuts the engine down only when
-        this executor created it (shared engines outlive their steps)."""
+        """Release step-scoped state (the engine outlives its steps)."""
         if self._inline_context is not None:
             self._inline_context.release_graphs()
             self._inline_context = None
-        if self._owns_engine:
-            self._engine.close()
 
     def __enter__(self) -> "StepExecutor":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        if exc_info and exc_info[0] is not None and self._owns_engine:
-            self._engine.close(terminate=True)
-            self._inline_context = None
-        else:
-            self.close()
+        self.close()
 
 
-__all__ = ["ExecutorStats", "MapStats", "StepExecutor", "WorkerContext"]
+__all__ = ["MapStats", "StepExecutor", "WorkerContext"]

@@ -68,16 +68,11 @@ class ParallelEngine:
 
     def __init__(self, workers: int, *, sweep: bool = True) -> None:
         self.workers = max(1, int(workers))
-        self.swept_segments: list[str] = (
-            shm_mod.sweep_stale_segments() if sweep else []
-        )
-        if self.swept_segments:
-            _METRICS().swept.inc(len(self.swept_segments))
+        if sweep:
+            _METRICS().swept.inc(len(shm_mod.sweep_stale_segments()))
         self._segment: shm_mod.StarSegment | None = None
         self._generation = 0
         self._descriptor_seq = 0
-        self.shm_bytes_total = 0
-        self.inband_payloads = 0
         self._pool = None
         self._closed = False
         if self.workers > 1:
@@ -154,14 +149,12 @@ class ParallelEngine:
         try:
             segment = shm_mod.export_star(star.core_compact(), self._generation)
         except (ReproError, GraphError, OSError, ValueError):
-            self.inband_payloads += 1
             _METRICS().inband.inc()
             return {
                 "token": f"inband-{self._descriptor_seq}",
                 "inband": serialize_star(star),
             }
         self._segment = segment
-        self.shm_bytes_total += segment.nbytes
         bundle = _METRICS()
         bundle.shm_bytes.inc(segment.nbytes)
         bundle.segments.inc()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.helpers import figure1_graph, forced_fanout, seeded_gnp
+from tests.helpers import figure1_graph, forced_fanout, metered, seeded_gnp
 
 
 @pytest.fixture
@@ -44,12 +44,5 @@ def live_metrics():
     metrics disabled, which doubles as a regression guard for the
     near-free null path.
     """
-    from repro import metrics
-
-    previous = metrics.get_registry()
-    registry = metrics.MetricsRegistry()
-    metrics.set_registry(registry)
-    try:
+    with metered() as registry:
         yield registry
-    finally:
-        metrics.set_registry(previous)

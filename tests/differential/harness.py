@@ -21,7 +21,7 @@ from repro.core.extmce import ExtMCE, ExtMCEConfig
 from repro.core.result import render_clique_lines
 from repro.parallel import ParallelExtMCE
 from repro.storage.diskgraph import DiskGraph
-from tests.helpers import forced_fanout
+from tests.helpers import forced_fanout, metered
 
 Clique = frozenset
 
@@ -60,9 +60,7 @@ def run_enumeration(
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    previous = metrics.get_registry()
-    metrics.set_registry(metrics.MetricsRegistry())
-    try:
+    with metered() as registry:
         disk = DiskGraph.create(
             workdir / "graph.bin", graph, verify_checksums=verify_checksums
         )
@@ -71,19 +69,15 @@ def run_enumeration(
             workers=workers,
             reduction=reduction,
             verify_checksums=verify_checksums,
-            metrics_path=workdir / "metrics.json",
             trace_path=workdir / "trace.jsonl" if trace else None,
         )
         driver_cls = ParallelExtMCE if workers > 1 else ExtMCE
         with forced_fanout() if fanout else contextlib.nullcontext():
             stream = list(driver_cls(disk, config).enumerate_cliques())
-        snapshot = metrics.load_snapshot(workdir / "metrics.json")
-    finally:
-        metrics.set_registry(previous)
     return RunResult(
         stream=stream,
         canonical_bytes=render_clique_lines(stream).encode("ascii"),
-        snapshot=snapshot,
+        snapshot=registry.snapshot(),
     )
 
 
@@ -97,11 +91,8 @@ def assert_pool_used(result: RunResult) -> None:
     """A forced fan-out run really ran chunks on the pool, one decision
     per fanned-out phase."""
     assert result.counter("repro_parallel_chunks_total") > 0
-    assert sum(
-        entry["value"]
-        for entry in result.snapshot["metrics"]
-        if entry["name"] == "repro_parallel_phases_total"
-        and entry["labels"]["mode"] == "fanout"
+    assert metrics.counter_value(
+        result.snapshot, "repro_parallel_phases_total", {"mode": "fanout"}
     ) > 0
 
 

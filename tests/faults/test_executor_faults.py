@@ -1,21 +1,26 @@
 """StepExecutor failure paths: retry, pool rebuild, inline degradation.
 
-Satellite contract: a dead worker mid-map, a chunk timeout, and an
-unpicklable payload each exercise retry-then-degrade at *chunk*
-granularity, with matching counters in :class:`ExecutorStats` and events
-through ``on_event``.
+A dead worker mid-map, a chunk timeout, and an unpicklable payload each
+exercise retry-then-degrade at *chunk* granularity, with matching counts
+in the ``repro_parallel_*`` recovery series and events through
+``on_event``.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
+from repro import metrics
 from repro.core.clique_tree import enumerate_star_cliques
 from repro.core.hstar import extract_hstar_graph
 from repro.faults import FaultPlan, FaultRule
 from repro.parallel.executor import StepExecutor
 from repro.parallel.merge import merge_tree_results
-from repro.parallel.partition import chunk_tree_tasks, serialize_star, tree_tasks
+from repro.parallel.partition import chunk_tree_tasks, tree_tasks
 
-from tests.helpers import cliques_of, seeded_gnp
+from tests.helpers import cliques_of, recoveries, seeded_gnp, step_executor
+
+pytestmark = pytest.mark.usefixtures("live_metrics")
 
 
 @pytest.fixture
@@ -49,18 +54,24 @@ def expected_cliques(star):
     return cliques_of(enumerate_star_cliques(star))
 
 
+def counts():
+    """The recovery series of the test's live registry."""
+    return SimpleNamespace(**recoveries(metrics.get_registry()))
+
+
 class TestWorkerError:
     def test_transient_error_is_retried_on_the_pool(self, star, events):
         plan = FaultPlan([FaultRule("chunk", "worker_error")])
-        with StepExecutor(
-            2, serialize_star(star), fault_plan=plan, on_event=events
+        with step_executor(
+            2, star, fault_plan=plan, on_event=events
         ) as executor:
             star_cliques, _ = run_tree(executor, star)
-            assert executor.stats.chunk_errors == 1
-            assert executor.stats.chunk_retries == 1
-            assert executor.stats.inline_chunks == 0
-            assert executor.stats.pool_rebuilds == 0
+            assert counts().chunk_error == 1
+            assert counts().chunk_retry == 1
+            assert counts().chunk_inline_fallback == 0
+            assert counts().pool_rebuild == 0
             assert not executor.fell_back
+            assert executor.last_map.recovered
         assert cliques_of(star_cliques) == expected_cliques(star)
         names = [name for name, _ in events.log]
         assert "chunk_error" in names and "chunk_retry" in names
@@ -70,14 +81,14 @@ class TestWorkerError:
         # and is recomputed inline.  The executor itself never fell back
         # wholesale — the pool stayed healthy throughout.
         plan = FaultPlan([FaultRule("chunk", "worker_error", max_firings=None)])
-        with StepExecutor(
-            2, serialize_star(star), fault_plan=plan, on_event=events,
+        with step_executor(
+            2, star, fault_plan=plan, on_event=events,
             max_retries=1,
         ) as executor:
             star_cliques, _ = run_tree(executor, star)
             num_chunks = len(chunk_tree_tasks(tree_tasks(star), 4))
-            assert executor.stats.inline_chunks == num_chunks
-            assert executor.stats.chunk_retries == num_chunks  # one retry each
+            assert counts().chunk_inline_fallback == num_chunks
+            assert counts().chunk_retry == num_chunks  # one retry each
             assert not executor.fell_back
         assert cliques_of(star_cliques) == expected_cliques(star)
         assert any(name == "chunk_inline_fallback" for name, _ in events.log)
@@ -86,16 +97,16 @@ class TestWorkerError:
 class TestWorkerDeath:
     def test_killed_worker_rebuilds_pool_not_whole_step(self, star, events):
         plan = FaultPlan([FaultRule("chunk", "worker_kill")])
-        with StepExecutor(
-            2, serialize_star(star), task_timeout=3.0,
+        with step_executor(
+            2, star, task_timeout=3.0,
             fault_plan=plan, on_event=events,
         ) as executor:
             star_cliques, _ = run_tree(executor, star)
-            assert executor.stats.chunk_timeouts >= 1
-            assert executor.stats.pool_rebuilds >= 1
+            assert counts().chunk_timeout >= 1
+            assert counts().pool_rebuild >= 1
             # Per-chunk recovery: nothing was recomputed inline — the
             # lost chunk went back to a (rebuilt) pool.
-            assert executor.stats.inline_chunks == 0
+            assert counts().chunk_inline_fallback == 0
             assert not executor.fell_back
         assert cliques_of(star_cliques) == expected_cliques(star)
         names = [name for name, _ in events.log]
@@ -107,28 +118,28 @@ class TestChunkTimeout:
         plan = FaultPlan(
             [FaultRule("chunk", "timeout", latency_seconds=30.0)]
         )
-        with StepExecutor(
-            2, serialize_star(star), task_timeout=1.0,
+        with step_executor(
+            2, star, task_timeout=1.0,
             fault_plan=plan, on_event=events,
         ) as executor:
             star_cliques, _ = run_tree(executor, star)
-            assert executor.stats.chunk_timeouts == 1
-            assert executor.stats.chunk_retries == 1
-            assert executor.stats.pool_rebuilds >= 1
-            assert executor.stats.inline_chunks == 0
+            assert counts().chunk_timeout == 1
+            assert counts().chunk_retry == 1
+            assert counts().pool_rebuild >= 1
+            assert counts().chunk_inline_fallback == 0
         assert cliques_of(star_cliques) == expected_cliques(star)
 
 
 class TestPoisonPayload:
     def test_unpicklable_chunk_degrades_inline(self, star, events):
         plan = FaultPlan([FaultRule("chunk", "poison", max_firings=None)])
-        with StepExecutor(
-            2, serialize_star(star), fault_plan=plan, on_event=events,
+        with step_executor(
+            2, star, fault_plan=plan, on_event=events,
             max_retries=1,
         ) as executor:
             star_cliques, _ = run_tree(executor, star)
-            assert executor.stats.chunk_errors >= 1
-            assert executor.stats.inline_chunks >= 1
+            assert counts().chunk_error >= 1
+            assert counts().chunk_inline_fallback >= 1
             assert not executor.fell_back
         assert cliques_of(star_cliques) == expected_cliques(star)
         errors = [f for name, f in events.log if name == "chunk_error"]
@@ -148,16 +159,16 @@ class TestShmFaults:
                 engine, descriptor, fault_plan=plan, on_event=events
             ) as executor:
                 star_cliques, _ = run_tree(executor, star)
-                stats = executor.stats
+                stats = counts()
                 fell_back = executor.fell_back
         return star_cliques, stats, fell_back
 
     def test_attach_failure_is_retried(self, star, events):
         plan = FaultPlan([FaultRule("shm", "attach_fail")])
         star_cliques, stats, fell_back = self._run_on_shm(star, plan, events)
-        assert stats.chunk_errors == 1
-        assert stats.chunk_retries == 1
-        assert stats.inline_chunks == 0
+        assert stats.chunk_error == 1
+        assert stats.chunk_retry == 1
+        assert stats.chunk_inline_fallback == 0
         assert not fell_back
         assert cliques_of(star_cliques) == expected_cliques(star)
         names = [name for name, _ in events.log]
@@ -166,29 +177,30 @@ class TestShmFaults:
     def test_stale_segment_is_retried(self, star, events):
         plan = FaultPlan([FaultRule("shm", "stale_segment")])
         star_cliques, stats, fell_back = self._run_on_shm(star, plan, events)
-        assert stats.chunk_errors == 1
-        assert stats.chunk_retries == 1
+        assert stats.chunk_error == 1
+        assert stats.chunk_retry == 1
         assert not fell_back
         assert cliques_of(star_cliques) == expected_cliques(star)
 
     def test_shm_faults_never_fire_on_inband_payloads(self, star, events):
         plan = FaultPlan([FaultRule("shm", "attach_fail", max_firings=None)])
-        with StepExecutor(
-            2, serialize_star(star), fault_plan=plan, on_event=events
+        with step_executor(
+            2, star, fault_plan=plan, on_event=events
         ) as executor:
             star_cliques, _ = run_tree(executor, star)
-            assert not executor.stats.any_recovery
+            assert not any(vars(counts()).values())
         assert cliques_of(star_cliques) == expected_cliques(star)
         assert recovery_events(events.log) == []
 
 
 class TestTelemetryShape:
     def test_no_faults_no_events(self, star, events):
-        with StepExecutor(
-            2, serialize_star(star), on_event=events
+        with step_executor(
+            2, star, on_event=events
         ) as executor:
             run_tree(executor, star)
-            assert not executor.stats.any_recovery
+            assert not any(vars(counts()).values())
+            assert not executor.last_map.recovered
         assert recovery_events(events.log) == []
         # The only events are one completion report per executed chunk.
         completed = [f for name, f in events.log if name == "tree_chunk_completed"]
@@ -198,8 +210,8 @@ class TestTelemetryShape:
 
     def test_inline_fallback_reports_its_chunk(self, star, events):
         plan = FaultPlan([FaultRule("chunk", "worker_error", max_firings=None)])
-        with StepExecutor(
-            2, serialize_star(star), fault_plan=plan, on_event=events,
+        with step_executor(
+            2, star, fault_plan=plan, on_event=events,
             max_retries=0,
         ) as executor:
             run_tree(executor, star)
@@ -210,14 +222,3 @@ class TestTelemetryShape:
         # No worker-side failure event: the driver's chunk_error is the one.
         assert names.count("chunk_error") == len(completed)
         assert not any(name.endswith("_chunk_failed") for name in names)
-
-    def test_stats_merge(self):
-        from repro.parallel.executor import ExecutorStats
-
-        a = ExecutorStats(chunk_retries=1, pool_rebuilds=2)
-        b = ExecutorStats(chunk_retries=3, inline_chunks=4)
-        a.merge(b)
-        assert a.chunk_retries == 4
-        assert a.pool_rebuilds == 2
-        assert a.inline_chunks == 4
-        assert a.any_recovery

@@ -14,10 +14,11 @@ from repro.core.checkpoint import CHECKPOINT_FILENAME, read_checkpoint
 from repro.core.extmce import ExtMCE, ExtMCEConfig
 from repro.errors import ReproError
 from repro.faults import FaultPlan, FaultRule
+from repro.metrics import counter_value
 from repro.parallel import ParallelExtMCE
 from repro.storage.diskgraph import DiskGraph
 
-from tests.helpers import forced_fanout, seeded_gnp
+from tests.helpers import forced_fanout, metered, seeded_gnp
 
 SEED = 3
 
@@ -39,7 +40,8 @@ def baseline_stream(graph, tmp_path, workers=1):
 
 def faulted_run(graph, tmp_path, *, storage_plan=None, executor_plan=None,
                 workers=1, task_timeout=None, max_retries=2):
-    """Run with faults armed; return (emitted, error, workdir)."""
+    """Run with faults armed and metered; return (emitted, error, workdir,
+    metrics snapshot)."""
     disk = DiskGraph.create(tmp_path / "input.bin", graph, fault_plan=storage_plan)
     work = tmp_path / "work"
     config = ExtMCEConfig(
@@ -52,12 +54,13 @@ def faulted_run(graph, tmp_path, *, storage_plan=None, executor_plan=None,
         algo.task_timeout_seconds = task_timeout
     emitted = []
     error = None
-    try:
-        for clique in algo.enumerate_cliques():
-            emitted.append(clique)
-    except ReproError as exc:
-        error = exc
-    return emitted, error, work, algo
+    with metered() as registry:
+        try:
+            for clique in algo.enumerate_cliques():
+                emitted.append(clique)
+        except ReproError as exc:
+            error = exc
+    return emitted, error, work, registry.snapshot()
 
 
 def resume_and_splice(emitted, work):
@@ -73,37 +76,37 @@ class TestExecutorFaultsEndToEnd:
     def test_transient_worker_error_stream_identical(self, graph, tmp_path):
         expected = baseline_stream(graph, tmp_path, workers=2)
         plan = FaultPlan([FaultRule("chunk", "worker_error")])
-        emitted, error, _, algo = faulted_run(
+        emitted, error, _, snapshot = faulted_run(
             graph, tmp_path, executor_plan=plan, workers=2
         )
         assert error is None
         assert emitted == expected  # order included
-        assert algo.executor_stats.chunk_retries >= 1
-        assert algo.fallback_steps == 0
-        assert algo.chunks_total > 0
+        assert counter_value(snapshot, "repro_parallel_chunk_retries_total") >= 1
+        assert counter_value(snapshot, "repro_parallel_fallback_steps_total") == 0
+        assert counter_value(snapshot, "repro_parallel_chunks_total") > 0
 
     def test_chunk_timeout_stream_identical(self, graph, tmp_path):
         expected = baseline_stream(graph, tmp_path, workers=2)
         plan = FaultPlan([FaultRule("chunk", "timeout", latency_seconds=30.0)])
-        emitted, error, _, algo = faulted_run(
+        emitted, error, _, snapshot = faulted_run(
             graph, tmp_path, executor_plan=plan, workers=2, task_timeout=2.0
         )
         assert error is None
         assert emitted == expected
-        assert algo.executor_stats.chunk_timeouts >= 1
-        assert algo.executor_stats.pool_rebuilds >= 1
-        assert algo.chunks_total > 0
+        assert counter_value(snapshot, "repro_parallel_chunk_timeouts_total") >= 1
+        assert counter_value(snapshot, "repro_parallel_pool_rebuilds_total") >= 1
+        assert counter_value(snapshot, "repro_parallel_chunks_total") > 0
 
     def test_poisoned_chunks_stream_identical(self, graph, tmp_path):
         expected = baseline_stream(graph, tmp_path, workers=2)
         plan = FaultPlan([FaultRule("chunk", "poison", max_firings=3)])
-        emitted, error, _, algo = faulted_run(
+        emitted, error, _, snapshot = faulted_run(
             graph, tmp_path, executor_plan=plan, workers=2, max_retries=0
         )
         assert error is None
         assert emitted == expected
-        assert algo.executor_stats.inline_chunks >= 1
-        assert algo.chunks_total > 0
+        assert counter_value(snapshot, "repro_parallel_inline_chunks_total") >= 1
+        assert counter_value(snapshot, "repro_parallel_chunks_total") > 0
 
 
 class TestStorageFaultsEndToEnd:
@@ -159,13 +162,13 @@ class TestStorageFaultsEndToEnd:
             seed=2,
         )
         with forced_fanout() if fanout else contextlib.nullcontext():
-            emitted, error, work, algo = faulted_run(
+            emitted, error, work, snapshot = faulted_run(
                 graph, tmp_path, storage_plan=plan, workers=2
             )
         assert error is not None
         assert (work / CHECKPOINT_FILENAME).exists()
         if fanout:
-            assert algo.chunks_total > 0
+            assert counter_value(snapshot, "repro_parallel_chunks_total") > 0
         assert resume_and_splice(emitted, work) == expected
 
     def test_latency_only_schedule_is_harmless(self, graph, tmp_path):

@@ -98,6 +98,57 @@ def forced_fanout():
 
 
 @contextlib.contextmanager
+def metered():
+    """A fresh live metrics registry for the block; the registry that was
+    active before is reinstated afterwards."""
+    from repro import metrics
+
+    previous = metrics.get_registry()
+    registry = metrics.enable(metrics.MetricsRegistry())
+    try:
+        yield registry
+    finally:
+        metrics.set_registry(previous)
+
+
+#: Each executor recovery event and the one series that counts it.
+RECOVERY_SERIES = {
+    "chunk_retry": "repro_parallel_chunk_retries_total",
+    "chunk_timeout": "repro_parallel_chunk_timeouts_total",
+    "chunk_error": "repro_parallel_chunk_errors_total",
+    "pool_rebuild": "repro_parallel_pool_rebuilds_total",
+    "chunk_inline_fallback": "repro_parallel_inline_chunks_total",
+    "executor_degraded": "repro_parallel_fallback_steps_total",
+}
+
+
+def recoveries(registry) -> dict[str, int]:
+    """The recovery counts a live registry holds, by event name."""
+    from repro.metrics import counter_value
+
+    snapshot = registry.snapshot()
+    return {
+        event: counter_value(snapshot, series)
+        for event, series in RECOVERY_SERIES.items()
+    }
+
+
+@contextlib.contextmanager
+def step_executor(workers: int, star, **kwargs):
+    """A :class:`~repro.parallel.executor.StepExecutor` over ``star``'s
+    pickled in-band graph, on a private engine of ``workers`` that the
+    block owns (closed, terminating its pool on error, at exit)."""
+    from repro.parallel.executor import StepExecutor
+    from repro.parallel.partition import serialize_star
+    from repro.parallel.scheduler import ParallelEngine
+
+    with ParallelEngine(workers) as engine:
+        descriptor = {**engine.step_token(), "inband": serialize_star(star)}
+        with StepExecutor(engine, descriptor, **kwargs) as executor:
+            yield executor
+
+
+@contextlib.contextmanager
 def maintainers_built_once():
     """Fail any :class:`HStarMaintainer` that re-enumerates its star after
     construction: a core change moves single vertices instead."""

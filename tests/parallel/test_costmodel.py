@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro import DiskGraph, ExtMCE, ExtMCEConfig, ParallelExtMCE, load_trace, metrics
+from repro import DiskGraph, ExtMCE, ExtMCEConfig, ParallelExtMCE, load_trace
 from repro.faults import FaultPlan, FaultRule
 from repro.generators import defective_clique_communities
 from repro.metrics import counter_value
@@ -27,7 +27,7 @@ from repro.parallel.costmodel import (
 )
 from repro.parallel.scheduler import ParallelEngine
 
-from tests.helpers import seeded_gnp
+from tests.helpers import forced_fanout, metered, seeded_gnp
 
 #: Rates measured in-process on a 2-CPU host for the perfbench community
 #: graph at two workers: the tree from an exploratory fan-out, the lift's
@@ -204,16 +204,21 @@ def _serial(graph, tmp_path):
     return list(ExtMCE(disk, ExtMCEConfig(workdir=tmp_path / "ws")).enumerate_cliques())
 
 
-def _parallel(graph, tmp_path, live_metrics=None):
+def _parallel(graph, tmp_path):
+    """A traced, metered 2-worker run: (metrics snapshot, stream, trace)."""
     disk = DiskGraph.create(tmp_path / "parallel.bin", graph)
     config = ExtMCEConfig(
         workdir=tmp_path / "wp",
         workers=2,
         trace_path=tmp_path / "trace.jsonl",
-        metrics_path=tmp_path / "metrics.json" if live_metrics is not None else None,
     )
-    algo = ParallelExtMCE(disk, config)
-    return algo, list(algo.enumerate_cliques()), load_trace(tmp_path / "trace.jsonl")
+    with metered() as registry:
+        stream = list(ParallelExtMCE(disk, config).enumerate_cliques())
+    return registry.snapshot(), stream, load_trace(tmp_path / "trace.jsonl")
+
+
+def _fanned_out_phases(snapshot):
+    return counter_value(snapshot, "repro_parallel_phases_total", {"mode": FANOUT})
 
 
 def _decisions(events):
@@ -249,20 +254,24 @@ class TestDriverFollowsThePlan:
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         graph = _graph()
         before = _segments() if os.path.isdir("/dev/shm") else set()
-        algo, stream, events = _parallel(graph, tmp_path)
+        snapshot, stream, events = _parallel(graph, tmp_path)
         assert stream == _serial(graph, tmp_path)
         assert multiprocessing.active_children() == []
         if os.path.isdir("/dev/shm"):
             assert _segments() <= before
-        assert algo.chunks_total == algo.fanned_out_phases == 0
-        assert algo.shm_bytes_total == algo.payload_bytes_total == 0
+        assert counter_value(
+            snapshot, "repro_parallel_chunks_total"
+        ) == _fanned_out_phases(snapshot) == 0
+        assert counter_value(
+            snapshot, "repro_parallel_shm_bytes_total"
+        ) == counter_value(snapshot, "repro_parallel_payload_bytes_total") == 0
         decisions = _decisions(events)
         assert {e["mode"] for e in decisions} == {INLINE}
         assert not any(e["event"] == "parallel_step_completed" for e in events)
 
-    def test_one_decision_per_step_and_phase(self, tmp_path, fresh_model, live_metrics):
+    def test_one_decision_per_step_and_phase(self, tmp_path, fresh_model):
         graph = _graph()
-        algo, stream, events = _parallel(graph, tmp_path, live_metrics)
+        snapshot, stream, events = _parallel(graph, tmp_path)
         assert stream == _serial(graph, tmp_path)
         decisions = _decisions(events)
         steps = [e["step"] for e in events if e["event"] == "step_completed"]
@@ -273,8 +282,7 @@ class TestDriverFollowsThePlan:
             assert event["actual_s"] >= 0
             assert (event["chunks"] > 0) == (event["mode"] == FANOUT)
         fanned = [e for e in decisions if e["mode"] == FANOUT]
-        assert len(fanned) == algo.fanned_out_phases
-        snapshot = metrics.load_snapshot(tmp_path / "metrics.json")
+        assert len(fanned) == _fanned_out_phases(snapshot)
         assert counter_value(snapshot, "repro_parallel_phases_total") == len(decisions)
         chunk_events = [
             e for e in events
@@ -282,12 +290,12 @@ class TestDriverFollowsThePlan:
         ]
         assert counter_value(snapshot, "repro_parallel_chunks_total") == len(
             chunk_events
-        ) == algo.chunks_total
+        )
 
     def test_fresh_model_measures_inline_then_explores_once(
         self, tmp_path, fresh_model
     ):
-        algo, _, events = _parallel(_graph(), tmp_path)
+        snapshot, _, events = _parallel(_graph(), tmp_path)
         decisions = {(e["step"], e["phase"]): e for e in _decisions(events)}
         # Step 1 learns the inline rates; step 2's tree fans out once to
         # learn the pool's, with one chunk per worker.
@@ -299,16 +307,16 @@ class TestDriverFollowsThePlan:
         rates = fresh_model.rates("tree", 2)
         assert rates.dispatch_s_per_chunk is not None
         assert rates.engine_start_s > 0
-        assert algo.chunks_total >= 1
+        assert counter_value(snapshot, "repro_parallel_chunks_total") >= 1
 
     @pytest.mark.usefixtures("force_fanout")
     def test_forced_fanout_publishes_every_step_through_shm(self, tmp_path):
         graph = seeded_gnp(60, 0.15, seed=5)
-        algo, stream, events = _parallel(graph, tmp_path)
+        snapshot, stream, events = _parallel(graph, tmp_path)
         assert stream == _serial(graph, tmp_path)
         steps = [e for e in events if e["event"] == "parallel_step_completed"]
         assert steps and all(e["shm_bytes"] > 0 for e in steps)
-        assert algo.inband_steps == 0
+        assert counter_value(snapshot, "repro_parallel_inband_payloads_total") == 0
         assert {e["mode"] for e in _decisions(events) if e["units"]} == {FANOUT}
 
     @pytest.mark.usefixtures("force_fanout")
@@ -322,8 +330,11 @@ class TestDriverFollowsThePlan:
             workdir=tmp_path / "w", workers=2, fault_plan=plan, max_retries=0
         )
         algo = ParallelExtMCE(disk, config)
-        assert list(algo.enumerate_cliques()) == _serial(graph, tmp_path)
-        assert algo.executor_stats.inline_chunks > 0
+        with metered() as registry:
+            assert list(algo.enumerate_cliques()) == _serial(graph, tmp_path)
+        assert counter_value(
+            registry.snapshot(), "repro_parallel_inline_chunks_total"
+        ) > 0
         for phase in ("tree", "lift"):
             assert fresh_model.rates(phase, 2).dispatch_s_per_chunk is None
 
@@ -335,11 +346,31 @@ class TestDriverFollowsThePlan:
 
         monkeypatch.setattr(ParallelExtMCE, "_plan", lift_only)
         graph = seeded_gnp(60, 0.15, seed=5)
-        algo, stream, _ = _parallel(graph, tmp_path)
+        snapshot, stream, _ = _parallel(graph, tmp_path)
         assert stream == _serial(graph, tmp_path)
-        assert algo.chunks_total > 0
-        assert algo.shm_bytes_total == 0
-        assert algo.inband_steps == 0
+        assert counter_value(snapshot, "repro_parallel_chunks_total") > 0
+        assert counter_value(snapshot, "repro_parallel_shm_bytes_total") == 0
+        assert counter_value(snapshot, "repro_parallel_inband_payloads_total") == 0
+
+    def test_fanouts_that_never_reached_a_pool_teach_nothing(
+        self, tmp_path, fresh_model, monkeypatch
+    ):
+        monkeypatch.setattr(ParallelEngine, "_create_pool", lambda self: None)
+        graph = seeded_gnp(70, 0.15, seed=6)
+        with forced_fanout():
+            snapshot, stream, events = _parallel(graph, tmp_path)
+        assert stream == _serial(graph, tmp_path)
+        # Every chunk ran in the driver: no fan-out rate, no pool start.
+        assert all(tally.chunks == 0 for tally in fresh_model._tallies.values())
+        for phase in ("tree", "lift"):
+            rates = fresh_model.rates(phase, 2)
+            assert rates.dispatch_s_per_chunk is None
+            assert rates.engine_start_s == 0.0
+        steps = [e for e in events if e["event"] == "parallel_step_completed"]
+        assert steps and all(e["fell_back"] for e in steps)
+        assert counter_value(
+            snapshot, "repro_parallel_fallback_steps_total"
+        ) == len(steps)
 
 def test_pool_forks_with_the_collector_frozen_and_unfreezes_after(monkeypatch):
     counts = []

@@ -18,8 +18,9 @@ from repro import (
     bron_kerbosch_maximal_cliques,
 )
 from repro.generators import powerlaw_cluster_graph
+from repro.metrics import counter_value
 
-from tests.helpers import cliques_of, figure1_graph, seeded_gnp
+from tests.helpers import cliques_of, figure1_graph, metered, seeded_gnp
 
 # Every parallel run here exercises the pool, whatever the cost model
 # would choose for these small graphs.
@@ -31,9 +32,10 @@ def _enumerate(graph, tmp_path, workers, tag=""):
     config = ExtMCEConfig(workdir=tmp_path / f"w{tag}_{workers}", workers=workers)
     driver = ParallelExtMCE if workers > 1 else ExtMCE
     algo = driver(disk, config)
-    cliques = list(algo.enumerate_cliques())
+    with metered() as registry:
+        cliques = list(algo.enumerate_cliques())
     if workers > 1 and graph.num_edges:
-        assert algo.chunks_total > 0
+        assert counter_value(registry.snapshot(), "repro_parallel_chunks_total") > 0
     return cliques
 
 
@@ -47,7 +49,7 @@ class TestScaleFreeEquivalence:
         assert parallel == serial  # identical stream, not just identical set
         assert cliques_of(parallel) == oracle
 
-    def test_gnp_with_memory_budget(self, tmp_path):
+    def test_gnp_with_memory_budget(self, tmp_path, live_metrics):
         graph = seeded_gnp(80, 0.15, seed=13)
         disk = DiskGraph.create(tmp_path / "g.bin", graph)
         budget = 2 * graph.num_edges + graph.num_vertices
@@ -61,7 +63,7 @@ class TestScaleFreeEquivalence:
         assert cliques_of(algo.enumerate_cliques()) == cliques_of(
             bron_kerbosch_maximal_cliques(graph)
         )
-        assert algo.chunks_total > 0
+        assert counter_value(live_metrics.snapshot(), "repro_parallel_chunks_total") > 0
 
 
 class TestEdgeCases:
@@ -120,9 +122,11 @@ class TestReportParity:
         parallel = ParallelExtMCE(
             disk_p, ExtMCEConfig(workdir=tmp_path / "wp", workers=2)
         )
-        list(parallel.enumerate_cliques())
-        assert parallel.fallback_steps == 0
-        assert parallel.chunks_total > 0
+        with metered() as registry:
+            list(parallel.enumerate_cliques())
+        snapshot = registry.snapshot()
+        assert counter_value(snapshot, "repro_parallel_fallback_steps_total") == 0
+        assert counter_value(snapshot, "repro_parallel_chunks_total") > 0
         assert serial.report.num_recursions == parallel.report.num_recursions
         for s_step, p_step in zip(serial.report.steps, parallel.report.steps):
             assert s_step.cliques_emitted == p_step.cliques_emitted

@@ -18,14 +18,15 @@ from repro.core.extmce import ExtMCE, ExtMCEConfig
 from repro.core.hstar import extract_hstar_graph
 from repro.parallel import ParallelExtMCE
 from repro.parallel import executor as executor_mod
-from repro.parallel.executor import StepExecutor, WorkerContext
+from repro.parallel.executor import WorkerContext
 from repro.parallel.merge import merge_lift_results
-from repro.parallel.partition import LiftTask, chunk_lift_tasks, serialize_star
+from repro.metrics import counter_value
+from repro.parallel.partition import LiftTask, chunk_lift_tasks
 from repro.storage.diskgraph import DiskGraph
 from repro.storage.pagestore import PAGE_SIZE_BYTES
 from repro.storage.partitions import HnbPartitionStore
 
-from tests.helpers import seeded_gnp
+from tests.helpers import seeded_gnp, step_executor
 
 
 def pages_of(path) -> int:
@@ -65,7 +66,7 @@ def run_lift(executor, store, tasks, workers):
 
 def test_inline_chunks_share_one_read_per_file(lift):
     store, ordered, tasks, star = lift
-    with StepExecutor(1, serialize_star(star)) as executor:
+    with step_executor(1, star) as executor:
         resolved, pages = run_lift(executor, store, tasks, workers=2)
     assert resolved == resolve_hnb_cliques(ordered, store)
     touched = {p for task in tasks for p in task.partition_indices}
@@ -76,8 +77,8 @@ def test_inline_chunks_share_one_read_per_file(lift):
 def test_pool_workers_read_each_file_once_per_step(lift):
     store, ordered, tasks, star = lift
     events = []
-    with StepExecutor(
-        2, serialize_star(star),
+    with step_executor(
+        2, star,
         on_event=lambda event, **fields: events.append((event, fields)),
     ) as executor:
         resolved, pages = run_lift(executor, store, tasks, workers=2)
@@ -131,7 +132,9 @@ def test_worker_cache_never_exceeds_max_resident(lift, monkeypatch):
 
 
 @pytest.mark.usefixtures("force_fanout")
-def test_tight_budget_two_workers_stream_matches_serial(tmp_path, monkeypatch):
+def test_tight_budget_two_workers_stream_matches_serial(
+    tmp_path, monkeypatch, live_metrics
+):
     graph = seeded_gnp(90, 0.2, seed=43)
     disk = DiskGraph.create(tmp_path / "g.bin", graph)
     budget = graph.num_edges + graph.num_vertices
@@ -161,4 +164,4 @@ def test_tight_budget_two_workers_stream_matches_serial(tmp_path, monkeypatch):
     parallel = list(algo.enumerate_cliques())
     assert any(partitions > resident for partitions, resident in built)
     assert parallel == serial
-    assert algo.chunks_total > 0
+    assert counter_value(live_metrics.snapshot(), "repro_parallel_chunks_total") > 0

@@ -10,6 +10,7 @@ from repro import DiskGraph, ExtMCEConfig
 from repro.errors import GraphError, SharedMemoryError, StorageFormatError
 from repro.faults import FaultPlan, FaultRule
 from repro.kernel.compact import CompactGraph
+from repro.metrics import counter_value
 from repro.parallel import shm as shm_mod
 from repro.parallel.driver import ParallelExtMCE
 from repro.parallel.scheduler import ParallelEngine
@@ -115,7 +116,7 @@ class TestEngineLifecycle:
             assert os.path.exists(os.path.join("/dev/shm", second["token"]))
         assert not os.path.exists(os.path.join("/dev/shm", second["token"]))
 
-    def test_unpackable_labels_fall_back_to_inband(self):
+    def test_unpackable_labels_fall_back_to_inband(self, live_metrics):
         from repro.core.hstar import extract_hstar_graph
         from repro.graph.adjacency import AdjacencyGraph
 
@@ -125,7 +126,9 @@ class TestEngineLifecycle:
             descriptor = engine.publish_star(star)
             assert descriptor["token"].startswith("inband-")
             assert "inband" in descriptor and "shm" not in descriptor
-            assert engine.inband_payloads == 1
+            assert counter_value(
+                live_metrics.snapshot(), "repro_parallel_inband_payloads_total"
+            ) == 1
             assert engine.current_segment is None
 
 
@@ -178,7 +181,7 @@ class TestSweep:
 
 class TestLeakRegression:
     @pytest.mark.usefixtures("force_fanout")
-    def test_killed_worker_run_leaks_no_segments(self, tmp_path):
+    def test_killed_worker_run_leaks_no_segments(self, tmp_path, live_metrics):
         """A worker SIGKILLed mid-run must not leave repro-shm-* behind."""
         before = {
             entry
@@ -195,7 +198,7 @@ class TestLeakRegression:
         algo.task_timeout_seconds = 3.0
         cliques = list(algo.enumerate_cliques())
         assert cliques, "faulted run should still enumerate"
-        assert algo.chunks_total > 0
+        assert counter_value(live_metrics.snapshot(), "repro_parallel_chunks_total") > 0
         after = {
             entry
             for entry in os.listdir("/dev/shm")

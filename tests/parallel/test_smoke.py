@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro import DiskGraph, ExtMCEConfig, ParallelExtMCE
+from repro.metrics import counter_value
 
 from tests.helpers import seeded_gnp
 
@@ -18,7 +19,7 @@ SMOKE_TIMEOUT_SECONDS = 120
 
 
 @pytest.mark.usefixtures("force_fanout")
-def test_two_worker_enumeration_completes_within_timeout(tmp_path):
+def test_two_worker_enumeration_completes_within_timeout(tmp_path, live_metrics):
     graph = seeded_gnp(60, 0.15, seed=5)
     disk = DiskGraph.create(tmp_path / "g.bin", graph)
     algo = ParallelExtMCE(disk, ExtMCEConfig(workdir=tmp_path / "w", workers=2))
@@ -39,4 +40,4 @@ def test_two_worker_enumeration_completes_within_timeout(tmp_path):
     )
     assert "error" not in outcome, f"enumeration raised: {outcome.get('error')!r}"
     assert len(outcome["cliques"]) > 0
-    assert algo.chunks_total > 0
+    assert counter_value(live_metrics.snapshot(), "repro_parallel_chunks_total") > 0

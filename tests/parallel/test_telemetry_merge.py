@@ -13,7 +13,7 @@ from repro import DiskGraph, ExtMCEConfig, ParallelExtMCE, load_trace
 from repro.faults import FaultPlan, FaultRule
 from repro.metrics import counter_value
 
-from tests.helpers import seeded_gnp
+from tests.helpers import RECOVERY_SERIES, seeded_gnp
 
 CHUNK_EVENTS = ("tree_chunk_completed", "lift_chunk_completed")
 
@@ -51,7 +51,7 @@ class TestDriverTraceIntegration:
     def test_traced_metered_run_creates_no_worker_telemetry_files(
         self, tmp_path, live_metrics
     ):
-        algo, _trace = _traced_run(tmp_path, metrics_path=tmp_path / "m.json")
+        algo, _trace = _traced_run(tmp_path)
         workdir = tmp_path / "w"
         seen: set[str] = set()
         for _clique in algo.enumerate_cliques():
@@ -62,7 +62,7 @@ class TestDriverTraceIntegration:
         assert not list(workdir.rglob("worker_*.json*"))
 
     def test_chunk_events_precede_their_step_completion(self, tmp_path, live_metrics):
-        algo, trace = _traced_run(tmp_path, metrics_path=tmp_path / "m.json")
+        algo, trace = _traced_run(tmp_path)
         list(algo.enumerate_cliques())
         events = load_trace(trace)
         window: list[dict] = []
@@ -85,7 +85,7 @@ class TestDriverTraceIntegration:
         chunk_events = [e for e in events if e["event"] in CHUNK_EVENTS]
         assert chunk_events
         assert all(e["worker"].startswith("worker_") for e in chunk_events)
-        snapshot = json.loads((tmp_path / "m.json").read_text())
+        snapshot = live_metrics.snapshot()
         assert counter_value(snapshot, "repro_parallel_chunks_total") == len(
             chunk_events
         )
@@ -95,10 +95,7 @@ class TestDriverTraceIntegration:
             [FaultRule(operation="chunk", kind="worker_error", max_firings=None)],
             seed=3,
         )
-        algo, trace = _traced_run(
-            tmp_path, fault_plan=plan, max_retries=1,
-            metrics_path=tmp_path / "m.json",
-        )
+        algo, trace = _traced_run(tmp_path, fault_plan=plan, max_retries=1)
         list(algo.enumerate_cliques())
         events = load_trace(trace)
         fallbacks = [e for e in events if e["event"] == "chunk_inline_fallback"]
@@ -109,5 +106,29 @@ class TestDriverTraceIntegration:
         assert fallbacks
         assert len(inline) == len(fallbacks)
         assert not any(e["event"].endswith("_chunk_failed") for e in events)
-        snapshot = json.loads((tmp_path / "m.json").read_text())
+        snapshot = live_metrics.snapshot()
         assert counter_value(snapshot, "repro_parallel_chunks_total") == len(inline)
+
+    def test_recovery_events_and_their_series_agree(self, tmp_path, live_metrics):
+        plan = FaultPlan(
+            [FaultRule(operation="chunk", kind="worker_error", max_firings=3)],
+            seed=7,
+        )
+        algo, trace = _traced_run(tmp_path, fault_plan=plan, max_retries=1)
+        list(algo.enumerate_cliques())
+        events = load_trace(trace)
+        snapshot = live_metrics.snapshot()
+        for event, series in RECOVERY_SERIES.items():
+            assert counter_value(snapshot, series) == sum(
+                e["event"] == event for e in events
+            ), event
+        assert counter_value(snapshot, "repro_parallel_chunk_retries_total") == 3
+        # The step event reports the step, not copies of those counts.
+        steps = [e for e in events if e["event"] == "parallel_step_completed"]
+        assert steps and all(
+            set(e) == {
+                "seq", "elapsed", "event", "step", "workers", "payload_bytes",
+                "shm_bytes", "fell_back", "pool_elapsed",
+            }
+            for e in steps
+        )

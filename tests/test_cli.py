@@ -175,6 +175,65 @@ class TestMetricsFlag:
         assert main(["stats", str(bogus)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_metrics_out_with_index_out_writes_one_whole_snapshot(
+        self, small_disk, tmp_path, capsys, monkeypatch
+    ):
+        from repro import metrics
+
+        writes = []
+        write = metrics.write_exposition_files
+
+        def counting_write(snapshot, path):
+            writes.append(path)
+            return write(snapshot, path)
+
+        monkeypatch.setattr(metrics, "write_exposition_files", counting_write)
+        before = metrics.get_registry()
+        # Twice in one process: the second snapshot counts only its own run.
+        for run in range(2):
+            out = tmp_path / f"metrics_{run}.json"
+            assert main(
+                [
+                    "enumerate", str(small_disk.path),
+                    "--index-out", str(tmp_path / f"idx_{run}"),
+                    "--metrics-out", str(out),
+                ]
+            ) == 0
+            stdout = capsys.readouterr().out
+            assert writes == [out]
+            writes.clear()
+            snapshot = metrics.load_snapshot(out)
+            emitted = metrics.counter_value(
+                snapshot, "repro_mce_cliques_emitted_total"
+            )
+            assert f"maximal cliques : {int(emitted)}" in stdout
+            assert metrics.counter_value(
+                snapshot, "repro_index_build_cliques_total"
+            ) == emitted > 0
+            assert metrics.get_registry() is before
+
+    def test_metrics_out_survives_a_failing_run(self, small_disk, tmp_path, capsys):
+        import json
+
+        from repro import metrics
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "seed": 1,
+            "rules": [{"operation": "scan", "kind": "io_error", "max_firings": None}],
+        }))
+        out = tmp_path / "metrics.json"
+        assert main(
+            [
+                "enumerate", str(small_disk.path), "--fault-plan", str(plan),
+                "--metrics-out", str(out),
+            ]
+        ) == 1
+        assert "error:" in capsys.readouterr().err
+        snapshot = metrics.load_snapshot(out)
+        assert metrics.counter_value(snapshot, "repro_mce_cliques_emitted_total") == 0
+        assert not metrics.enabled()
+
     def test_no_metrics_flag_leaves_registry_disabled(self, small_disk):
         from repro import metrics
 

@@ -166,7 +166,54 @@ class TestSnapshots:
         snapshot = self._populated().snapshot()
         assert metric_names(snapshot) == {"c_total", "g", "h"}
         assert counter_value(snapshot, "c_total") == 5
+        assert counter_value(snapshot, "c_total", {"k": "a"}) == 2
+        assert counter_value(snapshot, "c_total", {"k": "z"}) == 0
         assert counter_value(snapshot, "absent_total") == 0
+
+
+class TestLibraryRuns:
+    """Only the caller switches metrics on: a run records into whatever
+    registry is active and never enables, swaps or writes it."""
+
+    def _graph(self, tmp_path):
+        from repro import AdjacencyGraph, DiskGraph
+
+        # 4 edges, 2 maximal cliques.
+        graph = AdjacencyGraph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
+        return DiskGraph.create(tmp_path / "g.bin", graph)
+
+    def test_a_library_run_leaves_the_registry_as_it_found_it(self, tmp_path):
+        from dataclasses import fields
+
+        from repro import ExtMCE, ExtMCEConfig, ParallelExtMCE
+
+        # The one option that used to switch the registry on is gone.
+        assert "metrics_path" not in {f.name for f in fields(ExtMCEConfig)}
+        disk = self._graph(tmp_path)
+        before = metrics.get_registry()
+        for driver, workers in ((ExtMCE, 1), (ParallelExtMCE, 2)):
+            config = ExtMCEConfig(
+                workdir=tmp_path / f"w{workers}",
+                workers=workers,
+                trace_path=tmp_path / f"t{workers}.jsonl",
+            )
+            assert len(list(driver(disk, config).enumerate_cliques())) == 2
+            assert metrics.get_registry() is before
+        assert not metrics.enabled()
+
+    def test_each_metered_run_counts_once(self, tmp_path):
+        from repro import ExtMCE, ExtMCEConfig
+
+        from tests.helpers import metered
+
+        disk = self._graph(tmp_path)
+        for run in range(2):
+            with metered() as registry:
+                config = ExtMCEConfig(workdir=tmp_path / f"w{run}")
+                list(ExtMCE(disk, config).enumerate_cliques())
+            assert counter_value(
+                registry.snapshot(), "repro_mce_cliques_emitted_total"
+            ) == 2
 
 
 class TestRendering:
