@@ -1,23 +1,24 @@
 """Storage micro-benchmark: records decoded per second on every adjacency scan.
 
 ExtMCE's cost model is sequential passes over the on-disk graph ``G``:
-each recursion step scans it twice.  The first scan learns the
-h-neighbors' within-``Hnb`` degrees, which place the spill-partition
-boundaries (Section 4.2.3).  The second, the step pass, writes the spill
-partitions and the residual graph and feeds the next step's L*-sampler.
-This script times the record decoder behind all of them on the standard
-power-law workload (``common.scaling_graph(4000)``):
+each recursion step scans it once.  That scan, the step pass, stages the
+h-neighbors' within-``Hnb`` records (whose sizes place the
+spill-partition boundaries, Section 4.2.3), writes the residual graph
+and feeds the next step's L*-sampler; one streamed read of the staging
+file then fills the partition files.  This script times the record
+decoder behind all of them on the standard power-law workload
+(``common.scaling_graph(4000)``):
 
 * ``scan`` — one full ``DiskGraph.scan``;
 * ``rewrite_without`` — one residual rewrite dropping every tenth vertex
   (one scan of ``G`` plus the write of the residual);
 * ``partition_build`` — ``HnbPartitionStore.build`` over the neighbors of
-  the 100 highest-degree vertices (two scans of ``G`` plus the spill
-  writes);
+  the 100 highest-degree vertices (one scan of ``G``, the staging write
+  and read, and the spill writes);
 * ``step_pass`` — the step's pass as ExtMCE runs it: the same build,
-  whose spill scan also writes the ``rewrite_without`` residual and offers
-  every surviving record to an L*-sampler (two scans of ``G`` plus the
-  spill and residual writes);
+  whose scan also writes the ``rewrite_without`` residual and offers
+  every surviving record to an L*-sampler (one scan of ``G`` plus the
+  staging, spill and residual writes);
 * ``partition_read`` — reading every spill file of that store back.
 
 Each run reports records decoded per second (median and best of
@@ -134,8 +135,8 @@ def main() -> int:
         runs = {
             "scan": {"operation": scan, "records": n},
             "rewrite_without": {"operation": rewrite, "records": n},
-            "partition_build": {"operation": build, "records": 2 * n},
-            "step_pass": {"operation": step_pass, "records": 2 * n},
+            "partition_build": {"operation": build, "records": n},
+            "step_pass": {"operation": step_pass, "records": n},
             "partition_read": {"operation": read_back, "records": len(members)},
         }
 

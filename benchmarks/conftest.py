@@ -12,6 +12,11 @@ from pathlib import Path
 
 import pytest
 
+try:  # pytest collection from the repository root
+    from benchmarks.common import host_shape
+except ImportError:  # benchmarks/ itself is on sys.path
+    from common import host_shape
+
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
@@ -23,9 +28,15 @@ def results_dir() -> Path:
 
 @pytest.fixture
 def save_result(results_dir):
-    """Write a rendered table under benchmarks/results/ and echo it."""
+    """Write a rendered table, with the host shape under it, to
+    benchmarks/results/ and echo it."""
 
     def _save(name: str, text: str) -> None:
+        host = host_shape()
+        text += (
+            f"\nhost: {host['cpus']} CPUs, Python {host['python']}, "
+            f"{host['platform']}"
+        )
         (results_dir / f"{name}.txt").write_text(text + "\n")
         print()
         print(text)

@@ -19,7 +19,7 @@ def test_table6(benchmark, save_result):
         # First step carries substantial weight (paper: 34-67%).
         assert row.first_step_fraction > 0.1
         # Sequential scans stay linear in the recursion count: the H*
-        # scan, then two per step (the partition-degree pass and the
-        # pass that spills, rewrites the residual and samples the next
+        # scan, then one per step (the pass that stages the spill
+        # partitions, rewrites the residual and samples the next
         # L*-graph), never the random-access blowup the paper warns about.
-        assert row.sequential_scans <= 2 * row.recursions + 1
+        assert row.sequential_scans <= row.recursions + 1

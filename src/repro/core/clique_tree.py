@@ -23,7 +23,7 @@ algorithm on ``G_H*`` (the ablation bench compares the two).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -48,6 +48,7 @@ _METRICS = metrics.bound(
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.kernel import CompactGraph
     from repro.storage.memory import MemoryModel
 
 Clique = frozenset
@@ -228,14 +229,29 @@ class CliqueTree:
             if wanted <= clique:
                 yield clique
 
-    def periphery_leaves(self) -> Iterator[tuple[Clique, int]]:
-        """Yield ``(core part, periphery leaf)`` for every stored clique
-        ending in a periphery vertex — the h-neighbor leaves of Lemma 2."""
-        for clique in self.cliques():
-            path = self.ordered(clique)
-            last = path[-1]
-            if last not in self._core:
-                yield frozenset(path[:-1]), last
+    def periphery_leaf_order(self) -> list[int]:
+        """The distinct periphery vertices that end a stored clique — the
+        h-neighbor leaves of Lemma 2 — in DFS order, first occurrence
+        kept (Section 4.2.3's partition order).
+
+        One walk over the tree's nodes, children in ``≺`` order: the
+        order of the terminals :meth:`cliques` yields, without building
+        or re-sorting a clique per path.
+        """
+        core = self._core
+        key = self.rank_key
+        order: dict[int, None] = {}
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if node.is_terminal and node.vertex not in core:
+                order[node.vertex] = None
+            children = node.children
+            if children:
+                stack.extend(
+                    children[v] for v in sorted(children, key=key, reverse=True)
+                )
+        return list(order)
 
     # ------------------------------------------------------------------
     # Internals
@@ -292,9 +308,23 @@ def _structured_star_cliques(star: StarGraph, core_maximal: set[Clique]) -> Iter
         if not star.common_periphery(core_clique):
             yield core_clique
     for w, anchors in _anchor_items(star):
-        subset = compact.subset_mask(anchors)
-        for core_clique in maximal_cliques_bitset(compact, subset):
+        for core_clique in anchor_cliques(compact, anchors):
             yield core_clique | {w}
+
+
+def anchor_cliques(compact: "CompactGraph", anchors: Collection[int]) -> Iterable[Clique]:
+    """``maxCL(G_H[anchors])``: the core parts of one periphery vertex's
+    leaves (Lemma 2), from the core graph compacted once per step.
+
+    A single anchor ``v`` is its own and only maximal clique, so it is
+    answered without a kernel call; most periphery vertices of a sparse
+    graph have exactly one core neighbor.
+    """
+    if len(anchors) == 1:
+        return (frozenset(anchors),)
+    from repro.kernel import maximal_cliques_bitset
+
+    return maximal_cliques_bitset(compact, compact.subset_mask(anchors))
 
 
 def _anchor_items(star: StarGraph) -> list[tuple[int, set[int]]]:

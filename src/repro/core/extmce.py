@@ -592,7 +592,7 @@ class ExtMCE:
     ) -> Generator[Clique, None, tuple[DiskGraph, LStarSampler]]:
         """Run one recursion step; return ``G_{k+1}`` and step k+1's sample.
 
-        The step's second scan of ``G_k`` (the spill pass) also writes
+        The step's one scan of ``G_k`` (the spill pass) also writes
         ``G_{k+1} = G_k − core`` and feeds each surviving record to the
         next step's L*-sampler, so the residual exists before the lift.
         """
@@ -774,15 +774,9 @@ class ExtMCE:
         any ``HNB`` set, but they are appended at the end defensively so
         every periphery vertex is covered by some partition.
         """
-        order: list[int] = []
-        seen: set[int] = set()
-        for _, leaf in tree.periphery_leaves():
-            if leaf not in seen:
-                seen.add(leaf)
-                order.append(leaf)
-        for vertex in sorted(star.periphery):
-            if vertex not in seen:
-                order.append(vertex)
+        order = tree.periphery_leaf_order()
+        seen = set(order)
+        order.extend(v for v in sorted(star.periphery) if v not in seen)
         return order
 
     def _finish_step(

@@ -262,12 +262,13 @@ def _init_worker() -> None:
 
 
 def _solve_tree_task(compact: CompactGraph, task: "TreeTask"):
-    from repro.kernel import maximal_cliques_bitset, subproblem_bitset
+    from repro.core.clique_tree import anchor_cliques
+    from repro.kernel import subproblem_bitset
 
     if task.kind == "core":
         cliques = subproblem_bitset(compact, task.vertex)
     else:
-        cliques = maximal_cliques_bitset(compact, compact.subset_mask(task.anchors))
+        cliques = anchor_cliques(compact, task.anchors)
     return tuple(tuple(sorted(clique)) for clique in cliques)
 
 
@@ -364,17 +365,18 @@ class _Poison:
         raise TypeError("injected unpicklable payload")
 
 
-def _dispatch_chunk(task):
+def _dispatch_chunk(blob: bytes):
     """Worker-side entry point: obey the fault directive, then run.
 
-    ``task`` is ``(directive, phase, descriptor, chunk, metered)``.  The
+    ``blob`` is the pickled ``(directive, phase, descriptor, chunk,
+    metered)`` (pickled once, driver-side, which also measures it).  The
     directive is attached driver-side by :meth:`StepExecutor._submit` so
     workers never hold a :class:`~repro.faults.FaultPlan`; ``None`` means
     run normally.  A metered submission (set from
     :func:`repro.metrics.enabled` at submit time) runs against a fresh
     registry whose snapshot is returned in the envelope.
     """
-    directive, phase, descriptor, chunk, metered = task
+    directive, phase, descriptor, chunk, metered = pickle.loads(blob)
     if directive is not None:
         kind = directive[0]
         if kind == "worker_kill":
@@ -678,13 +680,17 @@ class StepExecutor:
                         directive = ("shm_stale",)
         task = (directive, phase, self._payload, payload_chunk, metrics.enabled())
         try:
-            shipped = len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
-        except Exception:  # injected poison payloads refuse to pickle
-            shipped = 0
+            blob = pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
+            shipped = len(blob)
+        except Exception:
+            # An injected poison payload refuses to pickle: hand the pool
+            # the object itself, whose own pickling then fails the chunk
+            # through its error callback like any unpicklable submission.
+            blob, shipped = task, 0
         try:
             notify = partial(self._notify, ticket)
             handle = self._engine.pool.apply_async(
-                _dispatch_chunk, (task,), callback=notify, error_callback=notify
+                _dispatch_chunk, (blob,), callback=notify, error_callback=notify
             )
         except Exception:
             return None

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -124,6 +124,29 @@ class DiskGraph:
         ``checksum=False`` writes the legacy v1 layout (no per-record
         CRC) for compatibility tooling.
         """
+        encoded = (
+            (vertex, len(neighbors),
+             encode_record(vertex, neighbors, original_degree, checksum=checksum))
+            for vertex, neighbors, original_degree in records
+        )
+        return cls._write(
+            path, encoded, io_stats=io_stats, fault_plan=fault_plan,
+            verify_checksums=verify_checksums, checksum=checksum,
+        )
+
+    @classmethod
+    def _write(
+        cls,
+        path: str | Path,
+        encoded: Iterable[tuple[int, int, bytes]],
+        io_stats: IOStats | None,
+        fault_plan: "FaultPlan | None",
+        verify_checksums: bool,
+        checksum: bool,
+    ) -> "DiskGraph":
+        """The one write loop: ``(vertex, degree, record bytes)`` items,
+        already encoded in the layout ``checksum`` selects, streamed to
+        ``path`` behind a header patched with the final counts."""
         store = PageStore(path, io_stats, fault_plan=fault_plan)
         magic = FILE_MAGIC_V2 if checksum else FILE_MAGIC
         store.write_all(magic + _pack_counts(0, 0, checksum))
@@ -131,15 +154,15 @@ class DiskGraph:
         directed_degree_total = 0
         previous_vertex = -1
         buffer = bytearray()
-        for vertex, neighbors, original_degree in records:
+        for vertex, degree, data in encoded:
             if vertex <= previous_vertex:
                 raise StorageError(
                     f"records out of order: vertex {vertex} after {previous_vertex}"
                 )
             previous_vertex = vertex
             num_vertices += 1
-            directed_degree_total += len(neighbors)
-            buffer += encode_record(vertex, neighbors, original_degree, checksum=checksum)
+            directed_degree_total += degree
+            buffer += data
             if len(buffer) >= 1 << 20:
                 store.append(bytes(buffer))
                 buffer.clear()
@@ -259,8 +282,12 @@ class DiskGraph:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def scan(self) -> Iterator[VertexRecord]:
-        """Stream all records in vertex order (one metered sequential scan)."""
+    def scan(self, raw: bool = False) -> Iterator[VertexRecord]:
+        """Stream all records in vertex order (one metered sequential scan).
+
+        With ``raw``, each item is ``(record, encoded)``: the record and
+        a copy of the bytes that encode it in this graph's format.
+        """
         self._store.io_stats.record_scan()
         pending = bytearray()
         chunks = self._store.scan_chunks()
@@ -274,9 +301,17 @@ class DiskGraph:
                 if not chunk:
                     continue
             pending += chunk
-            offset = yield from decode_records(
-                pending, self._checksummed, self._verify
-            )
+            if raw:
+                # The last span's end is where the next chunk resumes.
+                offset = 0
+                for record, start, offset in decode_records(
+                    pending, self._checksummed, self._verify, spans=True
+                ):
+                    yield record, pending[start:offset]
+            else:
+                offset = yield from decode_records(
+                    pending, self._checksummed, self._verify
+                )
             del pending[:offset]
         if pending:
             raise StorageFormatError(f"{len(pending)} trailing bytes after final record")
@@ -296,14 +331,17 @@ class DiskGraph:
         self,
         removed: Iterable[int],
         new_path: str | Path,
-        visit: Callable[[VertexRecord, list[int] | None], None] | None = None,
+        visit: Callable[[VertexRecord, Sequence[int] | None], None] | None = None,
     ) -> "DiskGraph":
         """Write the residual graph after deleting a vertex set.
 
         Removes every vertex in ``removed`` and all incident edges — the
         per-recursion shrink step of Algorithm 3 — in one sequential read
         of this file and one sequential write of the new one.  Original
-        degrees, the verify setting and any fault plan carry over.
+        degrees, the verify setting and any fault plan carry over.  A
+        surviving record that loses no neighbor is copied as its original
+        bytes; only records that lose one are re-encoded.  The residual
+        is always format v2, so a v1 source re-encodes every record.
 
         ``visit(record, survivors)``, when given, sees every record of
         this graph during the same read, in vertex order: ``survivors`` is
@@ -312,21 +350,29 @@ class DiskGraph:
         and the next L*-sample on it, so one scan does all three.
         """
         removed_set = set(removed)
+        copy = self._checksummed
 
-        def residual_records() -> Iterator[tuple[int, list[int], int]]:
-            for record in self.scan():
-                if record.vertex in removed_set:
+        def residual_records() -> Iterator[tuple[int, int, bytes]]:
+            for record, data in self.scan(raw=True):
+                vertex = record.vertex
+                if vertex in removed_set:
                     if visit is not None:
                         visit(record, None)
                     continue
-                survivors = [u for u in record.neighbors if u not in removed_set]
+                survivors: Sequence[int] = record.neighbors
+                if not (copy and removed_set.isdisjoint(survivors)):
+                    survivors = [u for u in survivors if u not in removed_set]
+                    data = encode_record(
+                        vertex, survivors, record.original_degree, checksum=True
+                    )
                 if visit is not None:
                     visit(record, survivors)
-                yield record.vertex, survivors, record.original_degree
+                yield vertex, len(survivors), data
 
-        return DiskGraph.from_records(
+        return DiskGraph._write(
             new_path, residual_records(), io_stats=self.io_stats,
             fault_plan=self.fault_plan, verify_checksums=self._verify,
+            checksum=True,
         )
 
     def to_adjacency_graph(self) -> AdjacencyGraph:

@@ -105,15 +105,18 @@ def decode_records(
     buffer: bytes | bytearray | memoryview,
     checksum: bool = False,
     verify: bool = True,
-) -> Generator[VertexRecord, None, int]:
+    spans: bool = False,
+) -> Generator[VertexRecord | tuple[VertexRecord, int, int], None, int]:
     """Yield each complete record in ``buffer``; return the offset of the
     first one it does not hold completely (``len(buffer)`` if none).
 
     Lazy: a consumer that stops early decodes and verifies nothing past
     the record it stopped at.  ``checksum`` selects the format-v2 layout;
     ``verify`` checks its CRC32, raising
-    :class:`~repro.errors.CorruptDataError` on a mismatch.  ``buffer``
-    cannot be resized while the generator is suspended.
+    :class:`~repro.errors.CorruptDataError` on a mismatch.  With
+    ``spans``, each item is ``(record, start, end)``: the record and the
+    byte span ``buffer[start:end]`` that encodes it.  ``buffer`` cannot
+    be resized while the generator is suspended.
     """
     size = len(buffer)
     header_size = _HEADER.size
@@ -143,8 +146,9 @@ def decode_records(
                             f"checksum mismatch for vertex {vertex}: "
                             f"stored {stored:#010x}, computed {computed:#010x}"
                         )
-                offset = body_end + crc_size
-                yield VertexRecord(vertex, original_degree, neighbors)
+                start, offset = offset, body_end + crc_size
+                record = VertexRecord(vertex, original_degree, neighbors)
+                yield (record, start, offset) if spans else record
     finally:
         # One counter update per buffer, not per record; the failing
         # record of a CRC mismatch counts as verified.

@@ -9,14 +9,16 @@ partition at a time.
 
 This module reproduces that machinery over :class:`DiskGraph`:
 
-* :meth:`HnbPartitionStore.build` performs two sequential scans of ``G`` —
-  one to learn each h-neighbor's within-``Hnb`` degree (needed to place
-  partition boundaries; the paper assumes this is known), one to write the
-  partition files.  ExtMCE makes the second scan its whole step pass: the
-  same read also writes the residual graph ``G_{k+1} = G_k − core_k``
-  through :meth:`DiskGraph.rewrite_without` and offers every surviving
-  record to step ``k+1``'s L*-sampler, so a recursion step costs two
-  scans of ``G_k``.
+* :meth:`HnbPartitionStore.build` reads ``G`` once.  That scan appends
+  each h-neighbor's within-``Hnb`` record to a staging file and learns
+  its within-``Hnb`` degree (which places the partition boundaries; the
+  paper assumes it is known).  After the scan, the boundaries are laid
+  along the DFS order and one streamed read of the staging file copies
+  every record's bytes into its partition file.  ExtMCE makes that scan
+  its whole step pass: the same read also writes the residual graph
+  ``G_{k+1} = G_k − core_k`` through :meth:`DiskGraph.rewrite_without`
+  and offers every surviving record to step ``k+1``'s L*-sampler, so a
+  recursion step costs one scan of ``G_k``.
 * :meth:`HnbPartitionStore.neighbor_sets` serves an ``HNB`` set by
   loading the partitions that contain its members, charging resident
   partitions to the memory model and evicting least-recently-used ones.
@@ -128,7 +130,7 @@ class HnbPartitionStore:
         *,
         removed: Iterable[int] = (),
         residual_path: str | Path | None = None,
-        on_survivor: Callable[[int, list[int], int], None] | None = None,
+        on_survivor: Callable[[int, Sequence[int], int], None] | None = None,
     ) -> "HnbPartitionStore":
         """Spill the within-``members`` adjacency of ``disk_graph``.
 
@@ -136,11 +138,17 @@ class HnbPartitionStore:
         allowed; first occurrence wins).  ``memory_budget_units`` bounds
         the size of each partition, measured in stored vertex ids.
 
-        With ``residual_path``, the spill pass is also the residual
-        rewrite: one read of ``disk_graph`` writes the partition files and
-        ``disk_graph.rewrite_without(removed, residual_path)``, and hands
-        every surviving record ``(vertex, residual neighbors, original
-        degree)`` to ``on_survivor``.  The residual is then
+        One scan of ``disk_graph`` stages every member's within-member
+        record, in vertex order, in one file of ``directory`` and notes
+        its size and ``1 + inner degree``.  Partition boundaries are then
+        placed along the DFS order, and one streamed read of the staging
+        file copies each record's bytes unchanged into its partition
+        file.  The staging file is deleted before this returns.
+
+        With ``residual_path``, the scan is also the residual rewrite:
+        it writes ``disk_graph.rewrite_without(removed, residual_path)``
+        and hands every surviving record ``(vertex, residual neighbors,
+        original degree)`` to ``on_survivor``.  The residual is then
         :attr:`residual`.
         """
         if memory_budget_units <= 0:
@@ -149,78 +157,121 @@ class HnbPartitionStore:
             )
         ordered = list(dict.fromkeys(members))
         member_set = set(ordered)
-
-        # Pass 1: within-member degree of each member.
-        inner_degree = {v: 0 for v in ordered}
-        for record in disk_graph.scan():
-            if record.vertex in member_set:
-                inner_degree[record.vertex] = len(
-                    member_set.intersection(record.neighbors)
-                )
-
-        # Place partition boundaries along the DFS order.
-        partitions: list[list[int]] = []
-        current: list[int] = []
-        current_units = 0
-        for v in ordered:
-            units = 1 + inner_degree[v]
-            if current and current_units + units > memory_budget_units:
-                partitions.append(current)
-                current = []
-                current_units = 0
-            current.append(v)
-            current_units += units
-        if current:
-            partitions.append(current)
-
-        # Pass 2: write each member's within-member adjacency to its file.
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        partition_of = {
-            v: index for index, group in enumerate(partitions) for v in group
-        }
-        stores = [
-            PageStore(
-                directory / f"hnb_part_{index:05d}.bin",
-                disk_graph.io_stats,
-                fault_plan=disk_graph.fault_plan,
-            )
-            for index in range(len(partitions))
-        ]
-        for store in stores:
-            store.write_all(b"")
-        buffers: list[bytearray] = [bytearray() for _ in partitions]
+        staging = PageStore(
+            directory / "hnb_staging.bin",
+            disk_graph.io_stats,
+            fault_plan=disk_graph.fault_plan,
+        )
+        # Per staged member, in vertex order: (record bytes, 1 + inner degree).
+        staged: dict[int, tuple[int, int]] = {}
+        buffer = bytearray()
 
-        def spill(record: VertexRecord) -> None:
-            index = partition_of.get(record.vertex)
-            if index is None:
+        def stage(record: VertexRecord) -> None:
+            vertex = record.vertex
+            if vertex not in member_set:
                 return
             inner = [u for u in record.neighbors if u in member_set]
-            buffers[index] += encode_record(
-                record.vertex, inner, record.original_degree, checksum=True
-            )
-            if len(buffers[index]) >= 1 << 20:
-                stores[index].append(bytes(buffers[index]))
-                buffers[index].clear()
+            data = encode_record(vertex, inner, record.original_degree, checksum=True)
+            staged[vertex] = (len(data), 1 + len(inner))
+            buffer.extend(data)
+            if len(buffer) >= 1 << 20:
+                staging.append(bytes(buffer))
+                buffer.clear()
 
-        residual = None
-        if residual_path is None:
-            for record in disk_graph.scan():
-                spill(record)
-        else:
+        try:
+            # The one scan of the graph.
+            staging.write_all(b"")
+            residual = None
+            if residual_path is None:
+                for record in disk_graph.scan():
+                    stage(record)
+            else:
 
-            def visit(record: VertexRecord, survivors: list[int] | None) -> None:
-                spill(record)
-                if survivors is not None and on_survivor is not None:
-                    on_survivor(record.vertex, survivors, record.original_degree)
+                def visit(record: VertexRecord, survivors) -> None:
+                    stage(record)
+                    if survivors is not None and on_survivor is not None:
+                        on_survivor(record.vertex, survivors, record.original_degree)
 
-            residual = disk_graph.rewrite_without(removed, residual_path, visit=visit)
-        for store, buffer in zip(stores, buffers):
+                residual = disk_graph.rewrite_without(
+                    removed, residual_path, visit=visit
+                )
             if buffer:
-                store.append(bytes(buffer))
+                staging.append(bytes(buffer))
+
+            # Place partition boundaries along the DFS order; a member
+            # with no record in the graph costs one unit.
+            partitions: list[list[int]] = []
+            current: list[int] = []
+            current_units = 0
+            for v in ordered:
+                units = staged[v][1] if v in staged else 1
+                if current and current_units + units > memory_budget_units:
+                    partitions.append(current)
+                    current = []
+                    current_units = 0
+                current.append(v)
+                current_units += units
+            if current:
+                partitions.append(current)
+
+            stores = [
+                PageStore(
+                    directory / f"hnb_part_{index:05d}.bin",
+                    disk_graph.io_stats,
+                    fault_plan=disk_graph.fault_plan,
+                )
+                for index in range(len(partitions))
+            ]
+            for store in stores:
+                store.write_all(b"")
+            partition_of = {
+                v: index for index, group in enumerate(partitions) for v in group
+            }
+            cls._distribute(staging, staged, partition_of, stores)
+        finally:
+            staging.delete()
         built = cls(directory, partitions, stores, memory, max_resident)
         built.residual = residual
         return built
+
+    @staticmethod
+    def _distribute(
+        staging: PageStore,
+        staged: dict[int, tuple[int, int]],
+        partition_of: dict[int, int],
+        stores: list[PageStore],
+    ) -> None:
+        """Copy each staged record's bytes, unchanged and in vertex order,
+        into its partition file: one streamed read of ``staging`` (a
+        spill read, not a scan of ``G``), 1 MiB write buffers."""
+        buffers: list[bytearray] = [bytearray() for _ in stores]
+        spans = iter(staged.items())
+        pending = bytearray()
+        span = next(spans, None)
+        for chunk in staging.scan_chunks():
+            pending += chunk
+            offset = 0
+            with memoryview(pending) as view:
+                while span is not None and offset + span[1][0] <= len(view):
+                    vertex, (size, _) = span
+                    buffer = buffers[partition_of[vertex]]
+                    buffer += view[offset : offset + size]
+                    offset += size
+                    if len(buffer) >= 1 << 20:
+                        stores[partition_of[vertex]].append(bytes(buffer))
+                        buffer.clear()
+                    span = next(spans, None)
+            del pending[:offset]
+        if span is not None or pending:
+            raise StorageFormatError(
+                f"staging file {staging.path} does not hold the records the "
+                f"step pass wrote ({len(pending)} unmatched bytes)"
+            )
+        for store, buffer in zip(stores, buffers):
+            if buffer:
+                store.append(bytes(buffer))
 
     # ------------------------------------------------------------------
     # Queries

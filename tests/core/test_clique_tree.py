@@ -5,15 +5,17 @@ from hypothesis import given, settings
 
 from repro.core.clique_tree import (
     CliqueTree,
+    anchor_cliques,
     build_clique_tree,
     build_clique_tree_from_cliques,
     enumerate_star_cliques,
 )
 from repro.core.hstar import extract_hstar_graph
 from repro.errors import GraphError
+from repro.kernel import maximal_cliques_bitset
 from repro.storage.memory import MemoryModel
 
-from tests.helpers import cliques_of, figure1_graph, names_of, small_graphs
+from tests.helpers import GRAPHS, cliques_of, figure1_graph, names_of, small_graphs
 
 
 @pytest.fixture
@@ -121,15 +123,70 @@ class TestTreeStructure:
 class TestLemma2:
     def test_periphery_only_leaves(self, star):
         tree, _ = build_clique_tree(star)
-        for core_part, leaf in tree.periphery_leaves():
-            assert leaf in star.periphery
-            assert core_part <= star.core
+        for clique in tree.cliques():
+            *core_part, leaf = tree.ordered(clique)
+            if leaf not in star.core:
+                assert leaf in star.periphery
+                assert set(core_part) <= star.core
 
     def test_root_children_are_core(self, star):
         tree, _ = build_clique_tree(star)
         for clique in tree.cliques():
             first = tree.ordered(clique)[0]
             assert first in star.core
+
+
+class TestPeripheryLeafOrder:
+    @staticmethod
+    def clique_walk_order(tree, core):
+        """The order the per-clique walk gave: each stored clique in DFS
+        order, re-sorted by ``≺``, its last vertex kept when it is a
+        periphery vertex, first occurrence wins."""
+        order: list[int] = []
+        for clique in tree.cliques():
+            last = tree.ordered(clique)[-1]
+            if last not in core and last not in order:
+                order.append(last)
+        return order
+
+    def test_figure1(self, star):
+        tree, _ = build_clique_tree(star)
+        assert names_of(tree.periphery_leaf_order()) == names_of(star.periphery)
+        assert tree.periphery_leaf_order() == self.clique_walk_order(tree, star.core)
+
+    @pytest.mark.parametrize("family", sorted(GRAPHS))
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_node_walk_matches_the_clique_walk(self, family, seed):
+        star = extract_hstar_graph(GRAPHS[family](seed))
+        tree, _ = build_clique_tree(star)
+        order = tree.periphery_leaf_order()
+        assert order
+        assert order == self.clique_walk_order(tree, star.core)
+
+
+class TestAnchorCliques:
+    @pytest.mark.parametrize("family", sorted(GRAPHS))
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_matches_the_kernel(self, family, size):
+        star = extract_hstar_graph(GRAPHS[family](size))
+        compact = star.core_compact()
+        core = sorted(star.core)
+        for start in range(0, len(core) - size + 1, max(1, len(core) // 12)):
+            anchors = set(core[start : start + size])
+            expected = list(
+                maximal_cliques_bitset(compact, compact.subset_mask(anchors))
+            )
+            assert list(anchor_cliques(compact, anchors)) == expected
+
+    def test_single_anchor_skips_the_kernel(self, star, live_metrics):
+        from repro.metrics import counter_value
+
+        compact = star.core_compact()
+        v = min(star.core)
+        assert list(anchor_cliques(compact, {v})) == [frozenset({v})]
+        assert counter_value(
+            live_metrics.snapshot(), "repro_kernel_subproblems_total"
+        ) == 0
 
 
 class TestBuild:

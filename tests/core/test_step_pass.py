@@ -3,7 +3,7 @@ partitions, the residual ``G_{k+1}`` and step k+1's L*-sample.
 
 The contract pinned here: the sample drawn while the residual is written
 is the sample :func:`extract_lstar_graph` draws from the written file, a
-run costs two scans per step plus the H* scan, a binding memory budget
+run costs one scan per step plus the H* scan, a binding memory budget
 redraws a sample whose target the lift moved, a star that disagrees with
 the disk graph fails typed, and a crash mid-step resumes to the same
 per-step cores.
@@ -18,23 +18,14 @@ from repro.core.extmce import ExtMCE, ExtMCEConfig
 from repro.core.hstar import StarGraph, extract_hstar_graph
 from repro.core.lstar import LStarSampler, extract_lstar_graph
 from repro.errors import StorageError
-from repro.generators import (
-    fringed_clique_communities,
-    powerlaw_cluster_graph,
-    random_gnp_graph,
-)
+from repro.generators import powerlaw_cluster_graph
 from repro.parallel import ParallelExtMCE
 from repro.storage.diskgraph import DiskGraph
 from repro.storage.memory import MemoryModel
 from repro.storage.partitions import HnbPartitionStore, read_partition_file
 
-from tests.helpers import forced_fanout, seeded_gnp
+from tests.helpers import GRAPHS, forced_fanout, seeded_gnp
 
-GRAPHS = {
-    "powerlaw": lambda seed: powerlaw_cluster_graph(120, 3, 0.6, seed=seed),
-    "gnp": lambda seed: random_gnp_graph(70, 0.12, seed=seed),
-    "communities": lambda seed: fringed_clique_communities(90, seed=seed),
-}
 #: 0 admits nothing (the first-record fallback); 10**9 takes everything.
 TARGETS = (0, 1, 25, 120, 10**9)
 
@@ -121,19 +112,19 @@ def run_driver(graph, tmp_path, workers=1, **config):
 
 class TestScanCount:
     @pytest.mark.parametrize("family", sorted(GRAPHS))
-    def test_two_scans_per_step_plus_hstar(self, tmp_path, family):
+    def test_one_scan_per_step_plus_hstar(self, tmp_path, family):
         _, report = run_driver(GRAPHS[family](5), tmp_path)
         assert report.num_recursions > 1
-        assert report.sequential_scans == 2 * report.num_recursions + 1
+        assert report.sequential_scans == report.num_recursions + 1
 
-    def test_two_scans_per_step_at_two_workers(self, tmp_path):
+    def test_one_scan_per_step_at_two_workers(self, tmp_path):
         graph = seeded_gnp(80, 0.2, seed=5)
         serial, serial_report = run_driver(graph, tmp_path / "serial")
         with forced_fanout():
             parallel, report = run_driver(graph, tmp_path / "parallel", workers=2)
         assert parallel == serial
         assert report.num_recursions == serial_report.num_recursions
-        assert report.sequential_scans == 2 * report.num_recursions + 1
+        assert report.sequential_scans == report.num_recursions + 1
 
 
 class TestBindingBudget:
@@ -153,7 +144,7 @@ class TestBindingBudget:
         assert cliques == set(tomita_maximal_cliques(graph))
         assert memory.peak_units <= budget
         report = algo.report
-        assert report.sequential_scans > 2 * report.num_recursions + 1
+        assert report.sequential_scans > report.num_recursions + 1
 
 
 class TestStarDisagreesWithDisk:

@@ -8,6 +8,11 @@ import weakref
 
 from hypothesis import strategies as st
 
+from repro.generators import (
+    fringed_clique_communities,
+    powerlaw_cluster_graph,
+    random_gnp_graph,
+)
 from repro.graph.adjacency import AdjacencyGraph
 
 # ---------------------------------------------------------------------------
@@ -59,6 +64,15 @@ def seeded_gnp(n: int, p: float, seed: int) -> AdjacencyGraph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return AdjacencyGraph.from_edges(edges, vertices=range(n))
+
+
+#: Seeded graph families, one per shape the recursion meets: power-law,
+#: uniform random, and dense communities with a sparse fringe.
+GRAPHS = {
+    "powerlaw": lambda seed: powerlaw_cluster_graph(120, 3, 0.6, seed=seed),
+    "gnp": lambda seed: random_gnp_graph(70, 0.12, seed=seed),
+    "communities": lambda seed: fringed_clique_communities(90, seed=seed),
+}
 
 
 @st.composite

@@ -134,6 +134,44 @@ class TestEngineSharing:
         assert cliques_of(star_cliques) == cliques_of(enumerate_star_cliques(star))
 
 
+class TestSubmission:
+    def test_each_submission_pickles_its_task_once(
+        self, star, live_metrics, monkeypatch
+    ):
+        """The bytes the pool ships are the bytes the payload series
+        counts: one ``pickle.dumps`` per submission, none to measure."""
+        from repro.parallel import executor as executor_module
+
+        real_dumps = pickle.dumps
+        dumped: list[int] = []
+
+        def counting_dumps(obj, *args, **kwargs):
+            blob = real_dumps(obj, *args, **kwargs)
+            dumped.append(len(blob))
+            return blob
+
+        with step_executor(2, star) as executor:
+            submissions = []
+            real_submit = executor.engine.pool.apply_async
+
+            def counting_submit(*args, **kwargs):
+                submissions.append(args)
+                return real_submit(*args, **kwargs)
+
+            monkeypatch.setattr(executor.engine.pool, "apply_async", counting_submit)
+            monkeypatch.setattr(executor_module.pickle, "dumps", counting_dumps)
+            star_cliques, _ = _run_tree(executor, star)
+            monkeypatch.undo()
+            assert not any(recoveries(live_metrics).values())
+        assert len(submissions) == executor.last_map.chunks == 8
+        assert len(dumped) == len(submissions)
+        assert all(isinstance(args[1][0], bytes) for args in submissions)
+        assert counter_value(
+            live_metrics.snapshot(), "repro_parallel_payload_bytes_total"
+        ) == sum(dumped)
+        assert cliques_of(star_cliques) == cliques_of(enumerate_star_cliques(star))
+
+
 class TestChunkCount:
     @pytest.mark.parametrize("count", [1, 2, None], ids=["one", "two", "per_task"])
     def test_every_chunk_count_merges_to_inline(self, star, count, live_metrics):

@@ -227,8 +227,11 @@ class TestReduceFaultSite:
             ).enumerate_cliques()
         )
 
+        # Step 1 makes four spill writes (the staging file and its one
+        # partition, each created and appended once) before its
+        # checkpoint; the fifth, step 2's first, fails.
         plan = FaultPlan(
-            [FaultRule("write", "io_error", after=2, path_contains="partitions")],
+            [FaultRule("write", "io_error", after=4, path_contains="partitions")],
             seed=7,
         )
         faulty = DiskGraph.open(tmp_path / "g.bin", fault_plan=plan)
